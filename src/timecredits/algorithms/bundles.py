@@ -1,21 +1,24 @@
-"""One bundle per case study: instrumented run, bound, derived class claim,
-credit obligations, and fault-injection variants.
+"""The case-study table and the one class that turns a row into checks.
 
-The asymptotic claim of a bundle is always recomputed from its runtime
-function through the recurrence or linear-loop rules; nothing is asserted
-by hand.  Obligations feed the credit matcher; the declared hint counts
-are part of the contract (only binary search and selection carry one).
+Each row of ``STUDIES`` is declarative: how to generate and run an input,
+the runtime bound and the recurrence or loop spec as functions of the
+constants, the solver outcome the spec must yield, the empirical checks its
+class must survive, and the credit obligations with their declared hint
+count (only binary search and selection carry one).  ``AlgorithmBundle``
+binds a row to one set of constants and derives the bound, the claim, the
+class checks and the fault variants from it, so the asymptotic claim is
+always recomputed from the runtime function; nothing is asserted by hand.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
-from typing import Any, Callable
+from dataclasses import dataclass, field
+from typing import Any, Callable, Optional
 
 from ..amortized import run_sequence
 from ..credits import HintAbsent, HintUnprovable, MatchFailure, apply_hint, subtract_match
-from ..heap import FAILURE, Success, array_of_list, empty_heap, run
+from ..heap import FAILURE, Success, adrop, array_of_list, atake, empty_heap, run
 from ..landau import (
     BoundRegistry,
     PolyLog,
@@ -26,7 +29,15 @@ from ..landau import (
     geometric_samples,
     grid_samples,
 )
-from ..recurrence import akra_bazzi_class, empirical_ratio_check, linear_rec_class
+from ..recurrence import (
+    BALANCED,
+    BOTTOM_HEAVY,
+    TOP_HEAVY,
+    AkraBazziSpec,
+    akra_bazzi_class,
+    empirical_ratio_check,
+    linear_rec_class,
+)
 from . import dynarray as dyn
 from . import karatsuba as kara
 from . import knapsack as knap
@@ -53,20 +64,97 @@ class DischargeReport:
     detail: str = ""
 
 
-@dataclass
-class AlgorithmBundle:
+@dataclass(frozen=True)
+class CaseStudy:
+    """One row of the table.  ``time``, ``spec``, ``witness`` and
+    ``obligations`` take the constants, so one row serves every variant."""
+
     name: str
     gen_input: Callable[[random.Random, int], Any]
     run: Callable[[Any], RunResult]
-    bound: Callable[[int], int]
-    claim: Callable[[], Any]
-    obligations: Callable[[], list]
-    declared_hints: int
-    consts: dict
-    with_consts: Callable[[dict], "AlgorithmBundle"]
+    time: Callable[[dict], Callable[[Any], int]]  # the bound on a run of a size
+    spec: Optional[Callable[[dict], Any]] = None  # Akra-Bazzi or loop spec
+    case: Optional[str] = None  # expected Akra-Bazzi case
+    cls: Any = None  # expected class, when it is a natural-exponent one
+    p: Optional[tuple[float, float]] = None  # expected exponent and tolerance
+    ratio_hi: Optional[int] = None  # empirical ratio check on [2^8, ratio_hi]
+    witness: Optional[Callable[[dict], Callable]] = None  # Theta-witness target
+    grid: bool = False  # two-variable witness samples
+    obligations: Callable[[dict], list] = lambda consts: []
+    declared_hints: int = 0
+    consts: dict = field(default_factory=dict)
     tight_inputs: Callable[[], list] = lambda: []
-    class_check: Callable[[], bool] = lambda: True
-    class_fault_check: Callable[[Any], bool] = lambda cls: True
+
+
+class AlgorithmBundle:
+    """A case study bound to one set of runtime-function constants."""
+
+    def __init__(self, study: CaseStudy, consts: Optional[dict] = None):
+        self.study = study
+        self.name = study.name
+        self.consts = dict(study.consts if consts is None else consts)
+        self.declared_hints = study.declared_hints
+        self.gen_input = study.gen_input
+        self.run = study.run
+        self.bound = study.time(self.consts)
+
+    def with_consts(self, consts: dict) -> "AlgorithmBundle":
+        return AlgorithmBundle(self.study, consts)
+
+    def obligations(self) -> list:
+        return self.study.obligations(self.consts)
+
+    def tight_inputs(self) -> list:
+        return self.study.tight_inputs()
+
+    def _solve(self):
+        """(spec, case, exponent, class) by the Akra-Bazzi or loop rule; a
+        ledger has no spec and its class is read off its per-operation shape."""
+        spec = self.study.spec(self.consts) if self.study.spec else None
+        if isinstance(spec, AkraBazziSpec):
+            result = akra_bazzi_class(spec)
+            return spec, result.case, result.p, result.result_class
+        if spec is not None:
+            return spec, None, None, linear_rec_class(spec)
+        shape = self.study.witness(self.consts)
+        return None, None, None, PolyLog(0, 1) if shape(4) > shape(2) else PolyLog(0, 0)
+
+    def claim(self):
+        return self._solve()[3]
+
+    def class_check(self) -> bool:
+        """The solver yields the expected outcome, and the class survives the
+        row's empirical checks."""
+        s = self.study
+        spec, case, p, cls = self._solve()
+        if case != s.case or (s.cls is not None and cls != s.cls):
+            return False
+        if s.p is not None and abs(p - s.p[0]) > s.p[1]:
+            return False
+        if s.ratio_hi and not self._ratio_ok(cls, spec):
+            return False
+        return s.witness is None or self._witness_ok(cls)
+
+    def class_fault_check(self, cls) -> bool:
+        """Whether cls survives the row's decisive empirical check."""
+        return self._witness_ok(cls) if self.study.witness else self._ratio_ok(cls)
+
+    def _ratio_ok(self, cls, spec=None) -> bool:
+        if spec is None:
+            spec = self.study.spec(self.consts)
+        return empirical_ratio_check(spec, cls, 2 ** 8, self.study.ratio_hi).passed
+
+    def _witness_ok(self, cls) -> bool:
+        fn = self.study.witness(self.consts)
+        if self.study.grid:
+            train, test = grid_samples(2 ** 4, 2 ** 7), grid_samples(2 ** 7, 2 ** 10)
+        else:
+            train, test = geometric_samples(2 ** 8, 2 ** 12), geometric_samples(2 ** 13, 2 ** 20)
+        try:
+            witness = calibrate_witness(fn, cls, train)
+        except ValueError:
+            return False
+        return check_theta_witness(fn, cls, witness, test).passed
 
 
 def discharge_obligation(entry) -> DischargeReport:
@@ -93,404 +181,6 @@ def discharge_all(bundle: AlgorithmBundle) -> list[DischargeReport]:
     return [discharge_obligation(entry) for entry in bundle.obligations()]
 
 
-def _heap_array(values):
-    out = run(array_of_list(list(values)), empty_heap())
-    return out.value, out.heap
-
-
-# ---------------------------------------------------------------------------
-# the nine bundles
-# ---------------------------------------------------------------------------
-
-def merge_sort_bundle(consts=srt.MERGE_SORT_CONSTS) -> AlgorithmBundle:
-    def run_one(xs) -> RunResult:
-        addr, heap = _heap_array(xs)
-        out = run(srt.merge_sort_impl(addr), heap)
-        assert isinstance(out, Success)
-        got = out.heap.arrays[addr.index]
-        return RunResult(got, out.cost, len(xs), got == sorted(xs))
-
-    def claim():
-        return akra_bazzi_class(srt.merge_sort_recurrence(consts)).result_class
-
-    def class_check() -> bool:
-        spec = srt.merge_sort_recurrence(consts)
-        result = akra_bazzi_class(spec)
-        if result.case != "balanced" or result.result_class != PolyLog(1, 1):
-            return False
-        if not empirical_ratio_check(spec, result.result_class, 2 ** 8, 2 ** 20).passed:
-            return False
-        return _witness_ok(lambda n: srt.merge_sort_time(n, consts), result.result_class)
-
-    def class_fault_check(cls) -> bool:
-        return _witness_ok(lambda n: srt.merge_sort_time(n, consts), cls)
-
-    return AlgorithmBundle(
-        name="merge_sort",
-        gen_input=lambda rng, n: [rng.randrange(-(10**6), 10**6) for _ in range(n)],
-        run=run_one,
-        bound=lambda n: srt.merge_sort_time(n, consts),
-        claim=claim,
-        obligations=lambda: srt.merge_sort_obligations(consts),
-        declared_hints=0,
-        consts=dict(consts),
-        with_consts=lambda c: merge_sort_bundle(c),
-        tight_inputs=lambda: [srt.merge_sort_worst_input(n) for n in (0, 1, 2, 3, 8, 21)],
-        class_check=class_check,
-        class_fault_check=class_fault_check,
-    )
-
-
-def insertion_sort_bundle(consts=srt.INSERTION_SORT_CONSTS) -> AlgorithmBundle:
-    def run_one(xs) -> RunResult:
-        addr, heap = _heap_array(xs)
-        out = run(srt.insertion_sort_impl(addr), heap)
-        assert isinstance(out, Success)
-        got = out.heap.arrays[addr.index]
-        return RunResult(got, out.cost, len(xs), got == sorted(xs))
-
-    def claim():
-        return linear_rec_class(srt.insertion_sort_linear_rec(consts))
-
-    def class_check() -> bool:
-        if claim() != PolyLog(2, 0):
-            return False
-        return _witness_ok(lambda n: srt.insertion_sort_time(n, consts), PolyLog(2, 0))
-
-    return AlgorithmBundle(
-        name="insertion_sort",
-        gen_input=lambda rng, n: [rng.randrange(-(10**6), 10**6) for _ in range(n)],
-        run=run_one,
-        bound=lambda n: srt.insertion_sort_time(n, consts),
-        claim=claim,
-        obligations=lambda: srt.insertion_sort_obligations(consts),
-        declared_hints=0,
-        consts=dict(consts),
-        with_consts=lambda c: insertion_sort_bundle(c),
-        tight_inputs=lambda: [list(range(n, 0, -1)) for n in (0, 1, 2, 3, 8, 16)],
-        class_check=class_check,
-        class_fault_check=lambda cls: _witness_ok(
-            lambda n: srt.insertion_sort_time(n, consts), cls
-        ),
-    )
-
-
-def binary_search_bundle(consts=srch.BINARY_SEARCH_CONSTS) -> AlgorithmBundle:
-    def run_one(case) -> RunResult:
-        xs, key = case
-        addr, heap = _heap_array(xs)
-        out = run(srch.binary_search_impl(addr, key), heap)
-        assert isinstance(out, Success)
-        pos = out.value
-        ok = (key not in xs) if pos is None else (0 <= pos < len(xs) and xs[pos] == key)
-        return RunResult(pos, out.cost, len(xs), ok)
-
-    def gen(rng, n):
-        xs = sorted(rng.randrange(-3 * n - 4, 3 * n + 4) for _ in range(n))
-        key = rng.choice(xs) if xs and rng.random() < 0.5 else rng.randrange(-3 * n - 5, 3 * n + 5)
-        return (xs, key)
-
-    def claim():
-        return akra_bazzi_class(srch.bsearch_recurrence(consts)).result_class
-
-    def class_check() -> bool:
-        result = akra_bazzi_class(srch.bsearch_recurrence(consts))
-        if result.case != "balanced" or result.result_class != PolyLog(0, 1):
-            return False
-        return _witness_ok(lambda n: srch.binary_search_time(n, consts), PolyLog(0, 1))
-
-    return AlgorithmBundle(
-        name="binary_search",
-        gen_input=gen,
-        run=run_one,
-        bound=lambda n: srch.binary_search_time(n, consts),
-        claim=claim,
-        obligations=lambda: srch.binary_search_obligations(consts),
-        declared_hints=1,
-        consts=dict(consts),
-        with_consts=lambda c: binary_search_bundle(c),
-        tight_inputs=lambda: [([], 0), ([5], 3), ([1, 3], 0)],
-        class_check=class_check,
-        class_fault_check=lambda cls: _witness_ok(
-            lambda n: srch.binary_search_time(n, consts), cls
-        ),
-    )
-
-
-def karatsuba_bundle(consts=kara.KARATSUBA_CONSTS) -> AlgorithmBundle:
-    def run_one(case) -> RunResult:
-        p, q = case
-        pa, heap = _heap_array(p)
-        made = run(array_of_list(list(q)), heap)
-        out = run(kara.karatsuba_impl(pa, made.value), made.heap)
-        if out is FAILURE:
-            return RunResult(None, 0, len(p), False)
-        got = out.heap.arrays[out.value.index]
-        return RunResult(got, out.cost, len(p), got == kara.schoolbook(p, q))
-
-    def gen(rng, n):
-        n = max(1, n)
-        return (
-            [rng.randrange(-99, 100) for _ in range(n)],
-            [rng.randrange(-99, 100) for _ in range(n)],
-        )
-
-    def claim():
-        return akra_bazzi_class(kara.karatsuba_recurrence(consts)).result_class
-
-    def class_check() -> bool:
-        spec = kara.karatsuba_recurrence(consts)
-        result = akra_bazzi_class(spec)
-        if result.case != "bottom-heavy":
-            return False
-        if abs(result.result_class.exponent - 1.5849625007) > 1e-6:
-            return False
-        return empirical_ratio_check(spec, result.result_class, 2 ** 8, 2 ** 18).passed
-
-    def class_fault_check(cls) -> bool:
-        spec = kara.karatsuba_recurrence(consts)
-        return empirical_ratio_check(spec, cls, 2 ** 8, 2 ** 18).passed
-
-    return AlgorithmBundle(
-        name="karatsuba",
-        gen_input=gen,
-        run=run_one,
-        bound=lambda n: kara.karatsuba_time(n, consts),
-        claim=claim,
-        obligations=lambda: kara.karatsuba_obligations(consts),
-        declared_hints=0,
-        consts=dict(consts),
-        with_consts=lambda c: karatsuba_bundle(c),
-        tight_inputs=lambda: [([1], [1]), ([1, 1], [1, 1]), ([2, 0, 1], [1, 1, 1])],
-        class_check=class_check,
-        class_fault_check=class_fault_check,
-    )
-
-
-def select_bundle(consts=sel.SELECT_CONSTS) -> AlgorithmBundle:
-    bound_fn = sel.select_time if consts is sel.SELECT_CONSTS else sel.make_select_time(consts)
-
-    def run_one(case) -> RunResult:
-        xs, i = case
-        addr, heap = _heap_array(xs)
-        out = run(sel.select_impl(addr, i), heap)
-        assert isinstance(out, Success)
-        return RunResult(out.value, out.cost, len(xs), out.value == sorted(xs)[i])
-
-    def gen(rng, n):
-        n = max(1, n)
-        xs = [rng.randrange(-(10**6), 10**6) for _ in range(n)]
-        return (xs, rng.randrange(n))
-
-    def claim():
-        return akra_bazzi_class(sel.select_recurrence(consts)).result_class
-
-    def class_check() -> bool:
-        spec = sel.select_recurrence(consts)
-        result = akra_bazzi_class(spec)
-        if result.case != "top-heavy" or result.result_class != PolyLog(1, 0):
-            return False
-        if not (0.8397 <= result.p <= 0.8399):
-            return False
-        return empirical_ratio_check(spec, result.result_class, 2 ** 8, 2 ** 18).passed
-
-    def class_fault_check(cls) -> bool:
-        return empirical_ratio_check(
-            sel.select_recurrence(consts), cls, 2 ** 8, 2 ** 18
-        ).passed
-
-    return AlgorithmBundle(
-        name="select",
-        gen_input=gen,
-        run=run_one,
-        bound=lambda n: consts["len"] + bound_fn(n),
-        claim=claim,
-        obligations=lambda: sel.select_obligations(consts),
-        declared_hints=1,
-        consts=dict(consts),
-        with_consts=lambda c: select_bundle(c),
-        tight_inputs=lambda: [(list(range(n, 0, -1)), 0) for n in (1, 5, 20)],
-        class_check=class_check,
-        class_fault_check=class_fault_check,
-    )
-
-
-def knapsack_bundle(consts=knap.KNAPSACK_CONSTS) -> AlgorithmBundle:
-    def run_one(case) -> RunResult:
-        items, capacity = case
-        out = run(knap.knapsack_impl(items, capacity), empty_heap())
-        assert isinstance(out, Success)
-        expected = knap.knapsack_fun(items, capacity)
-        return RunResult(out.value, out.cost, (len(items), capacity), out.value == expected)
-
-    def gen(rng, n):
-        items = [(rng.randrange(0, 13), rng.randrange(0, 50)) for _ in range(n)]
-        return (items, max(1, n))
-
-    def claim():
-        return linear_rec_class(knap.knapsack_linear_rec(consts))
-
-    def class_check() -> bool:
-        if claim() != PolyLog2(1, 0, 1, 0):
-            return False
-        return _witness_ok_2(
-            lambda n, w: knap.knapsack_time(n, w, consts), PolyLog2(1, 0, 1, 0)
-        )
-
-    return AlgorithmBundle(
-        name="knapsack",
-        gen_input=gen,
-        run=run_one,
-        bound=lambda size: knap.knapsack_time(size[0], size[1], consts)
-        if isinstance(size, tuple)
-        else knap.knapsack_time(size, size, consts),
-        claim=claim,
-        obligations=lambda: knap.knapsack_obligations(consts),
-        declared_hints=0,
-        consts=dict(consts),
-        with_consts=lambda c: knapsack_bundle(c),
-        tight_inputs=lambda: [([(0, 5)] * 4, 9)],
-        class_check=class_check,
-        class_fault_check=lambda cls: _witness_ok_2(
-            lambda n, w: knap.knapsack_time(n, w, consts), cls
-        ),
-    )
-
-
-def _script_bundle(
-    name: str,
-    scheme_factory,
-    new_structure,
-    gen_script,
-    shape: Callable[[int], int],
-    multiplier: int,
-) -> AlgorithmBundle:
-    scheme = scheme_factory()
-
-    def run_one(script) -> RunResult:
-        report = run_sequence(scheme, script, new_structure(), seed=None)
-        return RunResult(
-            output=None,
-            cost=report.total_actual,
-            size=len(script),
-            ok=report.passed,
-        )
-
-    def bound(n: int) -> int:
-        return multiplier * n * shape(n + 1)
-
-    def claim():
-        return PolyLog(0, 1) if shape(4) > shape(2) else PolyLog(0, 0)
-
-    def class_check() -> bool:
-        return _witness_ok(shape, claim()) if claim() != PolyLog(0, 0) else True
-
-    return AlgorithmBundle(
-        name=name,
-        gen_input=gen_script,
-        run=run_one,
-        bound=bound,
-        claim=claim,
-        obligations=lambda: [],
-        declared_hints=0,
-        consts={},
-        with_consts=lambda c: _script_bundle(
-            name, scheme_factory, new_structure, gen_script, shape, multiplier
-        ),
-        class_check=class_check,
-        class_fault_check=lambda cls: _witness_ok(shape, cls),
-    )
-
-
-def dynarray_bundle() -> AlgorithmBundle:
-    def gen_script(rng, n):
-        script = []
-        live = 0
-        for _ in range(n):
-            r = rng.random()
-            if r < 0.7 or live == 0:
-                script.append(("push", rng.randrange(100)))
-                live += 1
-            elif r < 0.9:
-                script.append(("get", rng.randrange(live)))
-            else:
-                script.append(("len", None))
-        return script
-
-    return _script_bundle(
-        "dynarray",
-        dyn.dynarray_scheme,
-        dyn.new_dynarray,
-        gen_script,
-        shape=lambda n: 1,
-        multiplier=dyn.DYNARRAY_PUSH_MULTIPLIER,
-    )
-
-
-def skew_heap_bundle() -> AlgorithmBundle:
-    def gen_script(rng, n):
-        script = []
-        live = 0
-        for _ in range(n):
-            if live and rng.random() < 0.45:
-                script.append(("del_min", None))
-                live -= 1
-            else:
-                script.append(("insert", rng.randrange(10**6)))
-                live += 1
-        return script
-
-    return _script_bundle(
-        "skew_heap",
-        skew.skew_scheme,
-        skew.new_skew_heap,
-        gen_script,
-        shape=skew.skew_shape,
-        multiplier=skew.SKEW_MULTIPLIER,
-    )
-
-
-def splay_tree_bundle() -> AlgorithmBundle:
-    def gen_script(rng, n):
-        script = []
-        for _ in range(n):
-            r = rng.random()
-            if r < 0.5:
-                script.append(("insert", rng.randrange(10**5)))
-            elif r < 0.9:
-                script.append(("lookup", rng.randrange(10**5)))
-            else:
-                script.append(("splay", rng.randrange(10**5)))
-        return script
-
-    return _script_bundle(
-        "splay_tree",
-        spl.splay_scheme,
-        spl.new_splay_tree,
-        gen_script,
-        shape=spl.splay_shape,
-        multiplier=spl.SPLAY_MULTIPLIER,
-    )
-
-
-def _witness_ok(fn: Callable[[int], int], cls) -> bool:
-    try:
-        witness = calibrate_witness(fn, cls, geometric_samples(2 ** 8, 2 ** 12))
-    except ValueError:
-        return False
-    return check_theta_witness(
-        fn, cls, witness, geometric_samples(2 ** 13, 2 ** 20)
-    ).passed
-
-
-def _witness_ok_2(fn: Callable[[int, int], int], cls) -> bool:
-    try:
-        witness = calibrate_witness(fn, cls, grid_samples(2 ** 4, 2 ** 7))
-    except ValueError:
-        return False
-    return check_theta_witness(fn, cls, witness, grid_samples(2 ** 7, 2 ** 10)).passed
-
-
 def check_claimed_class(bundle: AlgorithmBundle, cls) -> bool:
     """A claimed class is accepted only when it matches the class rederived
     from the runtime function and survives the empirical checks."""
@@ -514,39 +204,219 @@ def constant_fault_detected(bundle: AlgorithmBundle, key: str) -> bool:
     return False
 
 
+# ---------------------------------------------------------------------------
+# inputs and runs
+# ---------------------------------------------------------------------------
+
+def _heap_array(values):
+    out = run(array_of_list(list(values)), empty_heap())
+    return out.value, out.heap
+
+
+def _ints(rng, n):
+    return [rng.randrange(-(10**6), 10**6) for _ in range(n)]
+
+
+def _sort_run(impl):
+    def run_one(xs) -> RunResult:
+        addr, heap = _heap_array(xs)
+        out = run(impl(addr), heap)
+        assert isinstance(out, Success)
+        got = out.heap.arrays[addr.index]
+        return RunResult(got, out.cost, len(xs), got == sorted(xs))
+
+    return run_one
+
+
+def _search_input(rng, n):
+    xs = sorted(rng.randrange(-3 * n - 4, 3 * n + 4) for _ in range(n))
+    key = rng.choice(xs) if xs and rng.random() < 0.5 else rng.randrange(-3 * n - 5, 3 * n + 5)
+    return (xs, key)
+
+
+def _search_run(case) -> RunResult:
+    xs, key = case
+    addr, heap = _heap_array(xs)
+    out = run(srch.binary_search_impl(addr, key), heap)
+    assert isinstance(out, Success)
+    pos = out.value
+    ok = (key not in xs) if pos is None else (0 <= pos < len(xs) and xs[pos] == key)
+    return RunResult(pos, out.cost, len(xs), ok)
+
+
+def _karatsuba_input(rng, n):
+    n = max(1, n)
+    return ([rng.randrange(-99, 100) for _ in range(n)], [rng.randrange(-99, 100) for _ in range(n)])
+
+
+def _karatsuba_run(case) -> RunResult:
+    p, q = case
+    pa, heap = _heap_array(p)
+    made = run(array_of_list(list(q)), heap)
+    out = run(kara.karatsuba_impl(pa, made.value), made.heap)
+    if out is FAILURE:
+        return RunResult(None, 0, len(p), False)
+    got = out.heap.arrays[out.value.index]
+    return RunResult(got, out.cost, len(p), got == kara.schoolbook(p, q))
+
+
+def _select_input(rng, n):
+    n = max(1, n)
+    return (_ints(rng, n), rng.randrange(n))
+
+
+def _select_run(case) -> RunResult:
+    xs, i = case
+    addr, heap = _heap_array(xs)
+    out = run(sel.select_impl(addr, i), heap)
+    assert isinstance(out, Success)
+    return RunResult(out.value, out.cost, len(xs), out.value == sorted(xs)[i])
+
+
+def _knapsack_input(rng, n):
+    return ([(rng.randrange(0, 13), rng.randrange(0, 50)) for _ in range(n)], max(1, n))
+
+
+def _knapsack_run(case) -> RunResult:
+    items, capacity = case
+    out = run(knap.knapsack_impl(items, capacity), empty_heap())
+    assert isinstance(out, Success)
+    expected = knap.knapsack_fun(items, capacity)
+    return RunResult(out.value, out.cost, (len(items), capacity), out.value == expected)
+
+
+def _dynarray_script(rng, n):
+    script = []
+    live = 0
+    for _ in range(n):
+        r = rng.random()
+        if r < 0.7 or live == 0:
+            script.append(("push", rng.randrange(100)))
+            live += 1
+        elif r < 0.9:
+            script.append(("get", rng.randrange(live)))
+        else:
+            script.append(("len", None))
+    return script
+
+
+def _skew_script(rng, n):
+    script = []
+    live = 0
+    for _ in range(n):
+        if live and rng.random() < 0.45:
+            script.append(("del_min", None))
+            live -= 1
+        else:
+            script.append(("insert", rng.randrange(10**6)))
+            live += 1
+    return script
+
+
+def _splay_script(rng, n):
+    script = []
+    for _ in range(n):
+        r = rng.random()
+        op = "insert" if r < 0.5 else "lookup" if r < 0.9 else "splay"
+        script.append((op, rng.randrange(10**5)))
+    return script
+
+
+def _ledger_run(scheme, fresh):
+    """Run an operation script on a fresh structure; the cost is the total
+    actual cost and the run is correct when the ledger checks pass."""
+
+    def run_one(script) -> RunResult:
+        report = run_sequence(scheme, script, fresh(), seed=None)
+        return RunResult(None, report.total_actual, len(script), report.passed)
+
+    return run_one
+
+
+# ---------------------------------------------------------------------------
+# the table
+# ---------------------------------------------------------------------------
+
+# Time functions are looked up on their modules at call time, so a wrapper
+# installed on a module attribute (a profiler or tracer) sees every call.
+STUDIES = (
+    CaseStudy(
+        "merge_sort", _ints, _sort_run(srt.merge_sort_impl),
+        time=lambda c: lambda n: srt.merge_sort_time(n, c),
+        spec=srt.merge_sort_recurrence, case=BALANCED, cls=PolyLog(1, 1), ratio_hi=2 ** 20,
+        witness=lambda c: lambda n: srt.merge_sort_time(n, c),
+        obligations=srt.merge_sort_obligations, consts=srt.MERGE_SORT_CONSTS,
+        tight_inputs=lambda: [srt.merge_sort_worst_input(n) for n in (0, 1, 2, 3, 8, 21)],
+    ),
+    CaseStudy(
+        "insertion_sort", _ints, _sort_run(srt.insertion_sort_impl),
+        time=lambda c: lambda n: srt.insertion_sort_time(n, c),
+        spec=srt.insertion_sort_linear_rec, cls=PolyLog(2, 0),
+        witness=lambda c: lambda n: srt.insertion_sort_time(n, c),
+        obligations=srt.insertion_sort_obligations, consts=srt.INSERTION_SORT_CONSTS,
+        tight_inputs=lambda: [list(range(n, 0, -1)) for n in (0, 1, 2, 3, 8, 16)],
+    ),
+    CaseStudy(
+        "binary_search", _search_input, _search_run,
+        time=lambda c: lambda n: srch.binary_search_time(n, c),
+        spec=srch.bsearch_recurrence, case=BALANCED, cls=PolyLog(0, 1),
+        witness=lambda c: lambda n: srch.binary_search_time(n, c),
+        obligations=srch.binary_search_obligations, declared_hints=1,
+        consts=srch.BINARY_SEARCH_CONSTS, tight_inputs=lambda: [([], 0), ([5], 3), ([1, 3], 0)],
+    ),
+    CaseStudy(
+        "karatsuba", _karatsuba_input, _karatsuba_run,
+        time=lambda c: lambda n: kara.karatsuba_time(n, c),
+        spec=kara.karatsuba_recurrence, case=BOTTOM_HEAVY, p=(1.5849625007, 1e-6),
+        ratio_hi=2 ** 18, obligations=kara.karatsuba_obligations, consts=kara.KARATSUBA_CONSTS,
+        tight_inputs=lambda: [([1], [1]), ([1, 1], [1, 1]), ([2, 0, 1], [1, 1, 1])],
+    ),
+    CaseStudy(
+        "select", _select_input, _select_run, time=sel.make_select_bound,
+        spec=sel.select_recurrence, case=TOP_HEAVY, cls=PolyLog(1, 0), p=(0.8398, 1e-4),
+        ratio_hi=2 ** 18, obligations=sel.select_obligations, declared_hints=1,
+        consts=sel.SELECT_CONSTS,
+        tight_inputs=lambda: [(list(range(n, 0, -1)), 0) for n in (1, 5, 20)],
+    ),
+    CaseStudy(
+        "knapsack", _knapsack_input, _knapsack_run,
+        time=lambda c: lambda size: (
+            knap.knapsack_time(size[0], size[1], c) if isinstance(size, tuple)
+            else knap.knapsack_time(size, size, c)
+        ),
+        spec=knap.knapsack_linear_rec, cls=PolyLog2(1, 0, 1, 0),
+        witness=lambda c: lambda n, w: knap.knapsack_time(n, w, c), grid=True,
+        obligations=knap.knapsack_obligations, consts=knap.KNAPSACK_CONSTS,
+        tight_inputs=lambda: [([(0, 5)] * 4, 9)],
+    ),
+    # ledgers: a script of n operations is bounded by n times the
+    # per-operation claim at the largest size the script can reach
+    CaseStudy(
+        "dynarray", _dynarray_script, _ledger_run(dyn.dynarray_scheme(), dyn.new_dynarray),
+        time=lambda c: lambda n: dyn.DYNARRAY_PUSH_MULTIPLIER * n,
+        witness=lambda c: lambda n: 1,
+    ),
+    CaseStudy(
+        "skew_heap", _skew_script, _ledger_run(skew.skew_scheme(), skew.new_skew_heap),
+        time=lambda c: lambda n: skew.SKEW_MULTIPLIER * n * skew.skew_shape(n + 1),
+        witness=lambda c: skew.skew_shape,
+    ),
+    CaseStudy(
+        "splay_tree", _splay_script, _ledger_run(spl.splay_scheme(), spl.new_splay_tree),
+        time=lambda c: lambda n: spl.SPLAY_MULTIPLIER * n * spl.splay_shape(n + 1),
+        witness=lambda c: spl.splay_shape,
+    ),
+)
+
+ALGORITHM_NAMES = tuple(study.name for study in STUDIES)
+
+
 def all_bundles() -> dict[str, AlgorithmBundle]:
-    bundles = [
-        merge_sort_bundle(),
-        insertion_sort_bundle(),
-        binary_search_bundle(),
-        karatsuba_bundle(),
-        select_bundle(),
-        knapsack_bundle(),
-        dynarray_bundle(),
-        skew_heap_bundle(),
-        splay_tree_bundle(),
-    ]
-    return {b.name: b for b in bundles}
+    return {study.name: AlgorithmBundle(study) for study in STUDIES}
 
 
 def get_bundle(name: str) -> AlgorithmBundle:
-    bundles = all_bundles()
-    if name not in bundles:
-        raise KeyError(name)
-    return bundles[name]
-
-
-ALGORITHM_NAMES = (
-    "merge_sort",
-    "insertion_sort",
-    "binary_search",
-    "karatsuba",
-    "select",
-    "knapsack",
-    "dynarray",
-    "skew_heap",
-    "splay_tree",
-)
+    return all_bundles()[name]
 
 
 # ---------------------------------------------------------------------------
@@ -578,18 +448,12 @@ def register_time_function(
 
 def _atake_cost(n: int) -> int:
     addr, heap = _heap_array(range(n))
-    from ..heap import atake
-
-    out = run(atake(n // 2, addr), heap)
-    return out.cost
+    return run(atake(n // 2, addr), heap).cost
 
 
 def _adrop_cost(n: int) -> int:
     addr, heap = _heap_array(range(n))
-    from ..heap import adrop
-
-    out = run(adrop(n // 2, addr), heap)
-    return out.cost
+    return run(adrop(n // 2, addr), heap).cost
 
 
 def _mergeinto_cost(n: int) -> int:

@@ -12,7 +12,7 @@ from itertools import combinations
 
 from ..credits import VarE, normalize, t_lit, t_var
 from ..heap import array_new, array_nth, array_upd, proc
-from ..landau import LinearArg, PolyLog, Term2
+from ..landau import PolyLog
 from ..recurrence import LinearRecSpec
 
 W = VarE("W")
@@ -63,15 +63,6 @@ def knapsack_time(n: int, capacity: int, consts=KNAPSACK_CONSTS) -> int:
 def knapsack_linear_rec(consts=KNAPSACK_CONSTS) -> LinearRecSpec:
     # per-item step costs step*(W+1), linear in the capacity
     return LinearRecSpec(arity=2, g_class=PolyLog(1, 0))
-
-
-def knapsack_expr_terms() -> list[Term2]:
-    """The full bound as a two-variable sum: init ~ W, loop ~ nW, final ~ 1."""
-    return [
-        Term2(n_power=1),                       # table allocation, reading W as n
-        Term2(call="loop_time", arg_m=LinearArg(), arg_n=LinearArg()),
-        Term2(),                                # final read
-    ]
 
 
 def knapsack_obligations(consts=KNAPSACK_CONSTS):

@@ -124,40 +124,50 @@ def select_impl(x, i: int):
     return (yield _select_window(x, 0, n, i))
 
 
+def _window_bound(n: int, consts, memo: dict) -> int:
+    if n in memo:
+        return memo[n]
+    if n <= CUTOFF:
+        value = _ins_range_cost(consts, n) + consts["small_probe"] if n >= 1 else 1
+    else:
+        groups = -(-n // 5)
+        value = (
+            (consts["group_sort"] + consts["group_pad"]) * groups
+            + consts["part_coeff"] * n
+            + consts["hit_ret"]
+            + _window_bound(groups, consts, memo)
+            + _window_bound(-(-7 * n // 10), consts, memo)
+        )
+    memo[n] = value
+    return value
+
+
 def make_select_time(consts=SELECT_CONSTS):
-    """Memoized bound for the selection window of size n."""
+    """Memoized bound for the selection window of size n.
+
+    The memo is passed to a module-level helper rather than captured by a
+    self-referencing closure, so it is freed with the returned function
+    instead of waiting for the cycle collector."""
     memo: dict[int, int] = {}
-
-    def fn(n: int) -> int:
-        if n in memo:
-            return memo[n]
-        if n <= CUTOFF:
-            value = _ins_range_cost(consts, n) + consts["small_probe"] if n >= 1 else 1
-        else:
-            groups = -(-n // 5)
-            value = (
-                (consts["group_sort"] + consts["group_pad"]) * groups
-                + consts["part_coeff"] * n
-                + consts["hit_ret"]
-                + fn(groups)
-                + fn(-(-7 * n // 10))
-            )
-        memo[n] = value
-        return value
-
-    return fn
+    return lambda n: _window_bound(n, consts, memo)
 
 
 select_time = make_select_time()
 
 
-def full_select_time(n: int, consts=SELECT_CONSTS) -> int:
-    bound = select_time if consts is SELECT_CONSTS else make_select_time(consts)
-    return consts["len"] + bound(n)
+def select_time_for(consts):
+    """The window bound for these constants; the defaults share the module's memo."""
+    return select_time if consts == SELECT_CONSTS else make_select_time(consts)
+
+
+def make_select_bound(consts=SELECT_CONSTS):
+    """Bound on a whole run of select_impl: the length read plus the window."""
+    window = select_time_for(consts)
+    return lambda n: consts["len"] + window(n)
 
 
 def select_recurrence(consts=SELECT_CONSTS) -> AkraBazziSpec:
-    bound = select_time if consts is SELECT_CONSTS else make_select_time(consts)
+    bound = select_time_for(consts)
 
     def toll(n: int) -> int:
         groups = -(-n // 5)
@@ -198,8 +208,7 @@ def partition_hint(consts=SELECT_CONSTS, table_bound: int = 1 << 14) -> Hint:
     Certified by monotonicity of select_time together with the combinatorial
     window bound checked across the table range.
     """
-    bound = select_time if consts is SELECT_CONSTS else make_select_time(consts)
-    table = MonotoneTable(bound, table_bound)
+    table = MonotoneTable(select_time_for(consts), table_bound)
 
     def justify() -> bool:
         if not table.monotone:

@@ -234,13 +234,9 @@ def insertion_sort_time(n: int, consts=INSERTION_SORT_CONSTS) -> int:
     return total
 
 
-def insertion_step_time(i: int, consts=INSERTION_SORT_CONSTS) -> int:
-    return consts["shift_coeff"] * i + consts["outer_pad"]
-
-
 def insertion_sort_linear_rec(consts=INSERTION_SORT_CONSTS) -> LinearRecSpec:
     # step cost is linear in the index, so the loop rule gives n^2
-    return LinearRecSpec(arity=1, g_class=PolyLog(1, 0), base_bound=consts["base"])
+    return LinearRecSpec(arity=1, g_class=PolyLog(1, 0))
 
 
 def insertion_sort_obligations(consts=INSERTION_SORT_CONSTS):

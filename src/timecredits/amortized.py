@@ -5,13 +5,13 @@ size measure, and named operations whose actual costs come from the
 interpreter.  Each application is checked against the amortized inequality
 claimed_cost + potential_before >= actual_cost + potential_after, and whole
 operation sequences are additionally checked in telescoped form.  The
-multiplier search finds the smallest constant K making K * shape(size) an
-admissible claim over a corpus of recorded applications.
+smallest constant K making K * shape(size) an admissible claim over a corpus
+of recorded ledger entries is computed in closed form, entry by entry.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Any, Callable, Optional, Sequence
 
 
@@ -181,24 +181,11 @@ def run_sequence(
     )
 
 
-@dataclass(frozen=True)
-class CorpusItem:
-    op: str
-    structure: Any
-    arg: Any
-
-
 def collect_corpus(
     scheme: AmortizedScheme, ops: Sequence[tuple[str, Any]], initial: Any
-) -> list[CorpusItem]:
-    """Record the (operation, input structure, argument) instances a
-    sequence visits, for use by the multiplier search."""
-    structure = initial
-    corpus = []
-    for op_name, arg in ops:
-        corpus.append(CorpusItem(op_name, structure, arg))
-        _, structure = check_op_inequality(scheme, op_name, structure, arg)
-    return corpus
+) -> list[OpLedgerEntry]:
+    """The ledger entries a sequence produces, for the multiplier computation."""
+    return run_sequence(scheme, ops, initial).entries
 
 
 @dataclass(frozen=True)
@@ -207,53 +194,35 @@ class MultiplierResult:
     binding: OpLedgerEntry  # tightest-slack instance at the returned K
 
 
-def _measure_corpus(
-    scheme: AmortizedScheme, corpus: Sequence[CorpusItem]
-) -> list[tuple[str, int, int, int, int]]:
-    measured = []
-    for item in corpus:
-        op = scheme.ops[item.op]
-        p_before = scheme.potential(item.structure)
-        size = scheme.size_measure(item.structure)
-        new_structure, cost = op.apply(item.structure, item.arg)
-        measured.append((item.op, size, cost, p_before, scheme.potential(new_structure)))
-    return measured
-
-
-def _entries_at(measured, shape: Callable[[int], int], k: int) -> list[OpLedgerEntry]:
-    return [
-        OpLedgerEntry(op, size, cost, k * shape(size), p_before, p_after)
-        for op, size, cost, p_before, p_after in measured
-    ]
-
-
 def minimal_multiplier(
     scheme: AmortizedScheme,
     shape: Callable[[int], int],
-    corpus: Sequence[CorpusItem],
+    corpus: Sequence[OpLedgerEntry],
     k_max: int = 1024,
 ) -> MultiplierResult:
-    """Binary search the smallest K for which K * shape(n) passes the corpus.
+    """The smallest K >= 1 for which K * shape(n) passes every corpus entry.
 
-    Slack is monotone in K because shape >= 1 everywhere it is evaluated;
-    the corpus is measured once since costs do not depend on K.
+    An entry passes at K exactly when K * shape(size) >= actual_cost +
+    potential_after - potential_before, so with shape >= 1 its least passing
+    K is that difference divided by shape(size), rounded up; K is the largest
+    of these.  Costs and potentials do not depend on K, so the entries are
+    used as recorded and the scheme is not consulted.
     """
     if not corpus:
         raise ValueError("empty corpus")
-    measured = _measure_corpus(scheme, corpus)
-
-    def passes(k: int) -> bool:
-        return all(e.passes for e in _entries_at(measured, shape, k))
-
-    if not passes(k_max):
+    shapes = [shape(e.size) for e in corpus]
+    for e, s in zip(corpus, shapes):
+        if s < 1:
+            raise ValueError(f"shape({e.size}) = {s} is below 1")
+    k = max(
+        1,
+        *(-(-(e.actual_cost + e.potential_after - e.potential_before) // s)
+          for e, s in zip(corpus, shapes)),
+    )
+    if k > k_max:
         raise NoMultiplier(f"no multiplier up to {k_max} covers the corpus")
-    lo, hi = 1, k_max
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if passes(mid):
-            hi = mid
-        else:
-            lo = mid + 1
-    entries = _entries_at(measured, shape, lo)
-    binding = min(entries, key=lambda e: e.slack)
-    return MultiplierResult(lo, binding)
+    binding = min(
+        (replace(e, amortized=k * s) for e, s in zip(corpus, shapes)),
+        key=lambda e: e.slack,
+    )
+    return MultiplierResult(k, binding)

@@ -12,7 +12,7 @@ import random
 import sys
 from typing import Optional
 
-from .amortized import NoMultiplier, collect_corpus, minimal_multiplier, run_sequence
+from .amortized import NoMultiplier, minimal_multiplier, run_sequence
 from .algorithms import ALGORITHM_NAMES, all_bundles, get_bundle
 from .algorithms.dynarray import dynarray_scheme, new_dynarray
 from .algorithms.skew_heap import new_skew_heap, skew_scheme, skew_shape
@@ -39,6 +39,15 @@ SCHEMES = {
     "skew_heap": (skew_scheme, new_skew_heap, skew_shape),
     "splay_tree": (splay_scheme, new_splay_tree, splay_shape),
 }
+
+
+def positive_int(text: str) -> int:
+    """argparse type for counts: a trial or operation count below 1 would
+    make every check pass vacuously."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
 
 
 def _emit(lines: list[str], out: Optional[str]) -> None:
@@ -103,10 +112,6 @@ def cmd_run(args) -> int:
 
 def cmd_recurrence(args) -> int:
     if args.builtin:
-        if args.builtin not in BUILTIN_SPECS:
-            print(f"error: unknown builtin {args.builtin!r}; known: {', '.join(BUILTIN_SPECS)}",
-                  file=sys.stderr)
-            return EXIT_BAD_INPUT
         spec = BUILTIN_SPECS[args.builtin]()
     else:
         if not args.spec:
@@ -122,14 +127,11 @@ def cmd_recurrence(args) -> int:
     except RecurrenceError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
-    residual = abs(
-        sum(float(t.a) * float(t.b) ** result.p for t in spec.terms) - 1.0
-    )
     lines = [
         f"characteristic exponent p = {result.p:.9f}",
         f"case: {result.case}",
         f"result: Theta({result.result_class.render()})",
-        f"residual: {residual:.2e}",
+        f"residual: {result.residual:.2e}",
     ]
     code = EXIT_OK
     if spec.g_concrete is not None:
@@ -144,15 +146,9 @@ def cmd_recurrence(args) -> int:
 
 
 def cmd_amortized(args) -> int:
-    if args.scheme not in SCHEMES:
-        print(f"error: unknown scheme {args.scheme!r}; known: {', '.join(SCHEMES)}",
-              file=sys.stderr)
-        return EXIT_BAD_INPUT
     factory, fresh, shape = SCHEMES[args.scheme]
     scheme = factory(args.multiplier) if args.multiplier else factory()
-    bundle = get_bundle(
-        {"dynarray": "dynarray", "skew_heap": "skew_heap", "splay_tree": "splay_tree"}[args.scheme]
-    )
+    bundle = get_bundle(args.scheme)
     rng = random.Random(args.seed)
     script = bundle.gen_input(rng, args.ops)
     report = run_sequence(scheme, script, fresh(), seed=args.seed)
@@ -174,9 +170,8 @@ def cmd_amortized(args) -> int:
         lines.append(report.render_failure())
         _emit(lines, None)
         return EXIT_CHECK_FAILED
-    corpus = collect_corpus(scheme, script[: min(len(script), 2000)], fresh())
     try:
-        found = minimal_multiplier(scheme, shape, corpus)
+        found = minimal_multiplier(scheme, shape, report.entries[:2000])
         lines.append(f"minimal multiplier on this corpus: K = {found.multiplier}")
     except NoMultiplier as exc:
         lines.append(f"minimal multiplier: none up to 1024 ({exc})")
@@ -230,7 +225,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_run = sub.add_parser("run", help="run one case study across sizes")
     p_run.add_argument("algo")
     p_run.add_argument("--sizes", default="16,64,256")
-    p_run.add_argument("--trials", type=int, default=3)
+    p_run.add_argument("--trials", type=positive_int, default=3)
     p_run.add_argument("--seed", type=int, default=0)
     p_run.add_argument("--format", choices=("csv", "markdown"), default="csv")
     p_run.add_argument("--out")
@@ -244,14 +239,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_am = sub.add_parser("amortized", help="check an amortized ledger")
     p_am.add_argument("scheme", choices=sorted(SCHEMES))
-    p_am.add_argument("--ops", type=int, default=10000)
+    p_am.add_argument("--ops", type=positive_int, default=10000)
     p_am.add_argument("--seed", type=int, default=1)
     p_am.add_argument("--multiplier", type=int, default=0)
     p_am.add_argument("--out")
     p_am.set_defaults(fn=cmd_amortized)
 
     p_rep = sub.add_parser("report", help="consolidated table over all nine case studies")
-    p_rep.add_argument("--trials", type=int, default=2)
+    p_rep.add_argument("--trials", type=positive_int, default=2)
     p_rep.add_argument("--seed", type=int, default=0)
     p_rep.add_argument("--format", choices=("csv", "markdown"), default="markdown")
     p_rep.add_argument("--out")

@@ -370,13 +370,6 @@ class _Congruence:
             self._union(lhs, rhs)
         self._close()
 
-    def _node(self, term):
-        if isinstance(term, TimeAtom):
-            if isinstance(term, CallAtom):
-                return ("call", term.fn, tuple(self.find(a) for a in term.args))
-            return term
-        return term
-
     def _register(self, term):
         if term in self.parent:
             return

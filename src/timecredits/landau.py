@@ -274,7 +274,6 @@ class RegistryEntry:
     arity: int
     cls: Union[PolyLog, TwoVarClass]
     provenance: str = DECLARED
-    witness: Optional["ThetaWitness"] = None
 
 
 class BoundRegistry:
@@ -288,10 +287,9 @@ class BoundRegistry:
         name: str,
         cls: Union[PolyLog, TwoVarClass],
         provenance: str = DECLARED,
-        witness: Optional["ThetaWitness"] = None,
     ) -> None:
         arity = 1 if isinstance(cls, PolyLog) else 2
-        self.entries[name] = RegistryEntry(name, arity, cls, provenance, witness)
+        self.entries[name] = RegistryEntry(name, arity, cls, provenance)
 
     def lookup(self, name: str) -> RegistryEntry:
         if name not in self.entries:

@@ -165,11 +165,6 @@ def eval_recurrence(spec: AkraBazziSpec, n: int):
     return total
 
 
-def eval_range(spec: AkraBazziSpec, hi: int) -> list:
-    """Evaluate f on 0..hi ascending (keeps the recursion shallow)."""
-    return [eval_recurrence(spec, n) for n in range(hi + 1)]
-
-
 @dataclass(frozen=True)
 class RatioReport:
     min_ratio: float
@@ -216,7 +211,6 @@ class LinearRecSpec:
 
     arity: int
     g_class: PolyLog
-    base_bound: int = 0
 
 
 def linear_rec_class(spec: LinearRecSpec) -> Union[PolyLog, PolyLog2]:

@@ -1,5 +1,7 @@
+import gc
 import itertools
 import random
+import weakref
 
 import pytest
 
@@ -148,6 +150,19 @@ def test_select_time_monotone_and_window_bound():
     assert all(a <= b for a, b in zip(values, values[1:]))
     for n in range(21, 20001):
         assert sel.partition_side_bound(n) <= -(-7 * n // 10)
+
+
+def test_select_time_variant_freed_without_cycle_collector():
+    # a fault variant's memo must go with its bound, not wait for a full GC
+    fn = sel.make_select_time(dict(sel.SELECT_CONSTS, part_coeff=3))
+    assert fn(5000) > 0
+    ref = weakref.ref(fn)
+    gc.disable()
+    try:
+        del fn
+        assert ref() is None
+    finally:
+        gc.enable()
 
 
 def test_knapsack_examples():

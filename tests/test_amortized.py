@@ -1,11 +1,14 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from timecredits.amortized import (
     AmortizedOp,
     AmortizedScheme,
     NoMultiplier,
+    OpLedgerEntry,
     PreconditionViolated,
     check_op_inequality,
     collect_corpus,
@@ -121,6 +124,52 @@ def test_no_multiplier_for_linear_cost_constant_shape():
     corpus = collect_corpus(scheme, [("tick", None)] * 2000, 0)
     with pytest.raises(NoMultiplier):
         minimal_multiplier(scheme, lambda n: 1, corpus)
+
+
+ledger_entries = st.lists(
+    st.builds(
+        OpLedgerEntry,
+        op=st.just("op"),
+        size=st.integers(0, 50),
+        actual_cost=st.integers(0, 400),
+        amortized=st.integers(0, 10),
+        potential_before=st.integers(0, 300),
+        potential_after=st.integers(0, 300),
+    ),
+    min_size=1,
+    max_size=30,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(ledger_entries, st.lists(st.integers(1, 9), min_size=51, max_size=51))
+def test_minimal_multiplier_is_least_passing(corpus, shape_table):
+    shape = shape_table.__getitem__
+    found = minimal_multiplier(None, shape, corpus)
+    k = found.multiplier
+
+    def passes_at(e, k):
+        return k * shape(e.size) + e.potential_before - e.actual_cost - e.potential_after >= 0
+
+    assert k >= 1
+    assert all(passes_at(e, k) for e in corpus)
+    if k > 1:
+        assert not all(passes_at(e, k - 1) for e in corpus)
+    assert found.binding.amortized == k * shape(found.binding.size)
+    assert found.binding.slack == min(
+        k * shape(e.size) + e.potential_before - e.actual_cost - e.potential_after for e in corpus
+    )
+
+
+@given(ledger_entries, st.integers(-3, 0))
+def test_minimal_multiplier_rejects_shape_below_one(corpus, low):
+    with pytest.raises(ValueError):
+        minimal_multiplier(None, lambda n: low, corpus)
+
+
+def test_minimal_multiplier_empty_corpus():
+    with pytest.raises(ValueError):
+        minimal_multiplier(dynarray_scheme(), lambda n: 1, [])
 
 
 def test_splay_single_node_amortized_example():

@@ -28,6 +28,12 @@ def test_run_bad_sizes(capsys):
     assert main(["run", "merge_sort", "--sizes", "-4"]) == 2
 
 
+def test_run_rejects_vacuous_trial_counts(capsys):
+    assert main(["run", "merge_sort", "--trials", "0"]) == 2
+    assert main(["run", "merge_sort", "--trials", "-3"]) == 2
+    assert capsys.readouterr().out == ""
+
+
 def test_run_deterministic_output(tmp_path):
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
     assert main(["run", "select", "--sizes", "64", "--trials", "3", "--seed", "7",
@@ -111,6 +117,13 @@ def test_amortized_dynarray(capsys):
     assert "per-op inequality: pass" in out
     assert "telescoped inequality: pass" in out
     assert "K = 4" in out
+
+
+def test_amortized_rejects_empty_script(capsys):
+    assert main(["amortized", "dynarray", "--ops", "0"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--ops" in captured.err
 
 
 def test_amortized_insufficient_multiplier(capsys):
