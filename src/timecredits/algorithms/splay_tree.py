@@ -93,56 +93,72 @@ def is_bst(t: Optional[TreeNode]) -> bool:
 
 
 def splay_fun(x: int, t: Optional[TreeNode]) -> Optional[TreeNode]:
-    """Bring x (or the last node on its search path) to the root."""
-    if t is None:
-        return None
-    if x == t.key:
-        return t
-    if x < t.key:
-        l = t.left
-        if l is None:
-            return t
-        if x == l.key:
-            return tree_node(l.left, l.key, tree_node(l.right, t.key, t.right))  # zig
-        if x < l.key:
-            if l.left is None:
-                return tree_node(l.left, l.key, tree_node(l.right, t.key, t.right))
-            sub = splay_fun(x, l.left)  # zig-zig
-            return tree_node(
+    """Bring x (or the last node on its search path) to the root.
+
+    Iterative, so degenerate trees cannot exhaust the interpreter stack: the
+    walk down records each two-level step (zig-zig, zig-zag and mirrors),
+    stops at the node or at a single zig/zag rotation, and the rotations are
+    then rebuilt bottom-up.
+    """
+    path = []  # (case, grandparent, parent), outermost first
+    while True:
+        if t is None or x == t.key:
+            sub = t
+            break
+        if x < t.key:
+            l = t.left
+            if l is None:
+                sub = t
+                break
+            if x < l.key and l.left is not None:
+                path.append(("zig-zig", t, l))
+                t = l.left
+            elif x > l.key and l.right is not None:
+                path.append(("zig-zag", t, l))
+                t = l.right
+            else:
+                sub = tree_node(l.left, l.key, tree_node(l.right, t.key, t.right))  # zig
+                break
+        else:
+            r = t.right
+            if r is None:
+                sub = t
+                break
+            if x > r.key and r.right is not None:
+                path.append(("zag-zag", t, r))
+                t = r.right
+            elif x < r.key and r.left is not None:
+                path.append(("zag-zig", t, r))
+                t = r.left
+            else:
+                sub = tree_node(tree_node(t.left, t.key, r.left), r.key, r.right)  # zag
+                break
+    for case, t, c in reversed(path):
+        if case == "zig-zig":
+            sub = tree_node(
                 sub.left,
                 sub.key,
-                tree_node(sub.right, l.key, tree_node(l.right, t.key, t.right)),
+                tree_node(sub.right, c.key, tree_node(c.right, t.key, t.right)),
             )
-        if l.right is None:
-            return tree_node(l.left, l.key, tree_node(l.right, t.key, t.right))
-        sub = splay_fun(x, l.right)  # zig-zag
-        return tree_node(
-            tree_node(l.left, l.key, sub.left),
-            sub.key,
-            tree_node(sub.right, t.key, t.right),
-        )
-    r = t.right
-    if r is None:
-        return t
-    if x == r.key:
-        return tree_node(tree_node(t.left, t.key, r.left), r.key, r.right)  # zag
-    if x > r.key:
-        if r.right is None:
-            return tree_node(tree_node(t.left, t.key, r.left), r.key, r.right)
-        sub = splay_fun(x, r.right)  # zag-zag
-        return tree_node(
-            tree_node(tree_node(t.left, t.key, r.left), r.key, sub.left),
-            sub.key,
-            sub.right,
-        )
-    if r.left is None:
-        return tree_node(tree_node(t.left, t.key, r.left), r.key, r.right)
-    sub = splay_fun(x, r.left)  # zag-zig
-    return tree_node(
-        tree_node(t.left, t.key, sub.left),
-        sub.key,
-        tree_node(sub.right, r.key, r.right),
-    )
+        elif case == "zig-zag":
+            sub = tree_node(
+                tree_node(c.left, c.key, sub.left),
+                sub.key,
+                tree_node(sub.right, t.key, t.right),
+            )
+        elif case == "zag-zag":
+            sub = tree_node(
+                tree_node(tree_node(t.left, t.key, c.left), c.key, sub.left),
+                sub.key,
+                sub.right,
+            )
+        else:  # zag-zig
+            sub = tree_node(
+                tree_node(t.left, t.key, sub.left),
+                sub.key,
+                tree_node(sub.right, c.key, c.right),
+            )
+    return sub
 
 
 def insert_fun(x: int, t: Optional[TreeNode]) -> Optional[TreeNode]:

@@ -283,3 +283,136 @@ def test_cost_table_on_random_invocations():
         else:
             grow_to = n + rng.randrange(0, 8)
             assert run(agrow(grow_to, arr, 0), heap).cost == n + 1
+
+
+# ---------------------------------------------------------------------------
+# the driver: nesting depth, failure traces, bad yields
+# ---------------------------------------------------------------------------
+
+@proc
+def _nest(k, bottom):
+    """A chain of k nested procs around `bottom`."""
+    if k == 0:
+        return (yield bottom)
+    return (yield _nest(k - 1, bottom))
+
+
+def test_deep_nesting_runs_without_host_recursion():
+    out = run(_nest(100_000, ret(3)), empty_heap())
+    assert (out.value, out.cost) == (3, 1)
+    out, trace = run_traced(_nest(100_000, ret(3)), empty_heap())
+    assert (out.value, out.cost, trace) == (3, 1, (("ret", 1),))
+
+
+def test_deep_failure_is_a_failure_not_an_exception():
+    assert run(_nest(100_000, ref_read(Addr(0, "ref"))), empty_heap()) is FAILURE
+    out, trace = run_traced(_nest(100_000, array_nth(Addr(0, "array"), 0)), empty_heap())
+    assert (out, trace) == (FAILURE, (("array_nth", 1),))
+
+
+def test_deep_bind_chain():
+    c = ret(0)
+    for _ in range(100_000):
+        c = bind(c, lambda v: ret(v + 1))
+    out = run(c, empty_heap())
+    assert (out.value, out.cost) == (100_000, 100_001)
+
+
+def _three_cells():
+    return run(array_of_list([1, 2, 3]), empty_heap()).heap
+
+
+_A, _R, _DANGLING = Addr(0, "array"), Addr(0, "ref"), Addr(7, "array")
+
+# run_traced of each primitive that can fail, on a failing input, as the
+# closure-based interpreter returned it: the first five charge before they
+# validate, so the failed charge is in the trace; the rest validate first.
+FAILING_PRIMITIVES = [
+    ("ref_read", ref_read(_R), (("ref_read", 1),)),
+    ("ref_write", ref_write(_A, 1), (("ref_write", 1),)),
+    ("array_len", array_len(_R), (("array_len", 1),)),
+    ("array_nth", array_nth(_A, 3), (("array_nth", 1),)),
+    ("array_upd", array_upd(_A, True, 0), (("array_upd", 1),)),
+    ("array_new", array_new(-1, 0), ()),
+    ("array_to_list", array_to_list(_DANGLING), ()),
+    ("atake", atake(4, _A), ()),
+    ("adrop", adrop(-1, _A), ()),
+    ("agrow", agrow(2, _A, 0), ()),
+]
+
+
+@pytest.mark.parametrize("comp,trace", [c[1:] for c in FAILING_PRIMITIVES],
+                         ids=[c[0] for c in FAILING_PRIMITIVES])
+def test_failing_primitive_traces(comp, trace):
+    assert run_traced(comp, _three_cells()) == (FAILURE, trace)
+
+
+class _Index(int):
+    pass
+
+
+def test_int_subclass_indexes_bool_does_not():
+    h = _three_cells()
+    assert run(array_nth(_A, _Index(2)), h).value == 3
+    assert run(array_upd(_A, _Index(0), 9), h).heap.arrays[0] == [9, 2, 3]
+    assert run(atake(_Index(1), _A), h).cost == 2
+    assert run(array_new(_Index(2), 0), h).cost == 3
+    assert run(array_nth(_A, False), h) is FAILURE
+    assert run(array_new(True, 0), h) is FAILURE
+
+
+class _TupleSubclass(tuple):
+    pass
+
+
+# plain values, a user tuple shaped like an instruction, and list and
+# tuple-subclass copies of a real instruction: none is a computation
+BAD_YIELDS = [(0, _A, 0, 99), (), 5, None,
+              list(array_upd(_A, 0, 99)), _TupleSubclass(array_upd(_A, 0, 99))]
+
+
+@pytest.mark.parametrize("bad", BAD_YIELDS, ids=repr)
+def test_bad_yield_raises_and_charges_nothing(bad):
+    from timecredits.heap import _drive
+
+    @proc
+    def prog():
+        yield ret(0)
+        yield bad
+        yield array_upd(_A, 0, 99)
+
+    heap, trace = _three_cells(), []
+    with pytest.raises(TypeError):
+        _drive(prog(), heap, trace)
+    assert trace == [("ret", 1)]
+    assert heap == _three_cells()
+    with pytest.raises(TypeError):
+        run(prog(), heap)
+    with pytest.raises(TypeError):
+        run(bad, heap)
+
+
+def test_exceptions_other_than_failure_escape():
+    @proc
+    def inner():
+        yield ret(1)
+        raise ZeroDivisionError
+
+    @proc
+    def outer():
+        try:
+            yield inner()
+        except ZeroDivisionError:  # an inner proc's error is not the caller's
+            return "caught"
+
+    with pytest.raises(ZeroDivisionError):
+        run(outer(), empty_heap())
+    with pytest.raises(ZeroDivisionError):
+        run_traced(_nest(50, inner()), empty_heap())
+
+
+def test_computations_are_reusable_values():
+    made = run(array_of_list([5, 6]), empty_heap())
+    prog = _nest(3, array_to_list(made.value))
+    first, second = run(prog, made.heap), run(prog, made.heap)
+    assert first == second and first.value == (5, 6) and first.cost == 3
