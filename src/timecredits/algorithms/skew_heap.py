@@ -9,6 +9,7 @@ share structure.  The imperative version works on three-cell array nodes
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import Optional
 
 from ..amortized import AmortizedOp, AmortizedScheme
@@ -26,7 +27,24 @@ from ..heap import (
 )
 
 
-@dataclass(frozen=True)
+def same_tree(a, b, label) -> bool:
+    """Structural equality of two trees of nodes with `left` and `right`
+    children, comparing `label(node)` at every pair of nodes.  The walk keeps
+    its own stack, so trees of any depth compare; shared subtrees compare by
+    identity."""
+    stack = [(a, b)]
+    while stack:
+        x, y = stack.pop()
+        if x is y:
+            continue
+        if x is None or y is None or type(x) is not type(y) or label(x) != label(y):
+            return False
+        stack.append((x.right, y.right))
+        stack.append((x.left, y.left))
+    return True
+
+
+@dataclass(frozen=True, eq=False)
 class SkewNode:
     left: Optional["SkewNode"]
     key: int
@@ -34,6 +52,14 @@ class SkewNode:
     size: int
     heavy: int        # right-heavy nodes in this subtree
     heap_ok: bool     # order invariant, cached so preconditions are O(1)
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return same_tree(self, other, _SKEW_LABEL)
+
+
+_SKEW_LABEL = attrgetter("key", "size", "heavy", "heap_ok")
 
 
 def skew_node(left, key, right) -> SkewNode:

@@ -11,6 +11,7 @@ read across persistent versions.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import Optional
 
 from ..amortized import AmortizedOp, AmortizedScheme
@@ -26,10 +27,10 @@ from ..heap import (
     ret,
     run,
 )
-from .skew_heap import ceil_3_log2
+from .skew_heap import ceil_3_log2, same_tree
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TreeNode:
     left: Optional["TreeNode"]
     key: int
@@ -39,6 +40,14 @@ class TreeNode:
     bst: bool  # search-order invariant, cached so preconditions are O(1)
     min_key: int
     max_key: int
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return same_tree(self, other, _TREE_LABEL)
+
+
+_TREE_LABEL = attrgetter("key", "size", "phi", "bst", "min_key", "max_key")
 
 
 def tree_node(left, key, right) -> TreeNode:

@@ -101,8 +101,11 @@ def cmd_run(args) -> int:
             if not (within and result.ok):
                 failed = True
             ratio = result.cost / bound if bound else 0.0
+            # label the row with the size that ran (a generator may clamp
+            # the request); knapsack's (items, capacity) keeps the request
+            ran = result.size if isinstance(result.size, int) else size
             rows.append(
-                [size, trial, result.cost, bound, f"{ratio:.4f}",
+                [ran, trial, result.cost, bound, f"{ratio:.4f}",
                  "yes" if result.ok else "NO", "yes" if within else "NO"]
             )
     header = ["n", "trial", "cost", "bound", "ratio", "correct", "within_bound"]

@@ -4,8 +4,11 @@ Programs are values of type Computation: running one on a heap either fails
 or yields (value, new heap, cost), with cost the exact number of charged
 steps.  Reference and per-cell array commands cost 1; whole-array commands
 cost n + 1 for a size-n array; `ret` costs 1; `bind` and host-level control
-flow are free.  Input heaps are never mutated: `run` works on a private copy,
-so a failing run leaves no visible change.
+flow are free.  Input heaps are never mutated: `run` works on a run-local
+overlay of the input.  A run copies an input array the first time it writes
+to it and reads the others in place; on success it commits a new `Heap` that
+shares every array it did not write with its input, and on failure it drops
+the overlay, so a failing run leaves no visible change.
 
 A computation is an immutable instruction, a tuple of a private opcode and
 its operands.  Each primitive constructor builds one; `proc` builds a PROC
@@ -49,7 +52,9 @@ class Heap:
     """Finite maps for reference cells and arrays plus an allocation counter.
 
     The counter only grows, so addresses are never reused and the ref/array
-    domains stay disjoint.
+    domains stay disjoint.  Heaps that `run` returns share the cell lists of
+    the arrays a run did not write, so cells are changed only through `run`,
+    or on a `clone()`, which copies every array.
     """
 
     __slots__ = ("refs", "arrays", "next_addr")
@@ -139,38 +144,61 @@ Outcome = Union[Success, Failure]
 
 
 def run(comp: Computation, heap: Heap) -> Outcome:
-    """Run a computation on a copy of `heap`; the argument is left untouched."""
-    heap = heap.clone()
+    """Run a computation against `heap`; the argument is left untouched."""
     try:
-        value, cost = _drive(comp, heap, None)
+        value, cost, local = _drive(comp, heap, None)
     except _Fail:
         return FAILURE
-    return Success(value, heap, cost)
+    return Success(value, local.commit(), cost)
 
 
 def run_traced(comp: Computation, heap: Heap) -> tuple[Outcome, tuple]:
     """Like `run` but also returns the (primitive, cost) charge trace."""
-    heap = heap.clone()
     trace: list = []
     try:
-        value, cost = _drive(comp, heap, trace)
+        value, cost, local = _drive(comp, heap, trace)
     except _Fail:
         return FAILURE, tuple(trace)
-    return Success(value, heap, cost), tuple(trace)
+    return Success(value, local.commit(), cost), tuple(trace)
+
+
+class _Overlay:
+    """The run-local view of a base heap, which a run never writes.
+
+    `refs` and `arrays` hold what the run allocated or wrote; a base ref is
+    copied in when first touched, a base array when first written (reads of
+    an unwritten base array go to the base).  The opcodes use it like a
+    `Heap`."""
+
+    __slots__ = ("refs", "arrays", "next_addr", "base")
+
+    def __init__(self, base: Heap):
+        self.refs: dict[int, Value] = {}
+        self.arrays: dict[int, list[Value]] = {}
+        self.next_addr = base.next_addr
+        self.base = base
+
+    def commit(self) -> Heap:
+        """The heap after a successful run: base keys first, then the new
+        cells in allocation order; arrays the run did not write are shared."""
+        base = self.base
+        return Heap(base.refs | self.refs, base.arrays | self.arrays, self.next_addr)
 
 
 # ---------------------------------------------------------------------------
 # the driver
 # ---------------------------------------------------------------------------
 
-def _drive(comp: Computation, heap: Heap, trace) -> tuple[Any, int]:
-    """Execute `comp` on `heap` in place and return (value, cost).
+def _drive(comp: Computation, base: Heap, trace) -> tuple[Any, int, _Overlay]:
+    """Execute `comp` against `base` without writing it and return (value,
+    cost, overlay); `overlay.commit()` is the heap after the run.
 
     `send` resumes the innermost running proc (None at the top level); the
     procs waiting for it keep their `send` on `frames`.  A failing primitive
     raises `_Fail`; any other exception propagates unchanged.  Each charge is
     appended to `trace` unless it is None.
     """
+    heap = _Overlay(base)
     arrays = heap.arrays
     frames: list = []
     push, pop = frames.append, frames.pop
@@ -185,8 +213,9 @@ def _drive(comp: Computation, heap: Heap, trace) -> tuple[Any, int]:
                 trace.append(_NTH_CHARGE)
             _, a, i = instr
             cells = arrays.get(a.index) if isinstance(a, Addr) and a.kind == ARRAY else None
-            if (cells is None or (type(i) is not int and not _is_index(i))
-                    or not 0 <= i < len(cells)):
+            if cells is None:
+                cells = _as_array(heap, a)
+            if (type(i) is not int and not _is_index(i)) or not 0 <= i < len(cells):
                 raise _Fail()
             value = cells[i]
         elif op is _UPD:
@@ -195,8 +224,9 @@ def _drive(comp: Computation, heap: Heap, trace) -> tuple[Any, int]:
                 trace.append(_UPD_CHARGE)
             _, a, i, v = instr
             cells = arrays.get(a.index) if isinstance(a, Addr) and a.kind == ARRAY else None
-            if (cells is None or (type(i) is not int and not _is_index(i))
-                    or not 0 <= i < len(cells)):
+            if cells is None:
+                cells = _as_array(heap, a, write=True)
+            if (type(i) is not int and not _is_index(i)) or not 0 <= i < len(cells):
                 raise _Fail()
             cells[i] = v
             value = None
@@ -216,7 +246,7 @@ def _drive(comp: Computation, heap: Heap, trace) -> tuple[Any, int]:
         # result on to its caller
         while True:
             if send is None:
-                return value, cost
+                return value, cost, heap
             try:
                 instr = send(value)
                 break
@@ -225,7 +255,7 @@ def _drive(comp: Computation, heap: Heap, trace) -> tuple[Any, int]:
                 send = pop()
 
 
-def _exec(op, instr, heap: Heap, trace) -> tuple[Any, int]:
+def _exec(op, instr, heap: _Overlay, trace) -> tuple[Any, int]:
     """Execute an instruction that `_drive` does not inline."""
     if type(op) is not _Op:
         raise TypeError(f"not a computation: {instr!r}")
@@ -242,19 +272,35 @@ def _is_index(i) -> bool:
     return isinstance(i, int) and not isinstance(i, bool)
 
 
-def _as_ref(heap: Heap, a: Value) -> int:
-    if not isinstance(a, Addr) or a.kind != REF or a.index not in heap.refs:
+def _as_ref(heap: _Overlay, a: Value) -> int:
+    """The index of ref `a`, copied into the run's `refs` on first touch."""
+    if not isinstance(a, Addr) or a.kind != REF:
         raise _Fail()
-    return a.index
+    i = a.index
+    if i not in heap.refs:
+        base = heap.base.refs
+        if i not in base:
+            raise _Fail()
+        heap.refs[i] = base[i]
+    return i
 
 
-def _as_array(heap: Heap, a: Value) -> list[Value]:
-    if not isinstance(a, Addr) or a.kind != ARRAY or a.index not in heap.arrays:
+def _as_array(heap: _Overlay, a: Value, write: bool = False) -> list[Value]:
+    """The cells of array `a`.  An unwritten base array is returned in place
+    for reading; `write` copies it into the run's `arrays` first."""
+    if not isinstance(a, Addr) or a.kind != ARRAY:
         raise _Fail()
-    return heap.arrays[a.index]
+    cells = heap.arrays.get(a.index)
+    if cells is None:
+        cells = heap.base.arrays.get(a.index)
+        if cells is None:
+            raise _Fail()
+        if write:
+            cells = heap.arrays[a.index] = list(cells)
+    return cells
 
 
-def _alloc_array(heap: Heap, cells: list[Value]) -> Addr:
+def _alloc_array(heap: _Overlay, cells: list[Value]) -> Addr:
     a = Addr(heap.next_addr, ARRAY)
     heap.arrays[a.index] = cells
     heap.next_addr += 1

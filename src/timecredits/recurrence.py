@@ -243,6 +243,19 @@ def spec_to_json(spec: AkraBazziSpec) -> dict:
     }
 
 
+def _check_poly_class(coeffs: dict, g_power: int, g_log: int) -> None:
+    """A polynomial toll is Theta(n^d) for its leading nonzero power d, so a
+    `g_class` other than (d, 0) contradicts it."""
+    powers = [int(p) for p, c in coeffs.items() if int(c) != 0]
+    if not powers:
+        raise RecurrenceError("g_poly has no nonzero coefficient")
+    lead = max(powers)
+    if (g_power, g_log) != (lead, 0):
+        raise RecurrenceError(
+            f"g_class [{g_power}, {g_log}] contradicts g_poly, whose leading power is {lead}"
+        )
+
+
 def _poly_fn(coeffs: dict) -> Callable[[int], int]:
     pairs = [(int(p), int(c)) for p, c in coeffs.items()]
 
@@ -262,6 +275,7 @@ def spec_from_json(data: dict) -> AkraBazziSpec:
     if data.get("g_poly"):
         # polynomial toll: {"0": c0, "1": c1, ...} maps power -> coefficient
         g_concrete = _poly_fn(data["g_poly"])
+        _check_poly_class(data["g_poly"], int(g_power), int(g_log))
     base = {int(k): int(v) for k, v in data.get("base", {}).items()}
     return AkraBazziSpec(
         x0=int(data["x0"]),

@@ -290,6 +290,20 @@ def test_splay_lookup_on_a_deep_ascending_chain():
     assert is_bst(st.mirror)
 
 
+def test_deep_trees_compare_without_recursion():
+    """Node equality walks its own stack: a 2000-deep splay chain and a
+    3000-deep skew-heap spine compare equal to their mirrors."""
+    st = new_splay_tree()
+    for k in range(2000):
+        st, _ = splay_insert(st, k)
+    assert splay_extract(st.heap, st.root) == st.mirror
+    s = new_skew_heap()
+    for k in range(3000, 0, -1):
+        s, _ = skew_push(s, k)
+    assert skew_extract(s.heap, s.root) == s.mirror
+    assert skew_extract(s.heap, s.root) != skew_pop(s)[1].mirror
+
+
 def test_time_function_registration_and_reduction():
     registry = build_registry(sweep_hi=256)
     assert registry.lookup("atake_time").cls == PolyLog(1, 0)

@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from timecredits.cli import main
 from timecredits.recurrence import save_spec
 from timecredits.algorithms.sorting import merge_sort_recurrence
@@ -108,6 +110,23 @@ def test_recurrence_poly_toll_roundtrip(tmp_path, capsys):
     out = capsys.readouterr().out
     assert code == 0
     assert "balanced" in out and "pass" in out
+
+
+@pytest.mark.parametrize("g_class,code", [([1, 0], 0), ([2, 0], 2), ([1, 1], 2), ([0, 0], 2)])
+def test_recurrence_rejects_a_class_contradicting_the_toll(tmp_path, capsys, g_class, code):
+    path = tmp_path / "ms.json"
+    data = {
+        "x0": 2,
+        "terms": [{"a": "1", "b": "1/2", "round": "floor"},
+                  {"a": "1", "b": "1/2", "round": "ceil"}],
+        "g_class": g_class,
+        "g_poly": {"2": 0, "1": 4, "0": 4},
+        "base": {"0": 2, "1": 2},
+    }
+    path.write_text(json.dumps(data))
+    assert main(["recurrence", str(path)]) == code
+    if code == 2:
+        assert "contradicts g_poly" in capsys.readouterr().err
 
 
 def test_amortized_dynarray(capsys):

@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from timecredits.heap import (
     FAILURE,
@@ -416,3 +418,79 @@ def test_computations_are_reusable_values():
     prog = _nest(3, array_to_list(made.value))
     first, second = run(prog, made.heap), run(prog, made.heap)
     assert first == second and first.value == (5, 6) and first.cost == 3
+
+
+# ---------------------------------------------------------------------------
+# versions: a run never writes its input, and shares what it does not write
+# ---------------------------------------------------------------------------
+
+_VERSION_OP = st.tuples(st.integers(0, 4), st.integers(0, 7), st.integers(0, 7),
+                        st.integers(-9, 9))
+_VERSION_STEP = st.tuples(
+    st.integers(0, 63),  # the earlier version the run starts from
+    st.lists(_VERSION_OP, max_size=8),
+    st.none() | st.integers(0, 8),  # fail after this many ops, or succeed
+)
+
+
+@proc
+def _version_prog(arrays, refs, ops, fail_at, model, written):
+    """Apply `ops` to the arrays and refs, mirroring each effect on `model`
+    (a clone of the input) and noting every array written in `written`."""
+    for k, (kind, x, y, z) in enumerate(ops):
+        if k == fail_at:
+            break
+        if kind == 0:
+            a = yield array_of_list([z] * (x % 4))
+            arrays.append(a)
+            model.arrays[a.index] = [z] * (x % 4)
+            model.next_addr = a.index + 1
+        elif kind == 2:
+            r = yield ref_new(z)
+            refs.append(r)
+            model.refs[r.index] = z
+            model.next_addr = r.index + 1
+        elif kind == 3 and refs:
+            r = refs[x % len(refs)]
+            yield ref_write(r, z)
+            model.refs[r.index] = z
+        elif arrays:
+            a = arrays[x % len(arrays)]
+            n = yield array_len(a)
+            if n and kind == 1:
+                yield array_upd(a, y % n, z)
+                model.arrays[a.index][y % n] = z
+                written.add(a.index)
+            elif n:
+                yield array_nth(a, y % n)
+    if fail_at is not None:
+        yield array_nth(Addr(10**6, "array"), 0)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(_VERSION_STEP, min_size=1, max_size=12))
+def test_versions_stay_as_they_were_made(steps):
+    """A random tree of runs, some failing part-way: every version keeps the
+    cells it had when it was made, a run's result is its input with the run's
+    effects applied (in the same dict order), and an array the run did not
+    write is the same list object in its input and its result."""
+    versions = [_three_cells()]
+    snapshots = [versions[0].clone()]
+    for pick, ops, fail_at in steps:
+        parent = versions[pick % len(versions)]
+        model, written = parent.clone(), set()
+        prog = _version_prog([Addr(i, "array") for i in parent.arrays],
+                             [Addr(i, "ref") for i in parent.refs],
+                             ops, fail_at, model, written)
+        out = run(prog, parent)
+        if fail_at is not None:
+            assert out is FAILURE
+        else:
+            assert out.heap == model
+            assert list(out.heap.arrays) == list(model.arrays)
+            assert list(out.heap.refs) == list(model.refs)
+            for i, cells in parent.arrays.items():
+                assert (out.heap.arrays[i] is cells) == (i not in written)
+            versions.append(out.heap)
+            snapshots.append(out.heap.clone())
+        assert versions == snapshots
