@@ -474,8 +474,9 @@ def _mergeinto_cost(n: int) -> int:
 
 
 def build_registry(sweep_hi: int = 1 << 12) -> BoundRegistry:
-    """The table of known runtime-function bounds, auxiliaries checked
-    exhaustively against the interpreter before admission."""
+    """The table of known runtime-function bounds: auxiliaries checked
+    exhaustively against the interpreter before admission, and the solved
+    classes taken from their rows' claims."""
     registry = BoundRegistry()
     sweep = range(0, sweep_hi + 1)
     register_time_function(
@@ -493,9 +494,9 @@ def build_registry(sweep_hi: int = 1 << 12) -> BoundRegistry:
         _mergeinto_cost,
         range(2, sweep_hi + 1),
     )
-    registry.register("merge_sort_time", PolyLog(1, 1), SOLVED)
-    registry.register("insertion_sort_time", PolyLog(2, 0), SOLVED)
-    registry.register("bsearch_time", PolyLog(0, 1), SOLVED)
-    registry.register("select_time", PolyLog(1, 0), SOLVED)
-    registry.register("knapsack_time", PolyLog2(1, 0, 1, 0), SOLVED)
+    bundles = all_bundles()
+    solved = {"merge_sort_time": "merge_sort", "insertion_sort_time": "insertion_sort",
+              "bsearch_time": "binary_search", "select_time": "select", "knapsack_time": "knapsack"}
+    for fn_name, study in solved.items():
+        registry.register(fn_name, bundles[study].claim(), SOLVED)
     return registry

@@ -35,9 +35,6 @@ class DynArray:
     capacity: int
     mirror: tuple
 
-    def contents(self) -> tuple:
-        return self.mirror
-
 
 def new_dynarray() -> DynArray:
     out = run(array_new(0, 0), empty_heap())

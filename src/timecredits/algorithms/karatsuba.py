@@ -13,7 +13,7 @@ from fractions import Fraction
 from ..credits import CeilDivE, FloorDivE, VarE, normalize, t_call, t_expr, t_lit, t_var
 from ..heap import adrop, array_len, array_new, array_nth, array_upd, atake, proc, ret
 from ..landau import PolyLog
-from ..recurrence import AkraBazziSpec, RecTerm
+from ..recurrence import AkraBazziSpec, RecTerm, eval_recurrence
 
 N = VarE("n")
 
@@ -129,17 +129,6 @@ def karatsuba_toll(n: int, consts=KARATSUBA_CONSTS) -> int:
     return consts["len_reads"] + split + sums + alloc_out + add_bands + mid_band + trailing_ret
 
 
-def karatsuba_time(n: int, consts=KARATSUBA_CONSTS) -> int:
-    if n <= 1:
-        return consts["base"]
-    m = -(-n // 2)
-    return (
-        karatsuba_toll(n, consts)
-        + 2 * karatsuba_time(m, consts)
-        + karatsuba_time(n - m, consts)
-    )
-
-
 def karatsuba_recurrence(consts=KARATSUBA_CONSTS) -> AkraBazziSpec:
     return AkraBazziSpec(
         x0=2,
@@ -152,6 +141,15 @@ def karatsuba_recurrence(consts=KARATSUBA_CONSTS) -> AkraBazziSpec:
         base={0: consts["base"], 1: consts["base"]},
         name="karatsuba_time",
     )
+
+
+_KARATSUBA_SPEC = karatsuba_recurrence()
+
+
+def karatsuba_time(n: int, consts=KARATSUBA_CONSTS) -> int:
+    """Other constants than the defaults get a spec for this call only."""
+    spec = _KARATSUBA_SPEC if consts == KARATSUBA_CONSTS else karatsuba_recurrence(consts)
+    return eval_recurrence(spec, n)
 
 
 def _toll_expr(consts):

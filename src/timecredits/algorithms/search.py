@@ -23,7 +23,7 @@ from ..credits import (
 )
 from ..heap import array_len, array_nth, proc, ret
 from ..landau import PolyLog
-from ..recurrence import AkraBazziSpec, RecTerm
+from ..recurrence import AkraBazziSpec, RecTerm, eval_recurrence
 
 N = VarE("n")
 
@@ -63,17 +63,6 @@ def binary_search_impl(x, key):
     return (yield ret(None))
 
 
-def bsearch_time(n: int, consts=BINARY_SEARCH_CONSTS) -> int:
-    """Bound for the probe loop on a window of size n."""
-    if n <= 0:
-        return consts["base"]
-    return consts["level"] + bsearch_time(n // 2, consts)
-
-
-def binary_search_time(n: int, consts=BINARY_SEARCH_CONSTS) -> int:
-    return consts["len"] + bsearch_time(n, consts)
-
-
 def bsearch_recurrence(consts=BINARY_SEARCH_CONSTS) -> AkraBazziSpec:
     return AkraBazziSpec(
         x0=1,
@@ -85,13 +74,29 @@ def bsearch_recurrence(consts=BINARY_SEARCH_CONSTS) -> AkraBazziSpec:
     )
 
 
+_BSEARCH_SPEC = bsearch_recurrence()
+
+
+def bsearch_time(n: int, consts=BINARY_SEARCH_CONSTS) -> int:
+    """Bound for the probe loop on a window of size n.  Other constants than
+    the defaults get a spec for this call only."""
+    spec = _BSEARCH_SPEC if consts == BINARY_SEARCH_CONSTS else bsearch_recurrence(consts)
+    return eval_recurrence(spec, n)
+
+
+def binary_search_time(n: int, consts=BINARY_SEARCH_CONSTS) -> int:
+    return consts["len"] + bsearch_time(n, consts)
+
+
 def upper_window_hint(consts=BINARY_SEARCH_CONSTS, table_bound: int = 4096) -> Hint:
     """bsearch_time(n div 2) >= bsearch_time(n - n div 2 - 1).
 
     Justified by monotonicity plus the arithmetic fact that the upper
     window never exceeds the lower one, checked across the table range.
     """
-    table = MonotoneTable(lambda k: bsearch_time(k, consts), table_bound)
+    # the table's own spec, so its memo goes with the hint
+    spec = bsearch_recurrence(consts)
+    table = MonotoneTable(lambda k: eval_recurrence(spec, k), table_bound)
 
     def justify() -> bool:
         if not table.monotone:

@@ -27,7 +27,7 @@ from ..credits import (
 )
 from ..heap import array_len, array_nth, array_upd, proc, ret
 from ..landau import PolyLog
-from ..recurrence import AkraBazziSpec, RecTerm
+from ..recurrence import AkraBazziSpec, RecTerm, eval_recurrence
 
 N = VarE("n")
 CUTOFF = 20
@@ -124,51 +124,7 @@ def select_impl(x, i: int):
     return (yield _select_window(x, 0, n, i))
 
 
-def _window_bound(n: int, consts, memo: dict) -> int:
-    if n in memo:
-        return memo[n]
-    if n <= CUTOFF:
-        value = _ins_range_cost(consts, n) + consts["small_probe"] if n >= 1 else 1
-    else:
-        groups = -(-n // 5)
-        value = (
-            (consts["group_sort"] + consts["group_pad"]) * groups
-            + consts["part_coeff"] * n
-            + consts["hit_ret"]
-            + _window_bound(groups, consts, memo)
-            + _window_bound(-(-7 * n // 10), consts, memo)
-        )
-    memo[n] = value
-    return value
-
-
-def make_select_time(consts=SELECT_CONSTS):
-    """Memoized bound for the selection window of size n.
-
-    The memo is passed to a module-level helper rather than captured by a
-    self-referencing closure, so it is freed with the returned function
-    instead of waiting for the cycle collector."""
-    memo: dict[int, int] = {}
-    return lambda n: _window_bound(n, consts, memo)
-
-
-select_time = make_select_time()
-
-
-def select_time_for(consts):
-    """The window bound for these constants; the defaults share the module's memo."""
-    return select_time if consts == SELECT_CONSTS else make_select_time(consts)
-
-
-def make_select_bound(consts=SELECT_CONSTS):
-    """Bound on a whole run of select_impl: the length read plus the window."""
-    window = select_time_for(consts)
-    return lambda n: consts["len"] + window(n)
-
-
 def select_recurrence(consts=SELECT_CONSTS) -> AkraBazziSpec:
-    bound = select_time_for(consts)
-
     def toll(n: int) -> int:
         groups = -(-n // 5)
         return (
@@ -185,9 +141,37 @@ def select_recurrence(consts=SELECT_CONSTS) -> AkraBazziSpec:
         ),
         g_class=PolyLog(1, 0),
         g_concrete=toll,
-        base={n: bound(n) for n in range(CUTOFF + 1)},
+        # a small window is insertion-sorted and read once
+        base={
+            n: _ins_range_cost(consts, n) + consts["small_probe"] if n >= 1 else 1
+            for n in range(CUTOFF + 1)
+        },
         name="select_time",
     )
+
+
+_SELECT_SPEC = select_recurrence()
+
+
+def select_time(n: int) -> int:
+    """Bound for the selection window of size n: the recurrence evaluated at n."""
+    return eval_recurrence(_SELECT_SPEC, n)
+
+
+def make_select_time(consts=SELECT_CONSTS):
+    """The window bound for these constants.  The defaults give select_time,
+    with the module's memo; other constants get a spec that lives as long as
+    the returned function."""
+    if consts == SELECT_CONSTS:
+        return select_time
+    spec = select_recurrence(consts)
+    return lambda n: eval_recurrence(spec, n)
+
+
+def make_select_bound(consts=SELECT_CONSTS):
+    """Bound on a whole run of select_impl: the length read plus the window."""
+    window = make_select_time(consts)
+    return lambda n: consts["len"] + window(n)
 
 
 def partition_side_bound(n: int) -> int:
@@ -208,7 +192,7 @@ def partition_hint(consts=SELECT_CONSTS, table_bound: int = 1 << 14) -> Hint:
     Certified by monotonicity of select_time together with the combinatorial
     window bound checked across the table range.
     """
-    table = MonotoneTable(select_time_for(consts), table_bound)
+    table = MonotoneTable(make_select_time(consts), table_bound)
 
     def justify() -> bool:
         if not table.monotone:

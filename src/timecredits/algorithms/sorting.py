@@ -16,7 +16,7 @@ from ..heap import (
     ret,
 )
 from ..landau import PolyLog
-from ..recurrence import AkraBazziSpec, LinearRecSpec, RecTerm
+from ..recurrence import AkraBazziSpec, LinearRecSpec, RecTerm, eval_recurrence
 
 N = VarE("n")
 
@@ -113,19 +113,6 @@ def mergeinto_time(n: int, consts=MERGE_SORT_CONSTS) -> int:
     return consts["merge_coeff"] * n
 
 
-def merge_sort_time(n: int, consts=MERGE_SORT_CONSTS) -> int:
-    if n <= 1:
-        return consts["base"]
-    return (
-        consts["step"]
-        + atake_time(n, consts)
-        + adrop_time(n, consts)
-        + merge_sort_time(n // 2, consts)
-        + merge_sort_time(n - n // 2, consts)
-        + mergeinto_time(n, consts)
-    )
-
-
 def merge_sort_recurrence(consts=MERGE_SORT_CONSTS) -> AkraBazziSpec:
     def toll(n: int) -> int:
         return (
@@ -146,6 +133,15 @@ def merge_sort_recurrence(consts=MERGE_SORT_CONSTS) -> AkraBazziSpec:
         base={0: consts["base"], 1: consts["base"]},
         name="merge_sort_time",
     )
+
+
+_MERGE_SORT_SPEC = merge_sort_recurrence()
+
+
+def merge_sort_time(n: int, consts=MERGE_SORT_CONSTS) -> int:
+    """Other constants than the defaults get a spec for this call only."""
+    spec = _MERGE_SORT_SPEC if consts == MERGE_SORT_CONSTS else merge_sort_recurrence(consts)
+    return eval_recurrence(spec, n)
 
 
 def merge_sort_obligations(consts=MERGE_SORT_CONSTS):

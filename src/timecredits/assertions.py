@@ -132,14 +132,6 @@ def points_to_array(addr: Addr, values) -> PointsToArray:
     return PointsToArray(addr, tuple(values))
 
 
-def _contains_top(assn: Assertion) -> bool:
-    if isinstance(assn, Top):
-        return True
-    if isinstance(assn, SepConj):
-        return _contains_top(assn.left) or _contains_top(assn.right)
-    return False
-
-
 def credit_demand(assn: Assertion) -> Optional[int]:
     """Exact credits a Top-free, quantifier-free assertion requires, else None."""
     if isinstance(assn, (Emp, PointsToRef, PointsToArray, Pure)):

@@ -14,31 +14,49 @@ from typing import Optional
 
 from .amortized import NoMultiplier, minimal_multiplier, run_sequence
 from .algorithms import ALGORITHM_NAMES, all_bundles, get_bundle
+from .algorithms.bundles import STUDIES
 from .algorithms.dynarray import dynarray_scheme, new_dynarray
 from .algorithms.skew_heap import new_skew_heap, skew_scheme, skew_shape
 from .algorithms.splay_tree import new_splay_tree, splay_scheme, splay_shape
 from .recurrence import RecurrenceError, akra_bazzi_class, empirical_ratio_check, load_spec
-from .algorithms.sorting import merge_sort_recurrence
-from .algorithms.karatsuba import karatsuba_recurrence
-from .algorithms.search import bsearch_recurrence
-from .algorithms.select import select_recurrence
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_BAD_INPUT = 2
 
-BUILTIN_SPECS = {
-    "merge_sort": merge_sort_recurrence,
-    "karatsuba": karatsuba_recurrence,
-    "binary_search": bsearch_recurrence,
-    "select": select_recurrence,
-}
+# the case studies whose spec is an Akra-Bazzi recurrence
+BUILTIN_SPECS = {s.name: s.spec for s in STUDIES if s.case}
 
 SCHEMES = {
     "dynarray": (dynarray_scheme, new_dynarray, lambda n: 1),
     "skew_heap": (skew_scheme, new_skew_heap, skew_shape),
     "splay_tree": (splay_scheme, new_splay_tree, splay_shape),
 }
+
+
+_MASK64 = (1 << 64) - 1
+_XXPRIME_1 = 11400714785074694791
+_XXPRIME_2 = 14029467366897019727
+_XXPRIME_5 = 2870177450012600261
+_HASH_MODULUS = (1 << 61) - 1
+
+
+def trial_seed(*parts: int) -> int:
+    """The seed of one `run` trial: CPython's 64-bit hash of the tuple of
+    ints `parts` (the xxHash-style tuple hash of 3.8+ over ints reduced
+    modulo 2^61 - 1), computed explicitly so inputs do not depend on the
+    interpreter's hash."""
+    acc = _XXPRIME_5
+    for x in parts:
+        lane = abs(x) % _HASH_MODULUS * (-1 if x < 0 else 1)
+        lane = -2 if lane == -1 else lane
+        acc = (acc + (lane & _MASK64) * _XXPRIME_2) & _MASK64
+        acc = ((acc << 31) | (acc >> 33)) & _MASK64
+        acc = acc * _XXPRIME_1 & _MASK64
+    acc = (acc + (len(parts) ^ _XXPRIME_5 ^ 3527539)) & _MASK64
+    if acc == _MASK64:
+        return 1546275796
+    return acc - (1 << 64) if acc >> 63 else acc
 
 
 def positive_int(text: str) -> int:
@@ -93,7 +111,7 @@ def cmd_run(args) -> int:
     failed = False
     for size in sizes:
         for trial in range(args.trials):
-            rng = random.Random((args.seed, size, trial).__hash__() & 0x7FFFFFFF)
+            rng = random.Random(trial_seed(args.seed, size, trial) & 0x7FFFFFFF)
             case = bundle.gen_input(rng, size)
             result = bundle.run(case)
             bound = bundle.bound(result.size)

@@ -53,12 +53,6 @@ class RecTerm:
         if self.rounding not in ("ceil", "floor"):
             raise RecurrenceError(f"unknown rounding {self.rounding!r}")
 
-    def recurse_on(self, x: int) -> int:
-        scaled = self.b.numerator * x
-        if self.rounding == "floor":
-            return scaled // self.b.denominator
-        return -(-scaled // self.b.denominator)
-
 
 @dataclass
 class AkraBazziSpec:
@@ -72,6 +66,7 @@ class AkraBazziSpec:
     base: dict[int, int] = field(default_factory=dict)
     name: str = ""
     _memo: dict = field(default_factory=dict, repr=False, compare=False)
+    _live: tuple = field(default=(), init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.terms = tuple(self.terms)
@@ -79,6 +74,13 @@ class AkraBazziSpec:
             raise RecurrenceError("at least one recursive term must have a > 0")
         if self.x0 < 1:
             raise RecurrenceError("threshold x0 must be at least 1")
+        # (a, b numerator, b denominator, rounds up) per term with a > 0, an
+        # integral a as an int, so exact evaluation stays in int arithmetic
+        self._live = tuple(
+            (int(t.a) if t.a.denominator == 1 else t.a, t.b.numerator, t.b.denominator,
+             t.rounding == "ceil")
+            for t in self.terms if t.a != 0
+        )
 
 
 @dataclass(frozen=True)
@@ -153,12 +155,12 @@ def eval_recurrence(spec: AkraBazziSpec, n: int):
         memo[n] = spec.base[n]
         return memo[n]
     total = spec.g_concrete(n)
-    for term in spec.terms:
-        if term.a == 0:
-            continue
-        sub = eval_recurrence(spec, term.recurse_on(n))
-        contribution = term.a * sub
-        total = total + contribution
+    for a, num, den, up in spec._live:
+        m = -(-num * n // den) if up else num * n // den
+        sub = memo.get(m)
+        if sub is None:
+            sub = eval_recurrence(spec, m)
+        total = total + a * sub
     if isinstance(total, Fraction) and total.denominator == 1:
         total = int(total)
     memo[n] = total

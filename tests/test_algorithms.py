@@ -8,11 +8,13 @@ import pytest
 
 from timecredits.algorithms import all_bundles, build_registry, discharge_all
 from timecredits.algorithms.bundles import (
+    AlgorithmBundle,
     BoundCheckFailed,
     check_claimed_class,
     constant_fault_detected,
     register_time_function,
 )
+from timecredits.algorithms import search as srch
 from timecredits.algorithms import select as sel
 from timecredits.algorithms import sorting as srt
 from timecredits.algorithms import knapsack as knap
@@ -36,7 +38,7 @@ from timecredits.algorithms.splay_tree import (
     tree_node,
 )
 from timecredits.heap import FAILURE, empty_heap, run
-from timecredits.landau import BoundRegistry, PolyLog, Term, analyze_expr
+from timecredits.landau import SOLVED, BoundRegistry, PolyLog, PolyLog2, Term, analyze_expr
 from timecredits.recurrence import eval_recurrence
 
 BUNDLES = all_bundles()
@@ -157,11 +159,15 @@ def test_select_time_variant_freed_without_cycle_collector():
     # a fault variant's memo must go with its bound, not wait for a full GC
     fn = sel.make_select_time(dict(sel.SELECT_CONSTS, part_coeff=3))
     assert fn(5000) > 0
-    ref = weakref.ref(fn)
+    hint = srch.upper_window_hint(dict(srch.BINARY_SEARCH_CONSTS, level=1))
+    assert hint.justification()
+    bound = BUNDLES["merge_sort"].with_consts(dict(srt.MERGE_SORT_CONSTS, merge_coeff=2)).bound
+    assert bound(5000) > 0
+    refs = [weakref.ref(obj) for obj in (fn, hint, bound)]
     gc.disable()
     try:
-        del fn
-        assert ref() is None
+        del fn, hint, bound
+        assert [ref() for ref in refs] == [None, None, None]
     finally:
         gc.enable()
 
@@ -317,6 +323,22 @@ def test_time_function_registration_and_reduction():
         Term(call="mergeinto_time"),
     ]
     assert analyze_expr(terms, registry) == PolyLog(1, 0)
+
+
+def test_registry_takes_solved_classes_from_claims(monkeypatch):
+    solved = ["merge_sort_time", "insertion_sort_time", "bsearch_time", "select_time",
+              "knapsack_time"]
+    registry = build_registry(sweep_hi=8)
+    assert [n for n, e in registry.entries.items() if e.provenance == SOLVED] == solved
+    assert [registry.lookup(n).cls for n in solved] == [
+        PolyLog(1, 1), PolyLog(2, 0), PolyLog(0, 1), PolyLog(1, 0), PolyLog2(1, 0, 1, 0),
+    ]
+    monkeypatch.setattr(AlgorithmBundle, "claim", lambda self: PolyLog(len(self.name), 0))
+    registry = build_registry(sweep_hi=8)
+    assert [registry.lookup(n).cls for n in solved] == [
+        PolyLog(len(name), 0)
+        for name in ("merge_sort", "insertion_sort", "binary_search", "select", "knapsack")
+    ]
 
 
 def test_registration_rejects_broken_bound():

@@ -1,8 +1,10 @@
+import itertools
 import json
+import sys
 
 import pytest
 
-from timecredits.cli import main
+from timecredits.cli import main, trial_seed
 from timecredits.recurrence import save_spec
 from timecredits.algorithms.sorting import merge_sort_recurrence
 
@@ -17,6 +19,18 @@ def test_run_merge_sort_ok(capsys):
     # the n = 0 rows show the exact base cost
     zero_rows = [l for l in lines[1:] if l.startswith("0,")]
     assert all(row.split(",")[2] == "2" and row.split(",")[3] == "2" for row in zero_rows)
+
+
+@pytest.mark.skipif(sys.hash_info.width != 64, reason="pins the 64-bit tuple hash")
+def test_trial_seed_is_the_tuple_hash():
+    # `run` used to seed each trial with hash((seed, size, trial)); the
+    # explicit seed must keep those inputs
+    big = 2 ** 61
+    seeds = [0, 1, -1, -2, 3, -7, 12345, big - 2, big - 1, big, big + 1, -big, 2 ** 64 + 5,
+             -(2 ** 70) + 3, 10 ** 30]
+    for parts in itertools.product(seeds, (0, 1, 5, 17, 4096, -3), range(4)):
+        assert trial_seed(*parts) == hash(parts), parts
+    assert trial_seed() == hash(())
 
 
 def test_run_unknown_algorithm(capsys):
