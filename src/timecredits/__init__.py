@@ -50,6 +50,7 @@ from .recurrence import (
     RecTerm,
     akra_bazzi_class,
     empirical_ratio_check,
+    eval_linear,
     eval_recurrence,
     linear_rec_class,
     solve_exponent,

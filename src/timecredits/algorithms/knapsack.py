@@ -10,12 +10,9 @@ from __future__ import annotations
 
 from itertools import combinations
 
-from ..credits import VarE, normalize, t_lit, t_var
+from ..credits import normalize, t_lit, t_poly, t_var
 from ..heap import array_new, array_nth, array_upd, proc
-from ..landau import PolyLog
-from ..recurrence import LinearRecSpec
-
-W = VarE("W")
+from ..recurrence import LinearRecSpec, eval_linear
 
 KNAPSACK_CONSTS = {
     "table_pad": 2,   # dp allocation is W+1 cells plus the command pad
@@ -52,25 +49,34 @@ def knapsack_impl(items: list[tuple[int, int]], capacity: int):
     return (yield array_nth(dp, capacity))
 
 
-def knapsack_time(n: int, capacity: int, consts=KNAPSACK_CONSTS) -> int:
-    return (
-        capacity + consts["table_pad"]
-        + n * consts["step"] * (capacity + 1)
-        + consts["final"]
+def _knapsack_spec(consts) -> LinearRecSpec:
+    # the table is W + 1 cells plus the pad, each item pays step per
+    # capacity 0..W (linear in W, so the rule gives n*W), the answer one read
+    return LinearRecSpec(
+        2, init={1: 1, 0: consts["table_pad"]},
+        step={1: consts["step"], 0: consts["step"]}, final=consts["final"],
     )
 
 
+_KNAPSACK_SPEC = _knapsack_spec(KNAPSACK_CONSTS)
+
+
 def knapsack_linear_rec(consts=KNAPSACK_CONSTS) -> LinearRecSpec:
-    # per-item step costs step*(W+1), linear in the capacity
-    return LinearRecSpec(arity=2, g_class=PolyLog(1, 0))
+    """Other constants than the defaults get a spec for this call only."""
+    return _KNAPSACK_SPEC if consts == KNAPSACK_CONSTS else _knapsack_spec(consts)
+
+
+def knapsack_time(n: int, capacity: int, consts=KNAPSACK_CONSTS) -> int:
+    return eval_linear(knapsack_linear_rec(consts), n, capacity)
 
 
 def knapsack_obligations(consts=KNAPSACK_CONSTS):
-    item_total = normalize(consts["step"] * t_var("W") + t_lit(consts["step"]))
+    spec = knapsack_linear_rec(consts)
+    item_total = normalize(t_poly(spec.step, "W"))
     item_demand = normalize(3 * t_var("W") + t_lit(3))
-    init_total = normalize(t_var("W") + t_lit(consts["table_pad"]))
+    init_total = normalize(t_poly(spec.init, "W"))
     init_demand = normalize(t_var("W") + t_lit(2))
-    final_total = normalize(t_lit(consts["final"]))
+    final_total = normalize(t_lit(spec.final))
     final_demand = normalize(t_lit(1))
     return [
         ("table-init", init_total, init_demand, [], []),

@@ -5,7 +5,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from ..credits import FloorDivE, SubE, VarE, normalize, t_call, t_lit, t_var
+from ..credits import FloorDivE, SubE, VarE, normalize, t_call, t_lit, t_poly, t_var
 from ..heap import (
     adrop,
     array_len,
@@ -16,7 +16,7 @@ from ..heap import (
     ret,
 )
 from ..landau import PolyLog
-from ..recurrence import AkraBazziSpec, LinearRecSpec, RecTerm, eval_recurrence
+from ..recurrence import AkraBazziSpec, LinearRecSpec, RecTerm, eval_linear, eval_recurrence
 
 N = VarE("n")
 
@@ -223,22 +223,34 @@ def insertion_sort_impl(x):
     return (yield ret(None))
 
 
-def insertion_sort_time(n: int, consts=INSERTION_SORT_CONSTS) -> int:
-    total = consts["base"]
-    for i in range(1, n):
-        total += consts["shift_coeff"] * i + consts["outer_pad"]
-    return total
+def _insertion_sort_spec(consts) -> LinearRecSpec:
+    # iteration i reads the inserted value, shifts up to i elements and
+    # writes the value back: a step linear in i, so the loop rule gives n^2
+    return LinearRecSpec(
+        1, init={0: consts["base"]},
+        step={1: consts["shift_coeff"], 0: consts["outer_pad"]},
+    )
+
+
+_INSERTION_SORT_SPEC = _insertion_sort_spec(INSERTION_SORT_CONSTS)
 
 
 def insertion_sort_linear_rec(consts=INSERTION_SORT_CONSTS) -> LinearRecSpec:
-    # step cost is linear in the index, so the loop rule gives n^2
-    return LinearRecSpec(arity=1, g_class=PolyLog(1, 0))
+    """Other constants than the defaults get a spec for this call only."""
+    if consts == INSERTION_SORT_CONSTS:
+        return _INSERTION_SORT_SPEC
+    return _insertion_sort_spec(consts)
+
+
+def insertion_sort_time(n: int, consts=INSERTION_SORT_CONSTS) -> int:
+    return eval_linear(insertion_sort_linear_rec(consts), n)
 
 
 def insertion_sort_obligations(consts=INSERTION_SORT_CONSTS):
-    base_total = normalize(t_lit(consts["base"]))
+    spec = insertion_sort_linear_rec(consts)
+    base_total = normalize(t_lit(eval_linear(spec, 0)))
     base_demand = normalize(t_lit(2))
-    step_total = normalize(consts["shift_coeff"] * t_var("i") + t_lit(consts["outer_pad"]))
+    step_total = normalize(t_poly(spec.step, "i"))
     step_demand = normalize(t_lit(1) + 2 * t_var("i") + t_lit(1))
     return [
         ("base", base_total, base_demand, [], []),

@@ -68,11 +68,22 @@ def positive_int(text: str) -> int:
     return value
 
 
+class OutputError(Exception):
+    """An --out path that cannot be written: `main` reports it and exits 2."""
+
+
+def _write(path: str, text: str) -> None:
+    try:
+        with open(path, "w") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise OutputError(f"cannot write {path}: {exc.strerror or exc}") from exc
+
+
 def _emit(lines: list[str], out: Optional[str]) -> None:
     text = "\n".join(lines) + "\n"
     if out:
-        with open(out, "w") as fh:
-            fh.write(text)
+        _write(out, text)
     else:
         sys.stdout.write(text)
 
@@ -145,6 +156,8 @@ def cmd_recurrence(args) -> int:
             return EXIT_BAD_INPUT
     try:
         result = akra_bazzi_class(spec)
+        if spec.g_concrete is not None:
+            report = empirical_ratio_check(spec, result.result_class, 2 ** 8, 2 ** 16)
     except RecurrenceError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
@@ -156,7 +169,6 @@ def cmd_recurrence(args) -> int:
     ]
     code = EXIT_OK
     if spec.g_concrete is not None:
-        report = empirical_ratio_check(spec, result.result_class, 2 ** 8, 2 ** 16)
         lines.append(f"empirical check: {report.render()}")
         if not report.passed:
             code = EXIT_CHECK_FAILED
@@ -175,8 +187,7 @@ def cmd_amortized(args) -> int:
     report = run_sequence(scheme, script, fresh(), seed=args.seed)
     lines = []
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(report.to_csv())
+        _write(args.out, report.to_csv())
         lines.append(f"ledger written to {args.out}")
     lines.append(
         f"ops: {len(report.entries)}, total actual: {report.total_actual}, "
@@ -283,7 +294,11 @@ def main(argv: Optional[list[str]] = None) -> int:
     except SystemExit as exc:
         # argparse exits 2 on bad usage already; normalize other codes
         return EXIT_BAD_INPUT if exc.code not in (0,) else 0
-    return args.fn(args)
+    try:
+        return args.fn(args)
+    except OutputError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_BAD_INPUT
 
 
 if __name__ == "__main__":

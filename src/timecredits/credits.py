@@ -257,6 +257,13 @@ def t_var(name: str) -> TimeExpr:
     return AtomT(VarAtom(name))
 
 
+def t_poly(coeffs: Mapping[int, int], var: str) -> TimeExpr:
+    """c0 + c1*var from {0: c0, 1: c1}; higher powers are outside the fragment."""
+    if any(p > 1 for p, c in coeffs.items() if c):
+        raise NormalizationError(f"a power of {var} above 1 is outside the fragment")
+    return sum((c * (t_var(var) if p else t_lit(1)) for p, c in coeffs.items()), t_lit(0))
+
+
 def t_expr(e: ArgExpr) -> TimeExpr:
     return AtomT(ExprAtom(e))
 

@@ -14,6 +14,8 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import accumulate
+from math import comb
 from typing import Callable, Optional, Union
 
 from .landau import PolyLog, PolyLog2, RealPowerClass, geometric_samples
@@ -143,28 +145,42 @@ def _check_eventually_positive(spec: AkraBazziSpec) -> None:
 
 
 def eval_recurrence(spec: AkraBazziSpec, n: int):
-    """Exact memoized evaluation following the declared rounding."""
-    if spec.g_concrete is None:
-        raise RecurrenceError("spec has no concrete toll function")
+    """Exact memoized evaluation following the declared rounding.  A value
+    whose subterms are not all known yet goes back on an explicit stack
+    above its first missing subterm, so the depth of the recursion is not
+    bounded by Python's."""
     memo = spec._memo
     if n in memo:
         return memo[n]
-    if n < spec.x0:
-        if n not in spec.base:
-            raise MissingBase(f"no base value for n={n} below threshold {spec.x0}")
-        memo[n] = spec.base[n]
-        return memo[n]
-    total = spec.g_concrete(n)
-    for a, num, den, up in spec._live:
-        m = -(-num * n // den) if up else num * n // den
-        sub = memo.get(m)
-        if sub is None:
-            sub = eval_recurrence(spec, m)
-        total = total + a * sub
-    if isinstance(total, Fraction) and total.denominator == 1:
-        total = int(total)
-    memo[n] = total
-    return total
+    toll, x0, live = spec.g_concrete, spec.x0, spec._live
+    if toll is None:
+        raise RecurrenceError("spec has no concrete toll function")
+    stack = [n]
+    while stack:
+        m = stack.pop()
+        if m in memo:
+            continue
+        if m < x0:
+            if m not in spec.base:
+                raise MissingBase(f"no base value for n={m} below threshold {x0}")
+            memo[m] = spec.base[m]
+            continue
+        total = 0
+        for a, num, den, up in live:
+            k = -(-num * m // den) if up else num * m // den
+            sub = memo.get(k)
+            if sub is None:
+                if k == m:
+                    raise RecurrenceError(f"a term maps n={m} to itself; raise the threshold x0")
+                stack += (m, k)
+                break
+            total = total + a * sub
+        else:
+            total = toll(m) + total
+            if isinstance(total, Fraction) and total.denominator == 1:
+                total = int(total)
+            memo[m] = total
+    return memo[n]
 
 
 @dataclass(frozen=True)
@@ -208,14 +224,48 @@ def empirical_ratio_check(
 
 @dataclass(frozen=True)
 class LinearRecSpec:
-    """f(n+1) = f(n) + g(n) in one variable, or f(n+1, m) = f(n, m) + g(m)
-    with constant-bounded f(0, m) in two."""
+    """A loop's cost: f(n) = init + step(1) + ... + step(n - 1) + final in
+    one variable, f(n, W) = init(W) + n * step(W) + final in two.  ``init``
+    and ``step`` are integer polynomials {power: coeff} (``init`` constant
+    in one variable); the step's class is read off its leading power.  A
+    spec given only that class cannot be evaluated."""
 
     arity: int
-    g_class: PolyLog
+    g_class: Optional[PolyLog] = None
+    init: dict = field(default_factory=dict)
+    step: Optional[dict] = None
+    final: int = 0
+    # one variable: a step of degree d sums to a polynomial of degree d + 1
+    # (Faulhaber), fixed by the forward differences of f(1), ..., f(d + 2)
+    _diffs: tuple = field(default=(), init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        if self.step is None:
+            if self.g_class is None:
+                raise RecurrenceError("a loop spec needs a step or the class of one")
+            return
+        lead = _degree(self.step)
+        if lead < 0 or self.step[lead] < 0:
+            raise RecurrenceError("the step needs a positive leading coefficient")
+        if self.g_class not in (None, PolyLog(lead, 0)):
+            raise RecurrenceError(
+                f"g_class Theta({self.g_class.render()}) contradicts the step, "
+                f"whose leading power is {lead}"
+            )
+        if _degree(self.init) > (lead if self.arity == 2 else 0):
+            raise RecurrenceError("init grows faster than the loop it starts")
+        object.__setattr__(self, "g_class", PolyLog(lead, 0))
+        steps = [_poly_at(self.step, i) for i in range(1, lead + 2)]
+        values = list(accumulate(steps, initial=_poly_at(self.init, 0) + self.final))
+        diffs = []
+        while values:
+            diffs.append(values[0])
+            values = [b - a for a, b in zip(values, values[1:])]
+        object.__setattr__(self, "_diffs", tuple(diffs))
 
 
 def linear_rec_class(spec: LinearRecSpec) -> Union[PolyLog, PolyLog2]:
+    """n steps of class n^d log^l n sum to n^(d+1) log^l n; n of W^d to n W^d."""
     if spec.arity == 1:
         return PolyLog(spec.g_class.power + 1, spec.g_class.log_power)
     if spec.arity == 2:
@@ -224,8 +274,33 @@ def linear_rec_class(spec: LinearRecSpec) -> Union[PolyLog, PolyLog2]:
                 "two-variable rule requires a linear step, got "
                 f"Theta({spec.g_class.render()})"
             )
-        return PolyLog2(1, 0, 1, 0)
+        return PolyLog2(1, 0, spec.g_class.power, 0)
     raise RecurrenceError(f"unsupported arity {spec.arity}")
+
+
+def _degree(poly: dict) -> int:
+    """Leading power with a nonzero coefficient; -1 for the zero polynomial."""
+    return max((int(p) for p, c in poly.items() if int(c)), default=-1)
+
+
+def _poly_at(poly: dict, x: int) -> int:
+    total = 0
+    for p, c in poly.items():
+        total += c * x ** p
+    return total
+
+
+def eval_linear(spec: LinearRecSpec, n: int, W: int = 0) -> int:
+    """Exact cost of the loop in integer arithmetic, in time independent of
+    n; in one variable by Newton's form f(n) = sum_j diffs[j] * C(n - 1, j)."""
+    if spec.step is None:
+        raise RecurrenceError("spec has no concrete step")
+    if spec.arity == 1:
+        m, total = n - 1 if n > 1 else 0, 0
+        for j, c in enumerate(spec._diffs):
+            total += c * comb(m, j)
+        return total
+    return _poly_at(spec.init, W) + n * _poly_at(spec.step, W) + spec.final
 
 
 # ---------------------------------------------------------------------------
@@ -248,10 +323,9 @@ def spec_to_json(spec: AkraBazziSpec) -> dict:
 def _check_poly_class(coeffs: dict, g_power: int, g_log: int) -> None:
     """A polynomial toll is Theta(n^d) for its leading nonzero power d, so a
     `g_class` other than (d, 0) contradicts it."""
-    powers = [int(p) for p, c in coeffs.items() if int(c) != 0]
-    if not powers:
+    lead = _degree(coeffs)
+    if lead < 0:
         raise RecurrenceError("g_poly has no nonzero coefficient")
-    lead = max(powers)
     if (g_power, g_log) != (lead, 0):
         raise RecurrenceError(
             f"g_class [{g_power}, {g_log}] contradicts g_poly, whose leading power is {lead}"
@@ -267,7 +341,30 @@ def _poly_fn(coeffs: dict) -> Callable[[int], int]:
     return g
 
 
+def _check_shape(data) -> None:
+    """Reject JSON that is not shaped like a spec, so that reading its
+    fields fails only with a RecurrenceError, ValueError or KeyError."""
+    if not isinstance(data, dict):
+        raise RecurrenceError(f"a spec must be a JSON object, got {type(data).__name__}")
+    number = (int, float, str)
+    terms, g_class = data.get("terms"), data.get("g_class")
+    base, g_poly = data.get("base", {}), data.get("g_poly") or {}
+    fits = {
+        "terms": isinstance(terms, list) and all(
+            isinstance(t, dict) and isinstance(t.get("a"), number)
+            and isinstance(t.get("b"), number) for t in terms),
+        "g_class": isinstance(g_class, list) and all(isinstance(v, number) for v in g_class),
+        "x0": isinstance(data.get("x0"), number),
+        "base": isinstance(base, dict) and all(isinstance(v, number) for v in base.values()),
+        "g_poly": isinstance(g_poly, dict) and all(isinstance(v, number) for v in g_poly.values()),
+    }
+    bad = [key for key, ok in fits.items() if not ok]
+    if bad:
+        raise RecurrenceError(f"malformed spec: {', '.join(bad)} not shaped as documented")
+
+
 def spec_from_json(data: dict) -> AkraBazziSpec:
+    _check_shape(data)
     terms = tuple(
         RecTerm(Fraction(t["a"]), Fraction(t["b"]), t.get("round", "ceil"))
         for t in data["terms"]

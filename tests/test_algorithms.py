@@ -39,7 +39,7 @@ from timecredits.algorithms.splay_tree import (
 )
 from timecredits.heap import FAILURE, empty_heap, run
 from timecredits.landau import SOLVED, BoundRegistry, PolyLog, PolyLog2, Term, analyze_expr
-from timecredits.recurrence import eval_recurrence
+from timecredits.recurrence import LinearRecSpec, RecurrenceError, eval_recurrence
 
 BUNDLES = all_bundles()
 
@@ -395,3 +395,27 @@ def test_merge_sort_recursive_value_plugging():
     assert eval_recurrence(spec, 2) == expected
     # cross-check against an actual worst-case run of length 2
     assert BUNDLES["merge_sort"].run([1, 0]).cost == expected
+
+
+def test_insertion_sort_class_and_bound_share_one_spec(monkeypatch):
+    """Patching the loop spec's step changes both the claim and the bound:
+    neither is typed next to the other."""
+    step = {2: 1, 1: 2, 0: 2}
+    monkeypatch.setattr(
+        srt, "_INSERTION_SORT_SPEC", LinearRecSpec(1, init={0: 2}, step=step),
+    )
+    assert BUNDLES["insertion_sort"].claim() == PolyLog(3, 0)
+    for n in range(200):
+        loop = 2 + sum(i * i + 2 * i + 2 for i in range(1, n))
+        assert srt.insertion_sort_time(n) == BUNDLES["insertion_sort"].bound(n) == loop
+
+
+def test_knapsack_class_comes_from_its_capacity_step(monkeypatch):
+    assert knap.knapsack_linear_rec().g_class == PolyLog(1, 0)
+    assert BUNDLES["knapsack"].claim() == PolyLog2(1, 0, 1, 0)
+    monkeypatch.setattr(
+        knap, "_KNAPSACK_SPEC", LinearRecSpec(2, init={1: 1, 0: 2}, step={2: 1}, final=1),
+    )
+    assert knap.knapsack_time(3, 4) == (4 + 2) + 3 * 16 + 1
+    with pytest.raises(RecurrenceError, match="linear step"):
+        BUNDLES["knapsack"].claim()

@@ -229,3 +229,51 @@ def test_report_csv_deterministic(tmp_path):
     assert main(["report", "--trials", "1", "--seed", "3", "--format", "csv",
                  "--out", str(b)]) == 0
     assert a.read_bytes() == b.read_bytes()
+
+
+def test_recurrence_with_b_near_one_gives_a_verdict(tmp_path, capsys):
+    # thousands of levels from 2^16 down to the base case
+    path = tmp_path / "near_one.json"
+    path.write_text(json.dumps({
+        "x0": 1, "terms": [{"a": "1", "b": "999/1000", "round": "floor"}],
+        "g_class": [0, 0], "g_poly": {"0": 1}, "base": {"0": 1},
+    }))
+    assert main(["recurrence", str(path)]) in (0, 1)
+    assert "empirical check: ratio in" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("argv", [
+    ["run", "merge_sort", "--sizes", "4", "--trials", "1"],
+    ["recurrence", "--builtin", "merge_sort"],
+    ["amortized", "dynarray", "--ops", "10"],
+    ["report", "--trials", "1"],
+], ids=lambda argv: argv[0])
+def test_out_to_a_missing_directory_exits_2(tmp_path, capsys, argv):
+    target = tmp_path / "missing" / "out.txt"
+    assert main([*argv, "--out", str(target)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot write") and err.count("\n") == 1
+    assert not target.parent.exists()
+
+
+@pytest.mark.parametrize("text", [
+    "[1, 2]",
+    '{"x0": 2, "terms": null, "g_class": [0, 0]}',
+    '{"x0": 2, "terms": "abc", "g_class": [0, 0]}',
+    '{"x0": 2, "terms": [{"a": "1", "b": "1/2"}], "g_class": [0, 0], "base": null}',
+], ids=["top-level-list", "terms-null", "terms-string", "base-null"])
+def test_recurrence_malformed_spec_exits_2(tmp_path, capsys, text):
+    path = tmp_path / "spec.json"
+    path.write_text(text)
+    assert main(["recurrence", str(path)]) == 2
+    assert capsys.readouterr().err.startswith("error: cannot load spec:")
+
+
+def test_recurrence_missing_base_in_the_empirical_check_exits_2(tmp_path, capsys):
+    path = tmp_path / "big_x0.json"
+    path.write_text(json.dumps({
+        "x0": 10 ** 6, "terms": [{"a": "1", "b": "1/2", "round": "ceil"}],
+        "g_class": [0, 0], "g_poly": {"0": 1}, "base": {"0": 1},
+    }))
+    assert main(["recurrence", str(path)]) == 2
+    assert capsys.readouterr().err.startswith("error: no base value")

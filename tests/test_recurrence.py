@@ -1,8 +1,11 @@
+import itertools
 import math
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from timecredits.landau import PolyLog, PolyLog2, RealPowerClass
 from timecredits.recurrence import (
@@ -17,6 +20,7 @@ from timecredits.recurrence import (
     RootOutOfRange,
     akra_bazzi_class,
     empirical_ratio_check,
+    eval_linear,
     eval_recurrence,
     linear_rec_class,
     solve_exponent,
@@ -321,3 +325,81 @@ def test_spec_json_with_poly_toll():
     }
     spec = spec_from_json(data)
     assert eval_recurrence(spec, 2) == 10 + 4
+
+
+# ---------------------------------------------------------------------------
+# loop specs evaluated in closed form
+# ---------------------------------------------------------------------------
+
+def _loop_sum(init, step, n):
+    return init + sum(sum(c * i ** p for p, c in step.items()) for i in range(1, n))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(st.integers(-9, 9), max_size=4),
+    st.integers(1, 9),
+    st.integers(-5, 5),
+    st.integers(-5, 5),
+    st.integers(0, 300),
+)
+def test_eval_linear_equals_the_loop(lower, lead, init, final, n):
+    step = dict(enumerate(lower))
+    step[len(lower)] = lead
+    spec = LinearRecSpec(1, init={0: init}, step=step, final=final)
+    assert spec.g_class == PolyLog(len(lower), 0)
+    assert linear_rec_class(spec) == PolyLog(len(lower) + 1, 0)
+    assert eval_linear(spec, n) == _loop_sum(init, step, n) + final
+
+
+def test_eval_linear_two_variables():
+    spec = LinearRecSpec(2, init={1: 1, 0: 2}, step={1: 3, 0: 3}, final=1)
+    assert linear_rec_class(spec) == PolyLog2(1, 0, 1, 0)
+    for n, w in itertools.product(range(6), range(6)):
+        assert eval_linear(spec, n, w) == (w + 2) + n * (3 * w + 3) + 1
+
+
+def test_linear_spec_rejects_steps_that_contradict_its_class():
+    with pytest.raises(RecurrenceError, match="contradicts"):
+        LinearRecSpec(1, PolyLog(2, 0), step={1: 1})
+    with pytest.raises(RecurrenceError, match="leading coefficient"):
+        LinearRecSpec(1, step={1: -1, 0: 5})
+    with pytest.raises(RecurrenceError, match="leading coefficient"):
+        LinearRecSpec(1, step={1: 0})
+    with pytest.raises(RecurrenceError, match="init grows"):
+        LinearRecSpec(2, init={2: 1}, step={1: 1})
+    with pytest.raises(RecurrenceError, match="no concrete step"):
+        eval_linear(LinearRecSpec(1, PolyLog(1, 0)), 5)
+
+
+def test_eval_recurrence_depth_is_not_bounded_by_the_stack():
+    # b = 999/1000 takes thousands of levels from n to the base case
+    spec = AkraBazziSpec(
+        x0=1, terms=(RecTerm(Fraction(1), Fraction(999, 1000), "floor"),),
+        g_class=PolyLog(0, 0), g_concrete=lambda n: 1, base={0: 1},
+    )
+    n, levels = 2 ** 16, 0
+    while n:
+        n, levels = n * 999 // 1000, levels + 1
+    assert levels > 4000
+    assert eval_recurrence(spec, 2 ** 16) == levels + 1
+
+
+def test_eval_recurrence_rejects_a_term_that_does_not_shrink():
+    spec = AkraBazziSpec(
+        x0=1, terms=(RecTerm(Fraction(1), Fraction(999, 1000), "ceil"),),
+        g_class=PolyLog(0, 0), g_concrete=lambda n: 1, base={0: 1},
+    )
+    with pytest.raises(RecurrenceError, match="to itself"):
+        eval_recurrence(spec, 300)
+
+
+@pytest.mark.parametrize("data", [
+    [1, 2],
+    {"x0": 2, "terms": None, "g_class": [0, 0]},
+    {"x0": 2, "terms": "abc", "g_class": [0, 0]},
+    {"x0": 2, "terms": [{"a": "1", "b": "1/2"}], "g_class": [0, 0], "base": None},
+], ids=["top-level-list", "terms-null", "terms-string", "base-null"])
+def test_spec_from_json_rejects_a_malformed_shape(data):
+    with pytest.raises(RecurrenceError):
+        spec_from_json(data)
