@@ -232,8 +232,8 @@ class LinearRecSpec:
 
     arity: int
     g_class: Optional[PolyLog] = None
-    init: dict = field(default_factory=dict)
-    step: Optional[dict] = None
+    init: dict = field(default_factory=dict, hash=False)
+    step: Optional[dict] = field(default=None, hash=False)
     final: int = 0
     # one variable: a step of degree d sums to a polynomial of degree d + 1
     # (Faulhaber), fixed by the forward differences of f(1), ..., f(d + 2)
