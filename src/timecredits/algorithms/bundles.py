@@ -17,7 +17,14 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Optional
 
 from ..amortized import run_sequence
-from ..credits import HintAbsent, HintUnprovable, MatchFailure, apply_hint, subtract_match
+from ..credits import (
+    HintAbsent,
+    HintUnprovable,
+    MatchFailure,
+    justify_hint,
+    rewrite_hint,
+    subtract_match,
+)
 from ..heap import FAILURE, Success, adrop, array_of_list, atake, empty_heap, run
 from ..landau import (
     BoundRegistry,
@@ -158,8 +165,11 @@ class AlgorithmBundle:
 
 
 def discharge_obligation(entry) -> DischargeReport:
-    """Try the plain subtraction first; only on failure apply the declared
-    hints and retry, reporting how many were needed."""
+    """Try the plain subtraction first; only on failure rewrite the total
+    with the declared hints and retry, reporting how many were needed.  A
+    hint's justification is consulted only once the rewritten total has
+    matched the demand: the discharge needs every hint present, the match
+    and every justification, and the justifications cost the most."""
     name, total, demand, equations, hints = entry
     try:
         subtract_match(total, demand, equations)
@@ -170,8 +180,10 @@ def discharge_obligation(entry) -> DischargeReport:
     try:
         working = total
         for hint in hints:
-            working = apply_hint(working, hint)
+            working = rewrite_hint(working, hint)
         subtract_match(working, demand, equations)
+        for hint in hints:
+            justify_hint(hint)
         return DischargeReport(name, True, len(hints))
     except (MatchFailure, HintAbsent, HintUnprovable) as exc:
         return DischargeReport(name, False, len(hints), str(exc))
@@ -190,12 +202,12 @@ def check_claimed_class(bundle: AlgorithmBundle, cls) -> bool:
 def constant_fault_detected(bundle: AlgorithmBundle, key: str) -> bool:
     """Decrement one runtime-function constant and report whether any
     acceptance-level check notices: either an obligation stops matching or
-    a tight input exceeds the weakened bound."""
+    a tight input exceeds the weakened bound.  The obligations are
+    discharged in order and the first failure decides."""
     faulted = dict(bundle.consts)
     faulted[key] -= 1
     variant = bundle.with_consts(faulted)
-    reports = discharge_all(variant)
-    if not all(r.success for r in reports):
+    if not all(discharge_obligation(entry).success for entry in variant.obligations()):
         return True
     for inp in variant.tight_inputs():
         res = variant.run(inp)

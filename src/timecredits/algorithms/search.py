@@ -8,6 +8,7 @@ this collection where plain term matching is not enough.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cache
 
 from ..credits import (
     CallAtom,
@@ -88,20 +89,25 @@ def binary_search_time(n: int, consts=BINARY_SEARCH_CONSTS) -> int:
     return consts["len"] + bsearch_time(n, consts)
 
 
+@cache
+def upper_window_fits(table_bound: int) -> bool:
+    """n - n div 2 - 1 <= n div 2 for every n up to table_bound.  No
+    constant enters it, so it is decided once per process for each bound."""
+    return all(n - n // 2 - 1 <= n // 2 for n in range(table_bound + 1))
+
+
 def upper_window_hint(consts=BINARY_SEARCH_CONSTS, table_bound: int = 4096) -> Hint:
     """bsearch_time(n div 2) >= bsearch_time(n - n div 2 - 1).
 
-    Justified by monotonicity plus the arithmetic fact that the upper
-    window never exceeds the lower one, checked across the table range.
+    Justified by monotonicity, tabulated up to table_bound when the hint is
+    consulted, plus the arithmetic fact that the upper window never exceeds
+    the lower one across the same range.
     """
-    # the table's own spec, so its memo goes with the hint
-    spec = bsearch_recurrence(consts)
-    table = MonotoneTable(lambda k: eval_recurrence(spec, k), table_bound)
 
     def justify() -> bool:
-        if not table.monotone:
-            return False
-        return all(n - n // 2 - 1 <= n // 2 for n in range(table_bound + 1))
+        spec = bsearch_recurrence(consts)
+        table = MonotoneTable(lambda k: eval_recurrence(spec, k), table_bound)
+        return table.monotone and upper_window_fits(table_bound)
 
     return Hint(
         s=CallAtom("bsearch_time", (FloorDivE(N, 2),)),

@@ -490,7 +490,9 @@ class Hint:
     """Replace the term `s` by the certified-smaller `t` in a credit budget.
 
     `justification` must return True to certify s >= t for the instance at
-    hand; it is consulted every time the hint is applied.
+    hand.  `apply_hint` consults it on every application, before the
+    rewrite; a discharge consults it only after the rewritten budget has
+    matched its demand, so a hint on a failing match is never justified.
     """
 
     s: TimeAtom
@@ -499,9 +501,15 @@ class Hint:
     note: str = ""
 
 
-def apply_hint(total: PolyForm, hint: Hint) -> PolyForm:
+def justify_hint(hint: Hint) -> None:
+    """Raise HintUnprovable unless the hint's justification holds."""
     if not hint.justification():
         raise HintUnprovable(f"could not certify {hint.s!r} >= {hint.t.render()}")
+
+
+def rewrite_hint(total: PolyForm, hint: Hint) -> PolyForm:
+    """Replace one occurrence of `hint.s` in `total` by `hint.t`, without
+    consulting the justification; raise HintAbsent if `s` does not occur."""
     if total.coeffs.get(hint.s, 0) < 1:
         raise HintAbsent(f"{hint.s!r} does not occur in {total.render()}")
     out = dict(total.coeffs)
@@ -510,6 +518,12 @@ def apply_hint(total: PolyForm, hint: Hint) -> PolyForm:
         del out[hint.s]
     result = PolyForm(out).add(hint.t)
     return result.copy(absorbing=True)
+
+
+def apply_hint(total: PolyForm, hint: Hint) -> PolyForm:
+    """Justify the hint, then rewrite `total` with it."""
+    justify_hint(hint)
+    return rewrite_hint(total, hint)
 
 
 class MonotoneTable:

@@ -199,7 +199,7 @@ def _drive(comp: Computation, base: Heap, trace) -> tuple[Any, int, _Overlay]:
     appended to `trace` unless it is None.
     """
     heap = _Overlay(base)
-    arrays = heap.arrays
+    arrays, base_arrays = heap.arrays, base.arrays
     frames: list = []
     push, pop = frames.append, frames.pop
     send = None
@@ -212,9 +212,14 @@ def _drive(comp: Computation, base: Heap, trace) -> tuple[Any, int, _Overlay]:
             if trace is not None:
                 trace.append(_NTH_CHARGE)
             _, a, i = instr
-            cells = arrays.get(a.index) if isinstance(a, Addr) and a.kind == ARRAY else None
+            if not (isinstance(a, Addr) and a.kind == ARRAY):
+                raise _Fail()
+            cells = arrays.get(a.index)
             if cells is None:
-                cells = _as_array(heap, a)
+                # an unwritten base array is read in place
+                cells = base_arrays.get(a.index)
+                if cells is None:
+                    raise _Fail()
             if (type(i) is not int and not _is_index(i)) or not 0 <= i < len(cells):
                 raise _Fail()
             value = cells[i]

@@ -97,7 +97,12 @@ class AkraBazziResult:
 
 
 def _phi(spec: AkraBazziSpec, p: float) -> float:
-    return sum(float(t.a) * float(t.b) ** p for t in spec.terms) - 1.0
+    try:
+        return sum(float(t.a) * float(t.b) ** p for t in spec.terms) - 1.0
+    except (OverflowError, ZeroDivisionError):
+        raise RecurrenceError(
+            f"sum of a * b^p is out of float range at p={p:g}; a term's a or b is too extreme"
+        ) from None
 
 
 def solve_exponent(spec: AkraBazziSpec) -> float:
@@ -212,7 +217,10 @@ def empirical_ratio_check(
     ratios = []
     for n in geometric_samples(max(lo, 2), hi):
         value = eval_recurrence(spec, n)
-        ratios.append(float(value) / result_class.value(n))
+        try:
+            ratios.append(float(value) / result_class.value(n))
+        except OverflowError:
+            raise RecurrenceError(f"f({n}) or its class is out of float range") from None
     min_ratio, max_ratio = min(ratios), max(ratios)
     passed = min_ratio > 0 and max_ratio / min_ratio <= slack
     return RatioReport(min_ratio, max_ratio, slack, passed)
@@ -320,6 +328,35 @@ def spec_to_json(spec: AkraBazziSpec) -> dict:
     }
 
 
+# the largest power a spec file may give its toll, polynomial or class
+MAX_POWER = 64
+
+
+def _integer(value, what: str) -> int:
+    """An integer field of a spec file.  A float counts only when it is
+    integral, so 2.0 loads as 2 and 2.9 is rejected, not truncated."""
+    try:
+        if isinstance(value, float) and not value.is_integer():
+            raise ValueError
+        return int(value)
+    except ValueError:
+        raise RecurrenceError(f"{what} must be an integer, got {value!r}") from None
+
+
+def _power(value, what: str) -> int:
+    power = _integer(value, what)
+    if not 0 <= power <= MAX_POWER:
+        raise RecurrenceError(f"{what} must lie in [0, {MAX_POWER}], got {power}")
+    return power
+
+
+def _rational(value, what: str) -> Fraction:
+    try:
+        return Fraction(value)
+    except (ValueError, OverflowError, ZeroDivisionError):
+        raise RecurrenceError(f"{what} must be a finite rational, got {value!r}") from None
+
+
 def _check_poly_class(coeffs: dict, g_power: int, g_log: int) -> None:
     """A polynomial toll is Theta(n^d) for its leading nonzero power d, so a
     `g_class` other than (d, 0) contradicts it."""
@@ -333,7 +370,7 @@ def _check_poly_class(coeffs: dict, g_power: int, g_log: int) -> None:
 
 
 def _poly_fn(coeffs: dict) -> Callable[[int], int]:
-    pairs = [(int(p), int(c)) for p, c in coeffs.items()]
+    pairs = list(coeffs.items())
 
     def g(n: int) -> int:
         return sum(c * n ** p for p, c in pairs)
@@ -364,22 +401,31 @@ def _check_shape(data) -> None:
 
 
 def spec_from_json(data: dict) -> AkraBazziSpec:
+    """The spec a JSON object describes.  Integer fields reject fractional
+    numbers, and powers lie in [0, MAX_POWER]."""
     _check_shape(data)
     terms = tuple(
-        RecTerm(Fraction(t["a"]), Fraction(t["b"]), t.get("round", "ceil"))
+        RecTerm(_rational(t["a"], "a"), _rational(t["b"], "b"), t.get("round", "ceil"))
         for t in data["terms"]
     )
-    g_power, g_log = data["g_class"]
+    g_power, g_log = (_power(v, "a g_class power") for v in data["g_class"])
     g_concrete = None
     if data.get("g_poly"):
         # polynomial toll: {"0": c0, "1": c1, ...} maps power -> coefficient
-        g_concrete = _poly_fn(data["g_poly"])
-        _check_poly_class(data["g_poly"], int(g_power), int(g_log))
-    base = {int(k): int(v) for k, v in data.get("base", {}).items()}
+        coeffs: dict = {}
+        for p, c in data["g_poly"].items():
+            power = _power(p, "a g_poly power")
+            coeffs[power] = coeffs.get(power, 0) + _integer(c, "a g_poly coefficient")
+        g_concrete = _poly_fn(coeffs)
+        _check_poly_class(coeffs, g_power, g_log)
+    base = {
+        _integer(k, "a base key"): _integer(v, "a base value")
+        for k, v in data.get("base", {}).items()
+    }
     return AkraBazziSpec(
-        x0=int(data["x0"]),
+        x0=_integer(data["x0"], "x0"),
         terms=terms,
-        g_class=PolyLog(int(g_power), int(g_log)),
+        g_class=PolyLog(g_power, g_log),
         g_concrete=g_concrete,
         base=base,
         name=data.get("name", ""),

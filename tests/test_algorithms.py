@@ -1,3 +1,4 @@
+import dataclasses
 import gc
 import itertools
 import random
@@ -12,6 +13,7 @@ from timecredits.algorithms.bundles import (
     BoundCheckFailed,
     check_claimed_class,
     constant_fault_detected,
+    discharge_obligation,
     register_time_function,
 )
 from timecredits.algorithms import search as srch
@@ -37,6 +39,7 @@ from timecredits.algorithms.splay_tree import (
     splay_lookup,
     tree_node,
 )
+from timecredits.credits import MonotoneTable
 from timecredits.heap import FAILURE, empty_heap, run
 from timecredits.landau import SOLVED, BoundRegistry, PolyLog, PolyLog2, Term, analyze_expr
 from timecredits.recurrence import LinearRecSpec, RecurrenceError, eval_recurrence
@@ -372,6 +375,95 @@ def test_hints_are_necessary_where_declared():
 
         results = [discharge_obligation(entry) for entry in stripped]
         assert not all(r.success for r in results), name
+
+
+def _counted(hints, calls, verdict=None):
+    """The hints with justifications that record each consult; `verdict`,
+    when given, replaces what they return."""
+    def wrap(hint):
+        def justification():
+            calls.append(hint.note)
+            return hint.justification() if verdict is None else verdict
+        return dataclasses.replace(hint, justification=justification)
+    return [wrap(h) for h in hints]
+
+
+def _faulted(bundle, key):
+    consts = dict(bundle.consts)
+    consts[key] -= 1
+    return bundle.with_consts(consts)
+
+
+def test_a_failing_hinted_match_never_consults_the_justification():
+    failed = 0
+    for bundle in BUNDLES.values():
+        for key in bundle.consts:
+            for name, total, demand, eqs, hints in _faulted(bundle, key).obligations():
+                if not hints:
+                    continue
+                calls = []
+                report = discharge_obligation((name, total, demand, eqs, _counted(hints, calls)))
+                if report.detail.startswith("no match for"):
+                    assert calls == []
+                    failed += 1
+                else:
+                    # a match: every justification is consulted, and
+                    # small_probe's fault makes select_time non-monotone
+                    assert calls and report.success == (key != "small_probe")
+    # group_sort, group_pad, part_coeff and hit_ret each break select's
+    # recursive match; binary search's upper match never breaks
+    assert failed == 4
+
+
+@pytest.mark.parametrize("name,index,detail", [
+    ("binary_search", 3,
+     "could not certify bsearch_time((n div 2)) >= bsearch_time(((n - (n div 2)) - 1))"),
+    ("select", 1, "could not certify select_time(ceil(7*n/10)) >= select_time(l)"),
+])
+def test_a_matching_demand_with_a_false_justification_is_unprovable(name, index, detail):
+    *entry, hints = BUNDLES[name].obligations()[index]
+    calls = []
+    report = discharge_obligation((*entry, _counted(hints, calls, verdict=False)))
+    assert (report.success, report.hints_used, report.detail) == (False, 1, detail)
+    assert len(calls) == 1
+
+
+def _discharge_and_probe_everything():
+    for bundle in BUNDLES.values():
+        discharge_all(bundle)
+    for bundle in BUNDLES.values():
+        for key in bundle.consts:
+            constant_fault_detected(bundle, key)
+
+
+def test_constant_free_sweeps_run_once_per_process(monkeypatch):
+    sel.partition_sides_fit.cache_clear()
+    srch.upper_window_fits.cache_clear()
+    swept = []
+    side_bound = sel.partition_side_bound
+    monkeypatch.setattr(sel, "partition_side_bound", lambda n: swept.append(n) or side_bound(n))
+    _discharge_and_probe_everything()
+    _discharge_and_probe_everything()
+    assert swept == list(range(sel.CUTOFF + 1, (1 << 14) + 1))
+    assert sel.partition_sides_fit.cache_info().misses == 1
+    assert srch.upper_window_fits.cache_info().misses == 1
+
+
+def test_monotone_tables_are_built_only_for_matched_discharges(monkeypatch):
+    built = []
+    init = MonotoneTable.__init__
+
+    def counting_init(self, fn, bound):
+        built.append(bound)
+        init(self, fn, bound)
+
+    monkeypatch.setattr(MonotoneTable, "__init__", counting_init)
+    _discharge_and_probe_everything()
+    # one table per matched hinted discharge: the two default bundles, plus
+    # the "len" faults of binary search and select, which no obligation
+    # mentions.  Tabulating every hint as its obligation list was built took
+    # 11 (binary search 1 + 3 faults, select 1 + 6 faults).
+    assert sorted(built) == [4096, 4096, 1 << 14, 1 << 14]
 
 
 def test_every_constant_fault_detected():

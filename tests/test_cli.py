@@ -1,11 +1,18 @@
+import copy
+import io
 import itertools
 import json
+import os
 import sys
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from timecredits.cli import main, trial_seed
-from timecredits.recurrence import save_spec
+from timecredits.cli import BUILTIN_SPECS, main, trial_seed
+from timecredits.recurrence import save_spec, spec_to_json
 from timecredits.algorithms.sorting import merge_sort_recurrence
 
 
@@ -277,3 +284,127 @@ def test_recurrence_missing_base_in_the_empirical_check_exits_2(tmp_path, capsys
     }))
     assert main(["recurrence", str(path)]) == 2
     assert capsys.readouterr().err.startswith("error: no base value")
+
+
+_MERGE_SORT_SPEC = {
+    "x0": 2,
+    "terms": [{"a": "1", "b": "1/2", "round": "floor"}, {"a": "1", "b": "1/2", "round": "ceil"}],
+    "g_class": [1, 0], "g_poly": {"1": 4, "0": 4}, "base": {"0": 2, "1": 2},
+}
+
+# specs whose numbers leave float range, each rejected with one line
+OUT_OF_RANGE_SPECS = {
+    "tiny-b": ({"terms": [{"a": "1", "b": "1/100000000000"}]},
+               "error: sum of a * b^p is out of float range at p=-32"),
+    "huge-a": ({"terms": [{"a": "1e400", "b": "1/2"}]},
+               "error: sum of a * b^p is out of float range at p=-32"),
+    "huge-power": ({"g_class": [100000, 0], "g_poly": {"100000": 1}},
+                   "error: cannot load spec: a g_class power must lie in [0, 64], got 100000"),
+    "largest-power": ({"g_class": [64, 0], "g_poly": {"64": 1}},
+                      "error: f(65536) or its class is out of float range"),
+}
+
+
+@pytest.mark.parametrize("change,message", OUT_OF_RANGE_SPECS.values(), ids=OUT_OF_RANGE_SPECS)
+def test_recurrence_out_of_float_range_exits_2(tmp_path, capsys, change, message):
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps({**_MERGE_SORT_SPEC, **change}))
+    assert main(["recurrence", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(message) and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("change,message", [
+    ({"x0": 2.9}, "x0 must be an integer, got 2.9"),
+    ({"base": {"0": 2, "1": 2.5}}, "a base value must be an integer, got 2.5"),
+    ({"base": {"0": 2, "1.5": 2}}, "a base key must be an integer, got '1.5'"),
+    ({"g_poly": {"1.5": 4, "0": 4}}, "a g_poly power must be an integer, got '1.5'"),
+    ({"g_poly": {"1": 4.5, "0": 4}}, "a g_poly coefficient must be an integer, got 4.5"),
+    ({"g_class": [1.5, 0]}, "a g_class power must be an integer, got 1.5"),
+], ids=["x0", "base-value", "base-key", "g_poly-power", "g_poly-coefficient", "g_class"])
+def test_recurrence_rejects_a_fractional_integer_field(tmp_path, capsys, change, message):
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps({**_MERGE_SORT_SPEC, **change}))
+    assert main(["recurrence", str(path)]) == 2
+    assert capsys.readouterr().err == f"error: cannot load spec: {message}\n"
+
+
+def test_recurrence_loads_integral_floats(tmp_path, capsys):
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(_MERGE_SORT_SPEC))
+    assert main(["recurrence", str(path)]) == 0
+    expected = capsys.readouterr().out
+    path.write_text(json.dumps({**_MERGE_SORT_SPEC, "x0": 2.0, "g_class": [1.0, 0],
+                                "g_poly": {"1": 4.0, "0": 4}, "base": {"0": 2.0, "1": 2}}))
+    assert main(["recurrence", str(path)]) == 0
+    assert capsys.readouterr().out == expected
+
+
+def _builtin_spec_jsons() -> list[dict]:
+    """Each builtin spec as JSON, with a polynomial toll of its class so
+    that the empirical check runs too."""
+    out = []
+    for _, make in sorted(BUILTIN_SPECS.items()):
+        data = spec_to_json(make())
+        out.append(data)
+        power, logs = data["g_class"]
+        if logs == 0:
+            out.append({**data, "g_poly": {str(power): 3, "0": 1}})
+    return out
+
+
+_BUILTIN_SPEC_JSONS = _builtin_spec_jsons()
+_VALUES = st.one_of(
+    st.none(), st.booleans(), st.text(max_size=3),
+    st.lists(st.integers(0, 3), max_size=3),
+    st.dictionaries(st.text(max_size=2), st.integers(), max_size=2),
+    st.integers(-10, 10), st.sampled_from([10 ** 6, 10 ** 18, -(10 ** 18), 10 ** 400]),
+    st.floats(allow_nan=True, allow_infinity=True), st.sampled_from([2.5, 0.5, 2.0, 1e300]),
+    st.sampled_from(["1e400", "1/100000000000", "1/" + "9" * 400, "1/0", "nan", "3/2", "1/3"]),
+    st.builds("{}/{}".format, st.integers(-9, 10 ** 12), st.integers(1, 10 ** 12)),
+)
+_POWERS = st.one_of(
+    st.integers(-3, 70).map(str), st.sampled_from(["100000", "1.5", "2.0", "x", "1e400"])
+)
+
+
+@st.composite
+def _mutated_specs(draw):
+    """A builtin spec with one to three fields replaced: values anywhere,
+    and the keys of the base table and the polynomial toll."""
+    data = copy.deepcopy(draw(st.sampled_from(_BUILTIN_SPEC_JSONS)))
+    for _ in range(draw(st.integers(1, 3))):
+        # (container, key, whether the key itself may be replaced)
+        slots = [(data, key, False) for key in ("x0", "terms", "g_class", "g_poly", "base")]
+        terms, g_class = data.get("terms"), data.get("g_class")
+        if isinstance(terms, list):
+            slots += [(terms, i, False) for i in range(len(terms))]
+            slots += [(t, key, False) for t in terms if isinstance(t, dict)
+                      for key in ("a", "b", "round")]
+        if isinstance(g_class, list):
+            slots += [(g_class, i, False) for i in range(len(g_class))]
+        for table in (data.get("base"), data.get("g_poly")):
+            if isinstance(table, dict):
+                slots += [(table, key, True) for key in table]
+        where, key, rekey = draw(st.sampled_from(slots))
+        if rekey and draw(st.booleans()):
+            where[draw(_POWERS)] = where.pop(key)
+        else:
+            where[key] = draw(_VALUES)
+    return data
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(_mutated_specs())
+@example({**_MERGE_SORT_SPEC, **OUT_OF_RANGE_SPECS["tiny-b"][0]})
+@example({**_MERGE_SORT_SPEC, **OUT_OF_RANGE_SPECS["huge-a"][0]})
+@example({**_MERGE_SORT_SPEC, **OUT_OF_RANGE_SPECS["huge-power"][0]})
+@example({**_MERGE_SORT_SPEC, "x0": 2.9, "base": {"0": 2, "1": 2.5}})
+def test_mutated_specs_get_an_exit_code_not_a_traceback(data):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "spec.json")
+        with open(path, "w") as fh:
+            json.dump(data, fh)
+        with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+            code = main(["recurrence", path])
+    assert code in (0, 1, 2)

@@ -349,6 +349,15 @@ def test_failing_primitive_traces(comp, trace):
     assert run_traced(comp, _three_cells()) == (FAILURE, trace)
 
 
+def test_reading_an_unwritten_base_array_checks_the_address():
+    h = _three_cells()
+    assert run(array_nth(_A, 2), h).value == 3
+    # a dangling array, a ref whose index names an array, and non-addresses
+    # fail after the read's charge
+    for bad in (_DANGLING, _R, 0, None):
+        assert run_traced(array_nth(bad, 0), h) == (FAILURE, (("array_nth", 1),)), bad
+
+
 class _Index(int):
     pass
 
