@@ -1,6 +1,8 @@
 import dataclasses
 import gc
+import hashlib
 import itertools
+import json
 import random
 import weakref
 import zlib
@@ -35,12 +37,13 @@ from timecredits.algorithms.splay_tree import (
     set_tree,
     splay_extract,
     splay_fun,
+    splay_impl,
     splay_insert,
     splay_lookup,
     tree_node,
 )
 from timecredits.credits import MonotoneTable
-from timecredits.heap import FAILURE, empty_heap, run
+from timecredits.heap import FAILURE, empty_heap, run, run_traced
 from timecredits.landau import SOLVED, BoundRegistry, PolyLog, PolyLog2, Term, analyze_expr
 from timecredits.recurrence import LinearRecSpec, RecurrenceError, eval_recurrence
 
@@ -311,6 +314,53 @@ def test_deep_trees_compare_without_recursion():
         s, _ = skew_push(s, k)
     assert skew_extract(s.heap, s.root) == s.mirror
     assert skew_extract(s.heap, s.root) != skew_pop(s)[1].mirror
+
+
+def _splay_steps(x, t):
+    """The rotation steps that splaying x takes on the functional tree t,
+    top first, named as in `splay_fun`."""
+    steps = []
+    while t is not None and x != t.key:
+        left = x < t.key
+        child = t.left if left else t.right
+        if child is None:
+            break
+        if x < child.key:
+            grand, step = child.left, "zig-zig" if left else "zag-zig"
+        elif x > child.key:
+            grand, step = child.right, "zig-zag" if left else "zag-zag"
+        else:
+            grand = None
+        if grand is None:
+            steps.append("zig" if left else "zag")
+            break
+        steps.append(step)
+        t = grand
+    return steps
+
+
+SPLAY_ROTATIONS_SHA256 = "8885bb9d62dd183d49114dbd671388a81983433014c9c77d6d9d7116454c71ce"
+
+
+def test_splay_rotations_match_the_functional_splay_and_are_pinned():
+    """Splay keys present in, absent from, below and above seeded random
+    trees: every rotation case occurs, the imperative result is the
+    functional splay of the mirror, and every (cost, trace) pair is pinned."""
+    rng = random.Random(2015)
+    seen, entries = set(), []
+    for _ in range(60):
+        st = new_splay_tree()
+        for k in rng.sample(range(0, 200, 2), rng.randrange(1, 25)):
+            st, _ = splay_insert(st, k)
+        keys = sorted(set_tree(st.mirror))
+        for x in (rng.choice(keys), rng.choice(keys) + 1, keys[0] - 3, keys[-1] + 3):
+            seen.update(_splay_steps(x, st.mirror))
+            outcome, trace = run_traced(splay_impl(x, st.root), st.heap)
+            assert splay_extract(outcome.heap, outcome.value) == splay_fun(x, st.mirror)
+            entries.append([outcome.cost, [list(c) for c in trace]])
+    assert seen == {"zig", "zag", "zig-zig", "zag-zag", "zig-zag", "zag-zig"}
+    digest = hashlib.sha256(json.dumps(entries).encode()).hexdigest()
+    assert digest == SPLAY_ROTATIONS_SHA256
 
 
 def test_time_function_registration_and_reduction():
