@@ -349,6 +349,26 @@ def _ledger_run(scheme, fresh):
 # the table
 # ---------------------------------------------------------------------------
 
+# the amortized ledgers: name -> (scheme factory, fresh structure,
+# per-operation shape, default multiplier)
+LEDGERS = {
+    "dynarray": (dyn.dynarray_scheme, dyn.new_dynarray, dyn.dynarray_shape,
+                 dyn.DYNARRAY_PUSH_MULTIPLIER),
+    "skew_heap": (skew.skew_scheme, skew.new_skew_heap, skew.skew_shape, skew.SKEW_MULTIPLIER),
+    "splay_tree": (spl.splay_scheme, spl.new_splay_tree, spl.splay_shape, spl.SPLAY_MULTIPLIER),
+}
+
+
+def _ledger_study(name, gen_script) -> CaseStudy:
+    """A script of n operations is bounded by n times the per-operation
+    claim at the largest size the script can reach."""
+    factory, fresh, shape, k = LEDGERS[name]
+    return CaseStudy(
+        name, gen_script, _ledger_run(factory(), fresh),
+        time=lambda c: lambda n: k * n * shape(n + 1), witness=lambda c: shape,
+    )
+
+
 # Time functions are looked up on their modules at call time, so a wrapper
 # installed on a module attribute (a profiler or tracer) sees every call.
 STUDIES = (
@@ -401,23 +421,9 @@ STUDIES = (
         obligations=knap.knapsack_obligations, consts=knap.KNAPSACK_CONSTS,
         tight_inputs=lambda: [([(0, 5)] * 4, 9)],
     ),
-    # ledgers: a script of n operations is bounded by n times the
-    # per-operation claim at the largest size the script can reach
-    CaseStudy(
-        "dynarray", _dynarray_script, _ledger_run(dyn.dynarray_scheme(), dyn.new_dynarray),
-        time=lambda c: lambda n: dyn.DYNARRAY_PUSH_MULTIPLIER * n,
-        witness=lambda c: lambda n: 1,
-    ),
-    CaseStudy(
-        "skew_heap", _skew_script, _ledger_run(skew.skew_scheme(), skew.new_skew_heap),
-        time=lambda c: lambda n: skew.SKEW_MULTIPLIER * n * skew.skew_shape(n + 1),
-        witness=lambda c: skew.skew_shape,
-    ),
-    CaseStudy(
-        "splay_tree", _splay_script, _ledger_run(spl.splay_scheme(), spl.new_splay_tree),
-        time=lambda c: lambda n: spl.SPLAY_MULTIPLIER * n * spl.splay_shape(n + 1),
-        witness=lambda c: spl.splay_shape,
-    ),
+    _ledger_study("dynarray", _dynarray_script),
+    _ledger_study("skew_heap", _skew_script),
+    _ledger_study("splay_tree", _splay_script),
 )
 
 ALGORITHM_NAMES = tuple(study.name for study in STUDIES)

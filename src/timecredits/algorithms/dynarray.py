@@ -86,13 +86,14 @@ def potential(d: DynArray) -> int:
     return max(0, 2 * d.length - d.capacity)
 
 
+def dynarray_shape(n: int) -> int:
+    return 1
+
+
 DYNARRAY_PUSH_MULTIPLIER = 4  # calibrated; the search in the tests confirms it
 
 
 def dynarray_scheme(push_multiplier: int = DYNARRAY_PUSH_MULTIPLIER) -> AmortizedScheme:
-    def apply_push(d, arg):
-        return push(d, arg)
-
     def apply_get(d, arg):
         value, cost = get(d, arg if arg is not None else 0)
         return d, cost
@@ -106,7 +107,7 @@ def dynarray_scheme(push_multiplier: int = DYNARRAY_PUSH_MULTIPLIER) -> Amortize
         potential=potential,
         size_measure=lambda d: d.length,
         ops={
-            "push": AmortizedOp("push", apply_push, lambda n: push_multiplier),
+            "push": AmortizedOp("push", push, lambda n: push_multiplier),
             "get": AmortizedOp("get", apply_get, lambda n: 1),
             "len": AmortizedOp("len", apply_len, lambda n: 1),
         },

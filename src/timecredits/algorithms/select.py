@@ -29,6 +29,7 @@ from ..credits import (
 from ..heap import array_len, array_nth, array_upd, proc, ret
 from ..landau import PolyLog
 from ..recurrence import AkraBazziSpec, RecTerm, eval_recurrence
+from .sorting import sort_window
 
 N = VarE("n")
 CUTOFF = 20
@@ -53,27 +54,11 @@ def _ins_range_cost(consts, s: int) -> int:
 
 
 @proc
-def _sort_window(x, lo: int, hi: int):
-    for i in range(lo + 1, hi):
-        v = yield array_nth(x, i)
-        j = i
-        while j > lo:
-            u = yield array_nth(x, j - 1)
-            if u > v:
-                yield array_upd(x, j, u)
-                j -= 1
-            else:
-                break
-        yield array_upd(x, j, v)
-    return None
-
-
-@proc
 def _select_window(x, lo: int, hi: int, i: int):
     """i-th smallest of the window [lo, hi); leaves the window permuted."""
     n = hi - lo
     if n <= CUTOFF:
-        yield _sort_window(x, lo, hi)
+        yield sort_window(x, lo, hi)
         return (yield array_nth(x, lo + i))
 
     # move each five-element group's median into the front block
@@ -81,7 +66,7 @@ def _select_window(x, lo: int, hi: int, i: int):
     for k in range(groups):
         gl = lo + 5 * k
         gr = min(gl + 5, hi)
-        yield _sort_window(x, gl, gr)
+        yield sort_window(x, gl, gr)
         mid = gl + (gr - gl) // 2
         med = yield array_nth(x, mid)
         front = yield array_nth(x, lo + k)

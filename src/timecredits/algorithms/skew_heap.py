@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from operator import attrgetter
-from typing import Optional
+from typing import Callable, Optional
 
 from ..amortized import AmortizedOp, AmortizedScheme
 from ..heap import (
@@ -159,22 +159,27 @@ def new_skew_heap() -> SkewHeap:
     return SkewHeap(empty_heap(), None, None)
 
 
-def skew_extract(heap: Heap, root: Optional[Addr]) -> Optional[SkewNode]:
-    if root is None:
-        return None
+def extract_tree(heap: Heap, root: Optional[Addr], node: Callable):
+    """Rebuild a functional tree from three-cell [key, left, right] array
+    nodes with `node(left, key, right)`, iteratively so that degenerate
+    trees cannot exhaust the interpreter stack."""
     built: dict = {None: None}
-    work = [(root, False)]
+    work = [(root, False)] if root is not None else []
     while work:
         addr, expanded = work.pop()
         key, left, right = heap.arrays[addr.index]
         if expanded:
-            built[addr] = skew_node(built[left], key, built[right])
+            built[addr] = node(built[left], key, built[right])
         else:
             work.append((addr, True))
             for child in (left, right):
                 if child is not None and child not in built:
                     work.append((child, False))
     return built[root]
+
+
+def skew_extract(heap: Heap, root: Optional[Addr]) -> Optional[SkewNode]:
+    return extract_tree(heap, root, skew_node)
 
 
 def skew_push(s: SkewHeap, key: int) -> tuple[SkewHeap, int]:
@@ -197,15 +202,15 @@ def skew_pop(s: SkewHeap) -> tuple[int, SkewHeap, int]:
 def skew_meld_pair(
     a: SkewHeap, b: SkewHeap
 ) -> tuple[SkewHeap, int]:
-    """Meld two heaps living on disjoint address ranges of one heap value."""
-    merged_heap = a.heap.clone()
-    offset = merged_heap.next_addr
+    """Meld two heaps living on disjoint address ranges of one heap value.
+    The merged heap shares a's cell lists, which a run never writes."""
+    offset = a.heap.next_addr
+    arrays = dict(a.heap.arrays)
     for idx, cells in b.heap.arrays.items():
-        shifted = [
+        arrays[idx + offset] = [
             Addr(v.index + offset, v.kind) if isinstance(v, Addr) else v for v in cells
         ]
-        merged_heap.arrays[idx + offset] = shifted
-    merged_heap.next_addr += b.heap.next_addr
+    merged_heap = Heap(a.heap.refs, arrays, offset + b.heap.next_addr)
     b_root = Addr(b.root.index + offset, b.root.kind) if b.root else None
     out = run(skew_meld_impl(a.root, b_root), merged_heap)
     assert isinstance(out, Success)
@@ -233,9 +238,6 @@ SKEW_MULTIPLIER = 12  # calibrated; the search in the tests confirms it
 
 
 def skew_scheme(multiplier: int = SKEW_MULTIPLIER) -> AmortizedScheme:
-    def apply_insert(s, arg):
-        return skew_push(s, arg)
-
     def apply_del_min(s, arg):
         _, new, cost = skew_pop(s)
         return new, cost
@@ -245,7 +247,7 @@ def skew_scheme(multiplier: int = SKEW_MULTIPLIER) -> AmortizedScheme:
         potential=skew_potential,
         size_measure=skew_size1,
         ops={
-            "insert": AmortizedOp("insert", apply_insert, lambda n: multiplier * skew_shape(n)),
+            "insert": AmortizedOp("insert", skew_push, lambda n: multiplier * skew_shape(n)),
             "del_min": AmortizedOp("del_min", apply_del_min, lambda n: multiplier * skew_shape(n)),
         },
         precondition=lambda s: _is_heap(s.mirror),

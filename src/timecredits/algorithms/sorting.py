@@ -207,12 +207,13 @@ def insertion_sort_fun(xs: list) -> list:
 
 
 @proc
-def insertion_sort_impl(x):
-    n = yield array_len(x)
-    for i in range(1, n):
+def sort_window(x, lo: int, hi: int):
+    """Insertion-sort the window [lo, hi) of x in place; returns nothing,
+    so no `ret` is charged."""
+    for i in range(lo + 1, hi):
         v = yield array_nth(x, i)
         j = i
-        while j > 0:
+        while j > lo:
             u = yield array_nth(x, j - 1)
             if u > v:
                 yield array_upd(x, j, u)
@@ -220,6 +221,13 @@ def insertion_sort_impl(x):
             else:
                 break
         yield array_upd(x, j, v)
+    return None
+
+
+@proc
+def insertion_sort_impl(x):
+    n = yield array_len(x)
+    yield sort_window(x, 0, n)
     return (yield ret(None))
 
 

@@ -27,7 +27,7 @@ from ..heap import (
     ret,
     run,
 )
-from .skew_heap import ceil_3_log2, same_tree
+from .skew_heap import ceil_3_log2, extract_tree, same_tree, skew_shape
 
 
 @dataclass(frozen=True, eq=False)
@@ -192,75 +192,43 @@ def lookup_fun(x: int, t: Optional[TreeNode]) -> tuple[bool, Optional[TreeNode]]
 
 @proc
 def splay_impl(x: int, t):
+    """One body for both sides: `near` is the cell of the child on x's side
+    of t and `far` the other one, so zag is zig with the cells swapped."""
     if t is None:
         return (yield ret(None))
     b = yield array_nth(t, 0)
     if x == b:
         return (yield ret(t))
-    if x < b:
-        l = yield array_nth(t, 1)
-        if l is None:
-            return (yield ret(t))
-        c = yield array_nth(l, 0)
-        descend = None
-        if x < c:
-            descend = yield array_nth(l, 1)
-            if descend is not None:
-                sub = yield splay_impl(x, descend)
-                lr = yield array_nth(l, 2)      # zig-zig
-                yield array_upd(t, 1, lr)       # t.left = l.right
-                yield array_upd(l, 2, t)        # l.right = t
-                sr = yield array_nth(sub, 2)
-                yield array_upd(l, 1, sr)       # l.left = sub.right
-                yield array_upd(sub, 2, l)      # sub.right = l
-                return (yield ret(sub))
-        elif x > c:
-            descend = yield array_nth(l, 2)
-            if descend is not None:
-                sub = yield splay_impl(x, descend)
-                sl = yield array_nth(sub, 1)    # zig-zag
-                yield array_upd(l, 2, sl)       # l.right = sub.left
-                yield array_upd(sub, 1, l)      # sub.left = l
-                sr = yield array_nth(sub, 2)
-                yield array_upd(t, 1, sr)       # t.left = sub.right
-                yield array_upd(sub, 2, t)      # sub.right = t
-                return (yield ret(sub))
-        # zig: rotate right at t
-        lr = yield array_nth(l, 2)
-        yield array_upd(t, 1, lr)
-        yield array_upd(l, 2, t)
-        return (yield ret(l))
-    r = yield array_nth(t, 2)
-    if r is None:
+    near, far = (1, 2) if x < b else (2, 1)
+    l = yield array_nth(t, near)
+    if l is None:
         return (yield ret(t))
-    c = yield array_nth(r, 0)
-    if x > c:
-        descend = yield array_nth(r, 2)
+    c = yield array_nth(l, 0)
+    if x != c:
+        outer = (x < c) == (x < b)  # zig-zig / zag-zag, else zig-zag / zag-zig
+        descend = yield array_nth(l, near if outer else far)
         if descend is not None:
             sub = yield splay_impl(x, descend)
-            rl = yield array_nth(r, 1)          # zag-zag
-            yield array_upd(t, 2, rl)           # t.right = r.left
-            yield array_upd(r, 1, t)            # r.left = t
-            sl = yield array_nth(sub, 1)
-            yield array_upd(r, 2, sl)           # r.right = sub.left
-            yield array_upd(sub, 1, r)          # sub.left = r
+            if outer:
+                lf = yield array_nth(l, far)
+                yield array_upd(t, near, lf)    # t.near = l.far
+                yield array_upd(l, far, t)      # l.far = t
+                sf = yield array_nth(sub, far)
+                yield array_upd(l, near, sf)    # l.near = sub.far
+                yield array_upd(sub, far, l)    # sub.far = l
+            else:
+                sn = yield array_nth(sub, near)
+                yield array_upd(l, far, sn)     # l.far = sub.near
+                yield array_upd(sub, near, l)   # sub.near = l
+                sf = yield array_nth(sub, far)
+                yield array_upd(t, near, sf)    # t.near = sub.far
+                yield array_upd(sub, far, t)    # sub.far = t
             return (yield ret(sub))
-    elif x < c:
-        descend = yield array_nth(r, 1)
-        if descend is not None:
-            sub = yield splay_impl(x, descend)
-            sr = yield array_nth(sub, 2)        # zag-zig
-            yield array_upd(r, 1, sr)           # r.left = sub.right
-            yield array_upd(sub, 2, r)          # sub.right = r
-            sl = yield array_nth(sub, 1)
-            yield array_upd(t, 2, sl)           # t.right = sub.left
-            yield array_upd(sub, 1, t)          # sub.left = t
-            return (yield ret(sub))
-    # zag: rotate left at t
-    rl = yield array_nth(r, 1)
-    yield array_upd(t, 2, rl)
-    yield array_upd(r, 1, t)
-    return (yield ret(r))
+    # zig / zag: rotate l up over t
+    lf = yield array_nth(l, far)
+    yield array_upd(t, near, lf)
+    yield array_upd(l, far, t)
+    return (yield ret(l))
 
 
 @proc
@@ -305,23 +273,7 @@ def new_splay_tree() -> SplayTree:
 
 
 def splay_extract(heap: Heap, root: Optional[Addr]) -> Optional[TreeNode]:
-    """Rebuild the functional tree from the pointer structure, iteratively
-    so that degenerate trees cannot exhaust the interpreter stack."""
-    if root is None:
-        return None
-    built: dict = {None: None}
-    work = [(root, False)]
-    while work:
-        addr, expanded = work.pop()
-        key, left, right = heap.arrays[addr.index]
-        if expanded:
-            built[addr] = tree_node(built[left], key, built[right])
-        else:
-            work.append((addr, True))
-            for child in (left, right):
-                if child is not None and child not in built:
-                    work.append((child, False))
-    return built[root]
+    return extract_tree(heap, root, tree_node)
 
 
 def splay_insert(s: SplayTree, key: int) -> tuple[SplayTree, int]:
@@ -353,23 +305,16 @@ def splay_size1(s: SplayTree) -> int:
     return size1(s.mirror)
 
 
-def splay_shape(n: int) -> int:
-    return ceil_3_log2(max(1, n)) + 2
+splay_shape = skew_shape  # the same per-operation shape, ceil(3 log2 n) + 2
 
 
 SPLAY_MULTIPLIER = 16  # calibrated; the search in the tests confirms it
 
 
 def splay_scheme(multiplier: int = SPLAY_MULTIPLIER) -> AmortizedScheme:
-    def apply_insert(s, arg):
-        return splay_insert(s, arg)
-
     def apply_lookup(s, arg):
         _, new, cost = splay_lookup(s, arg)
         return new, cost
-
-    def apply_splay(s, arg):
-        return splay_splay(s, arg)
 
     def bound(n: int) -> int:
         return multiplier * splay_shape(n)
@@ -379,9 +324,9 @@ def splay_scheme(multiplier: int = SPLAY_MULTIPLIER) -> AmortizedScheme:
         potential=splay_potential,
         size_measure=splay_size1,
         ops={
-            "insert": AmortizedOp("insert", apply_insert, bound),
+            "insert": AmortizedOp("insert", splay_insert, bound),
             "lookup": AmortizedOp("lookup", apply_lookup, bound),
-            "splay": AmortizedOp("splay", apply_splay, bound),
+            "splay": AmortizedOp("splay", splay_splay, bound),
         },
         precondition=lambda s: is_bst(s.mirror),
     )

@@ -244,26 +244,17 @@ def sat(ph: PartialHeap, assn: Assertion, config: EnumConfig = EnumConfig()) -> 
                         f"enumeration bound is {config.max_owned}"
                     )
                 splits = [(part, owned - part) for part in _subsets(tuple(owned))]
+            # the left side's credits: a known demand forces them
+            if dl is not None:
+                lefts = [dl] if (dl + dr == credits if dr is not None else dl <= credits) else []
+            elif dr is not None:
+                lefts = [credits - dr] if dr <= credits else []
+            else:
+                lefts = range(credits + 1)
             for left_part, right_part in splits:
-                if dl is not None and dr is not None:
-                    if dl + dr != credits:
-                        return False  # split-independent, fail once
-                    if go(left_part, dl, a.left) and go(right_part, dr, a.right):
+                for cl in lefts:
+                    if go(left_part, cl, a.left) and go(right_part, credits - cl, a.right):
                         return True
-                elif dl is not None:
-                    if credits >= dl and go(left_part, dl, a.left) and go(
-                        right_part, credits - dl, a.right
-                    ):
-                        return True
-                elif dr is not None:
-                    if credits >= dr and go(left_part, credits - dr, a.left) and go(
-                        right_part, dr, a.right
-                    ):
-                        return True
-                else:
-                    for cl in range(credits + 1):
-                        if go(left_part, cl, a.left) and go(right_part, credits - cl, a.right):
-                            return True
             return False
         raise TypeError(f"unknown assertion node: {a!r}")
 
@@ -287,22 +278,15 @@ def sat(ph: PartialHeap, assn: Assertion, config: EnumConfig = EnumConfig()) -> 
             return fp <= owned and demand <= credits and go(fp, demand, a)
         if isinstance(a, SepConj):
             # peel whatever sub-structure keeps the footprint unknown
-            fl, dl = footprint(a.left), credit_demand(a.left)
-            if fl is not None and dl is not None:
-                return (
-                    fl <= owned
-                    and dl <= credits
-                    and go(fl, dl, a.left)
-                    and _under_top(owned - fl, credits - dl, a.right)
-                )
-            fr, dr = footprint(a.right), credit_demand(a.right)
-            if fr is not None and dr is not None:
-                return (
-                    fr <= owned
-                    and dr <= credits
-                    and go(fr, dr, a.right)
-                    and _under_top(owned - fr, credits - dr, a.left)
-                )
+            for side, rest in ((a.left, a.right), (a.right, a.left)):
+                fs, ds = footprint(side), credit_demand(side)
+                if fs is not None and ds is not None:
+                    return (
+                        fs <= owned
+                        and ds <= credits
+                        and go(fs, ds, side)
+                        and _under_top(owned - fs, credits - ds, rest)
+                    )
         if len(owned) > config.max_owned:
             raise UndecidableAssertion(
                 f"owned set has {len(owned)} addresses, "

@@ -14,10 +14,7 @@ from typing import Optional
 
 from .amortized import NoMultiplier, minimal_multiplier, run_sequence
 from .algorithms import ALGORITHM_NAMES, all_bundles, get_bundle
-from .algorithms.bundles import STUDIES
-from .algorithms.dynarray import dynarray_scheme, new_dynarray
-from .algorithms.skew_heap import new_skew_heap, skew_scheme, skew_shape
-from .algorithms.splay_tree import new_splay_tree, splay_scheme, splay_shape
+from .algorithms.bundles import LEDGERS, STUDIES
 from .recurrence import RecurrenceError, akra_bazzi_class, empirical_ratio_check, load_spec
 
 EXIT_OK = 0
@@ -26,13 +23,6 @@ EXIT_BAD_INPUT = 2
 
 # the case studies whose spec is an Akra-Bazzi recurrence
 BUILTIN_SPECS = {s.name: s.spec for s in STUDIES if s.case}
-
-SCHEMES = {
-    "dynarray": (dynarray_scheme, new_dynarray, lambda n: 1),
-    "skew_heap": (skew_scheme, new_skew_heap, skew_shape),
-    "splay_tree": (splay_scheme, new_splay_tree, splay_shape),
-}
-
 
 _MASK64 = (1 << 64) - 1
 _XXPRIME_1 = 11400714785074694791
@@ -60,8 +50,9 @@ def trial_seed(*parts: int) -> int:
 
 
 def positive_int(text: str) -> int:
-    """argparse type for counts: a trial or operation count below 1 would
-    make every check pass vacuously."""
+    """argparse type for counts and multipliers: a trial or operation count
+    below 1 would make every check pass vacuously, and so would a ledger
+    checked at another multiplier than the one asked for."""
     value = int(text)
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
@@ -179,8 +170,8 @@ def cmd_recurrence(args) -> int:
 
 
 def cmd_amortized(args) -> int:
-    factory, fresh, shape = SCHEMES[args.scheme]
-    scheme = factory(args.multiplier) if args.multiplier else factory()
+    factory, fresh, shape, default_multiplier = LEDGERS[args.scheme]
+    scheme = factory(args.multiplier or default_multiplier)
     bundle = get_bundle(args.scheme)
     rng = random.Random(args.seed)
     script = bundle.gen_input(rng, args.ops)
@@ -270,10 +261,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_rec.set_defaults(fn=cmd_recurrence)
 
     p_am = sub.add_parser("amortized", help="check an amortized ledger")
-    p_am.add_argument("scheme", choices=sorted(SCHEMES))
+    p_am.add_argument("scheme", choices=sorted(LEDGERS))
     p_am.add_argument("--ops", type=positive_int, default=10000)
     p_am.add_argument("--seed", type=int, default=1)
-    p_am.add_argument("--multiplier", type=int, default=0)
+    p_am.add_argument("--multiplier", type=positive_int,
+                      help="default: the structure's own multiplier")
     p_am.add_argument("--out")
     p_am.set_defaults(fn=cmd_amortized)
 

@@ -52,9 +52,11 @@ class Heap:
     """Finite maps for reference cells and arrays plus an allocation counter.
 
     The counter only grows, so addresses are never reused and the ref/array
-    domains stay disjoint.  Heaps that `run` returns share the cell lists of
-    the arrays a run did not write, so cells are changed only through `run`,
-    or on a `clone()`, which copies every array.
+    domains stay disjoint.  Heaps share cell lists: one that `run` returns
+    shares the arrays the run did not write, and a melded skew heap shares
+    the arrays of its first operand.  So cells are changed only through
+    `run`, which never writes its input, or on a `clone()`, which copies
+    every array.
     """
 
     __slots__ = ("refs", "arrays", "next_addr")

@@ -18,6 +18,16 @@ from fractions import Fraction
 from typing import Callable, Iterable, Optional, Sequence, Union
 
 
+def _factors(var: str, power: int, log_power: int) -> list[str]:
+    """The rendered factors var^power (ln var)^log_power, none for exponent 0."""
+    parts = []
+    if power:
+        parts.append(var if power == 1 else f"{var}^{power}")
+    if log_power:
+        parts.append(f"ln {var}" if log_power == 1 else f"ln^{log_power} {var}")
+    return parts
+
+
 @dataclass(frozen=True)
 class PolyLog:
     """The function class n^power (ln n)^log_power; (0, 0) is the constants."""
@@ -29,18 +39,7 @@ class PolyLog:
         return n ** self.power * math.log(n) ** self.log_power
 
     def render(self) -> str:
-        if self.power == 0 and self.log_power == 0:
-            return "1"
-        parts = []
-        if self.power == 1:
-            parts.append("n")
-        elif self.power:
-            parts.append(f"n^{self.power}")
-        if self.log_power == 1:
-            parts.append("ln n")
-        elif self.log_power:
-            parts.append(f"ln^{self.log_power} n")
-        return " ".join(parts)
+        return " ".join(_factors("n", self.power, self.log_power)) or "1"
 
 
 @dataclass(frozen=True)
@@ -61,19 +60,8 @@ class PolyLog2:
         )
 
     def render(self) -> str:
-        if self == PolyLog2(0, 0, 0, 0):
-            return "1"
-        parts = []
-        for var, p, lp in (("m", self.m_power, self.m_log), ("n", self.n_power, self.n_log)):
-            if p == 1:
-                parts.append(var)
-            elif p:
-                parts.append(f"{var}^{p}")
-            if lp == 1:
-                parts.append(f"ln {var}")
-            elif lp:
-                parts.append(f"ln^{lp} {var}")
-        return " ".join(parts)
+        parts = _factors("m", self.m_power, self.m_log) + _factors("n", self.n_power, self.n_log)
+        return " ".join(parts) or "1"
 
 
 @dataclass(frozen=True)
@@ -116,9 +104,9 @@ def sum_class2(members: Iterable[PolyLog2]) -> TwoVarClass:
     """Normalize a member list: drop dominated members, sort, unwrap singletons."""
     kept: list[PolyLog2] = []
     for g in members:
-        if any(_cmp2(g, h) in (Rel.SUBSET, Rel.EQUAL) for h in kept):
+        if any(o_subset2(g, h) in (Rel.SUBSET, Rel.EQUAL) for h in kept):
             continue
-        kept = [h for h in kept if _cmp2(h, g) != Rel.SUBSET]
+        kept = [h for h in kept if o_subset2(h, g) != Rel.SUBSET]
         kept.append(g)
     kept.sort(key=lambda g: (g.m_power, g.m_log, g.n_power, g.n_log), reverse=True)
     if len(kept) == 1:
@@ -138,7 +126,8 @@ def o_subset(g1: PolyLog, g2: PolyLog) -> bool:
     return (g1.power, g1.log_power) <= (g2.power, g2.log_power)
 
 
-def _cmp2(g1: PolyLog2, g2: PolyLog2) -> Rel:
+def o_subset2(g1: PolyLog2, g2: PolyLog2) -> Rel:
+    """Componentwise comparison; not all pairs are comparable."""
     m_le = (g1.m_power, g1.m_log) <= (g2.m_power, g2.m_log)
     m_ge = (g1.m_power, g1.m_log) >= (g2.m_power, g2.m_log)
     n_le = (g1.n_power, g1.n_log) <= (g2.n_power, g2.n_log)
@@ -152,11 +141,6 @@ def _cmp2(g1: PolyLog2, g2: PolyLog2) -> Rel:
     return Rel.INCOMPARABLE
 
 
-def o_subset2(g1: PolyLog2, g2: PolyLog2) -> Rel:
-    """Componentwise comparison; not all pairs are comparable."""
-    return _cmp2(g1, g2)
-
-
 def included2(g: TwoVarClass, h: TwoVarClass) -> bool:
     """O(g) included in O(h), two-variable, possibly sums.
 
@@ -166,7 +150,7 @@ def included2(g: TwoVarClass, h: TwoVarClass) -> bool:
     g_members = g.members if isinstance(g, SumClass2) else (g,)
     h_members = h.members if isinstance(h, SumClass2) else (h,)
     return all(
-        any(_cmp2(gm, hm) in (Rel.SUBSET, Rel.EQUAL) for hm in h_members)
+        any(o_subset2(gm, hm) in (Rel.SUBSET, Rel.EQUAL) for hm in h_members)
         for gm in g_members
     )
 
@@ -442,10 +426,6 @@ class WitnessReport:
         return f"witness violated at {sample}: ratio {ratio:.4g} breaks the {side} bound"
 
 
-def _ratio(f_val: float, g_val: float) -> float:
-    return f_val / g_val
-
-
 def check_theta_witness(
     f: Callable,
     g: AnyClass,
@@ -456,14 +436,10 @@ def check_theta_witness(
     lo = float(witness.c_lower)
     hi = float(witness.c_upper)
     for sample in samples:
-        if isinstance(sample, tuple):
-            if min(sample) < witness.threshold:
-                raise ValueError(f"sample {sample} below witness threshold {witness.threshold}")
-            ratio = _ratio(float(f(*sample)), g.value(*sample))
-        else:
-            if sample < witness.threshold:
-                raise ValueError(f"sample {sample} below witness threshold {witness.threshold}")
-            ratio = _ratio(float(f(sample)), g.value(sample))
+        args = sample if isinstance(sample, tuple) else (sample,)
+        if min(args) < witness.threshold:
+            raise ValueError(f"sample {sample} below witness threshold {witness.threshold}")
+        ratio = float(f(*args)) / g.value(*args)
         if ratio > hi:
             return WitnessReport(False, (sample, ratio, "upper"))
         if ratio < lo:
@@ -485,13 +461,9 @@ def calibrate_witness(
     ratios = []
     threshold = None
     for sample in train_samples:
-        if isinstance(sample, tuple):
-            point = min(sample)
-            ratios.append(_ratio(float(f(*sample)), g.value(*sample)))
-        else:
-            point = sample
-            ratios.append(_ratio(float(f(sample)), g.value(sample)))
-        threshold = point if threshold is None else min(threshold, point)
+        args = sample if isinstance(sample, tuple) else (sample,)
+        threshold = min(args) if threshold is None else min(threshold, *args)
+        ratios.append(float(f(*args)) / g.value(*args))
     if threshold is None:
         raise ValueError("no training samples")
     if threshold < 2:

@@ -14,6 +14,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import partial
 from itertools import accumulate
 from math import comb
 from typing import Callable, Optional, Union
@@ -369,15 +370,6 @@ def _check_poly_class(coeffs: dict, g_power: int, g_log: int) -> None:
         )
 
 
-def _poly_fn(coeffs: dict) -> Callable[[int], int]:
-    pairs = list(coeffs.items())
-
-    def g(n: int) -> int:
-        return sum(c * n ** p for p, c in pairs)
-
-    return g
-
-
 def _check_shape(data) -> None:
     """Reject JSON that is not shaped like a spec, so that reading its
     fields fails only with a RecurrenceError, ValueError or KeyError."""
@@ -416,7 +408,7 @@ def spec_from_json(data: dict) -> AkraBazziSpec:
         for p, c in data["g_poly"].items():
             power = _power(p, "a g_poly power")
             coeffs[power] = coeffs.get(power, 0) + _integer(c, "a g_poly coefficient")
-        g_concrete = _poly_fn(coeffs)
+        g_concrete = partial(_poly_at, coeffs)
         _check_poly_class(coeffs, g_power, g_log)
     base = {
         _integer(k, "a base key"): _integer(v, "a base value")

@@ -11,6 +11,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from timecredits.algorithms import ALGORITHM_NAMES
+from timecredits.algorithms.bundles import LEDGERS
 from timecredits.cli import BUILTIN_SPECS, main, trial_seed
 from timecredits.recurrence import save_spec, spec_to_json
 from timecredits.algorithms.sorting import merge_sort_recurrence
@@ -408,3 +410,61 @@ def test_mutated_specs_get_an_exit_code_not_a_traceback(data):
         with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
             code = main(["recurrence", path])
     assert code in (0, 1, 2)
+
+
+@pytest.mark.parametrize("scheme", ["dynarray", "skew_heap", "splay_tree"])
+@pytest.mark.parametrize("multiplier", ["0", "-1"])
+def test_amortized_rejects_a_multiplier_below_one(capsys, scheme, multiplier):
+    # 0 used to mean "the default" and pass at the default multiplier
+    assert main(["amortized", scheme, "--ops", "20", f"--multiplier={multiplier}"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--multiplier" in captured.err
+
+
+_UNWRITABLE = ("missing-dir", "a-directory")
+
+
+@st.composite
+def _cli_argvs(draw):
+    """Argument lists for `run`, `amortized` and `report`: sizes up to 64,
+    up to 200 operations, any seed, multipliers down to -3, and `--out`
+    paths that may not be writable."""
+    command = draw(st.sampled_from(["run", "amortized", "report"]))
+    seed = draw(st.one_of(st.integers(-5, 5), st.integers(-(2 ** 70), 2 ** 70)))
+    if command == "run":
+        sizes = draw(st.lists(st.integers(-1, 64), min_size=1, max_size=3))
+        argv = ["run", draw(st.sampled_from([*ALGORITHM_NAMES, "no_such_study"])),
+                "--sizes=" + ",".join(map(str, sizes)),
+                f"--trials={draw(st.integers(0, 3))}",
+                "--format", draw(st.sampled_from(["csv", "markdown"]))]
+    elif command == "amortized":
+        argv = ["amortized", draw(st.sampled_from(sorted(LEDGERS))),
+                f"--ops={draw(st.integers(-1, 200))}"]
+        multiplier = draw(st.one_of(st.none(), st.integers(-3, 20)))
+        if multiplier is not None:
+            argv.append(f"--multiplier={multiplier}")
+    else:
+        # a report always runs every study at its own sizes, so keep it to one trial
+        argv = ["report", f"--trials={draw(st.integers(-1, 1))}"]
+    out = draw(st.sampled_from([None, None, "writable", *_UNWRITABLE]))
+    return [*argv, f"--seed={seed}"], out
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(_cli_argvs())
+@example((["amortized", "dynarray", "--ops=20", "--multiplier=0"], None))
+@example((["amortized", "dynarray", "--ops=20", "--multiplier=-1"], None))
+def test_cli_arguments_get_an_exit_code_not_a_traceback(case):
+    argv, out = case
+    with tempfile.TemporaryDirectory() as tmp:
+        if out is not None:
+            target = {"writable": os.path.join(tmp, "out.txt"), "a-directory": tmp,
+                      "missing-dir": os.path.join(tmp, "missing", "out.txt")}[out]
+            argv = [*argv, "--out", target]
+        with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+            code = main(argv)
+    assert code in (0, 1, 2)
+    multiplier = next((int(a.split("=")[1]) for a in argv if a.startswith("--multiplier=")), 1)
+    if multiplier < 1 or out in _UNWRITABLE:
+        assert code == 2

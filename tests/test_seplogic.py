@@ -1,17 +1,25 @@
+import itertools
 import random
+from functools import cache
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from timecredits.assertions import (
     EMP,
     TOP,
     Credits,
+    Emp,
     EnumConfig,
     ExistsVal,
     HoareTriple,
     PartialHeap,
+    PointsToArray,
     PointsToRef,
     Pure,
+    SepConj,
+    Top,
     UndecidableAssertion,
     check_triple,
     check_triple_sampled,
@@ -22,6 +30,7 @@ from timecredits.assertions import (
 )
 from timecredits.heap import (
     Addr,
+    Heap,
     array_len,
     array_new,
     array_nth,
@@ -383,3 +392,67 @@ def test_frame_rule_randomized():
         )
         framed_ph = pheap(framed_heap, set(ph.owned) | {frame_addr}, ph.credits + 2)
         assert check_triple(framed_t, framed_ph).passed
+
+
+# ---------------------------------------------------------------------------
+# sat against a brute-force enumerator
+# ---------------------------------------------------------------------------
+
+_A0, _A1, _R0 = Addr(0, "array"), Addr(1, "array"), Addr(2, "ref")
+_BRUTE_HEAP = Heap(refs={2: 5}, arrays={0: [1, 2], 1: [3]}, next_addr=3)
+_ADDRS = st.sampled_from([_A0, _A1, _R0, Addr(0, "ref"), Addr(7, "array")])
+_LEAVES = st.one_of(
+    st.just(EMP),
+    st.just(TOP),
+    st.builds(Credits, st.integers(0, 3)),
+    st.builds(Pure, st.booleans()),
+    st.builds(PointsToRef, _ADDRS, st.sampled_from([5, 0, None])),
+    st.builds(PointsToArray, _ADDRS, st.sampled_from([(1, 2), (3,), ()])),
+)
+_ASSERTIONS = st.recursive(_LEAVES, lambda inner: st.builds(SepConj, inner, inner), max_leaves=5)
+
+
+@cache
+def _brute_sat(owned: frozenset, credits: int, a) -> bool:
+    """The satisfaction relation by definition: a separating conjunction
+    tries every split of the owned cells and every split of the credits."""
+    heap = _BRUTE_HEAP
+    if isinstance(a, SepConj):
+        return any(
+            _brute_sat(part, cl, a.left) and _brute_sat(owned - part, credits - cl, a.right)
+            for part in map(frozenset, _powerset(owned))
+            for cl in range(credits + 1)
+        )
+    if isinstance(a, Top):
+        return True
+    if isinstance(a, Credits):
+        return not owned and credits == a.amount
+    if isinstance(a, (Emp, Pure)):
+        return not owned and credits == 0 and (isinstance(a, Emp) or a.truth)
+    if credits != 0 or owned != {a.addr}:
+        return False
+    if isinstance(a, PointsToRef):
+        return a.addr.kind == "ref" and a.addr.index in heap.refs and heap.refs[a.addr.index] == a.value
+    cells = heap.arrays.get(a.addr.index)
+    return a.addr.kind == "array" and cells is not None and tuple(cells) == a.values
+
+
+def _powerset(items):
+    items = sorted(items, key=repr)
+    return itertools.chain.from_iterable(
+        itertools.combinations(items, r) for r in range(len(items) + 1)
+    )
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(
+    _ASSERTIONS,
+    st.sets(st.sampled_from([_A0, _A1, _R0])).map(frozenset),
+    st.integers(0, 4),
+)
+# a Top-free side peeled off beside a side that holds a nested Top, taking
+# exactly the credits present
+@example(SepConj(SepConj(Credits(2), SepConj(TOP, EMP)), TOP), frozenset(), 2)
+@example(SepConj(SepConj(SepConj(Pure(True), TOP), Credits(3)), TOP), frozenset([_R0]), 3)
+def test_sat_agrees_with_brute_force_enumeration(a, owned, credits):
+    assert sat(pheap(_BRUTE_HEAP, owned, credits), a) == _brute_sat(owned, credits, a)
