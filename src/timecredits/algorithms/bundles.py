@@ -27,6 +27,7 @@ from ..credits import (
 )
 from ..heap import FAILURE, Success, adrop, array_of_list, atake, empty_heap, run
 from ..landau import (
+    DECLARED,
     BoundRegistry,
     PolyLog,
     PolyLog2,
@@ -452,7 +453,6 @@ def register_time_function(
     cls,
     actual_cost: Callable[[int], int],
     sweep: range,
-    provenance: str = "declared",
 ) -> None:
     """Admit a closed form into the registry only after an exhaustive check
     that it bounds the measured interpreter cost across the sweep."""
@@ -461,7 +461,7 @@ def register_time_function(
             raise BoundCheckFailed(
                 f"{name}({n}) = {closed_form(n)} below measured cost {actual_cost(n)}"
             )
-    registry.register(name, cls, provenance)
+    registry.register(name, cls, DECLARED)
 
 
 def _atake_cost(n: int) -> int:

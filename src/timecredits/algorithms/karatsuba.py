@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from ..credits import CeilDivE, FloorDivE, VarE, normalize, t_call, t_expr, t_lit, t_var
+from ..credits import CeilDivE, FloorDivE, VarE, t_call, t_expr, t_lit, t_var
 from ..heap import adrop, array_len, array_new, array_nth, array_upd, atake, proc, ret
 from ..landau import PolyLog
 from ..recurrence import AkraBazziSpec, RecTerm, eval_recurrence
@@ -180,13 +180,13 @@ def _toll_expr(consts):
 
 def karatsuba_obligations(consts=KARATSUBA_CONSTS):
     half_up = CeilDivE(N, 2)
-    base_total = normalize(t_lit(consts["base"]))
-    base_demand = normalize(t_lit(6))
+    base_total = t_lit(consts["base"])
+    base_demand = t_lit(6)
     recursion = 2 * t_call("karatsuba_time", half_up) + t_call(
         "karatsuba_time", FloorDivE(N, 2)
     )
-    rec_total = normalize(_toll_expr(consts) + recursion)
-    rec_demand = normalize(_toll_expr(KARATSUBA_CONSTS) + recursion)
+    rec_total = _toll_expr(consts) + recursion
+    rec_demand = _toll_expr(KARATSUBA_CONSTS) + recursion
     return [
         ("base", base_total, base_demand, [], []),
         ("recursive", rec_total, rec_demand, [], []),

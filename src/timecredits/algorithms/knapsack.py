@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from itertools import combinations
 
-from ..credits import normalize, t_lit, t_poly, t_var
+from ..credits import t_lit, t_poly, t_var
 from ..heap import array_new, array_nth, array_upd, proc
 from ..recurrence import LinearRecSpec, eval_linear
 
@@ -72,12 +72,12 @@ def knapsack_time(n: int, capacity: int, consts=KNAPSACK_CONSTS) -> int:
 
 def knapsack_obligations(consts=KNAPSACK_CONSTS):
     spec = knapsack_linear_rec(consts)
-    item_total = normalize(t_poly(spec.step, "W"))
-    item_demand = normalize(3 * t_var("W") + t_lit(3))
-    init_total = normalize(t_poly(spec.init, "W"))
-    init_demand = normalize(t_var("W") + t_lit(2))
-    final_total = normalize(t_lit(spec.final))
-    final_demand = normalize(t_lit(1))
+    item_total = t_poly(spec.step, "W")
+    item_demand = 3 * t_var("W") + t_lit(3)
+    init_total = t_poly(spec.init, "W")
+    init_demand = t_var("W") + t_lit(2)
+    final_total = t_lit(spec.final)
+    final_demand = t_lit(1)
     return [
         ("table-init", init_total, init_demand, [], []),
         ("per-item", item_total, item_demand, [], []),

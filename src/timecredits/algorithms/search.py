@@ -18,7 +18,6 @@ from ..credits import (
     MonotoneTable,
     SubE,
     VarE,
-    normalize,
     t_call,
     t_lit,
 )
@@ -27,6 +26,7 @@ from ..landau import PolyLog
 from ..recurrence import AkraBazziSpec, RecTerm, eval_recurrence
 
 N = VarE("n")
+UPPER_TABLE_BOUND = 4096  # the window the upper-window hint tabulates
 
 BINARY_SEARCH_CONSTS = {
     "len": 1,    # reading the array length
@@ -78,11 +78,18 @@ def bsearch_recurrence(consts=BINARY_SEARCH_CONSTS) -> AkraBazziSpec:
 _BSEARCH_SPEC = bsearch_recurrence()
 
 
+def _bsearch_spec(consts):
+    """The module's spec and memo for constants that differ from the
+    defaults only in "len", which the probe loop never reads; a spec for
+    this call only otherwise."""
+    if dict(consts, len=BINARY_SEARCH_CONSTS["len"]) == BINARY_SEARCH_CONSTS:
+        return _BSEARCH_SPEC
+    return bsearch_recurrence(consts)
+
+
 def bsearch_time(n: int, consts=BINARY_SEARCH_CONSTS) -> int:
-    """Bound for the probe loop on a window of size n.  Other constants than
-    the defaults get a spec for this call only."""
-    spec = _BSEARCH_SPEC if consts == BINARY_SEARCH_CONSTS else bsearch_recurrence(consts)
-    return eval_recurrence(spec, n)
+    """Bound for the probe loop on a window of size n."""
+    return eval_recurrence(_bsearch_spec(consts), n)
 
 
 def binary_search_time(n: int, consts=BINARY_SEARCH_CONSTS) -> int:
@@ -96,22 +103,22 @@ def upper_window_fits(table_bound: int) -> bool:
     return all(n - n // 2 - 1 <= n // 2 for n in range(table_bound + 1))
 
 
-def upper_window_hint(consts=BINARY_SEARCH_CONSTS, table_bound: int = 4096) -> Hint:
+def upper_window_hint(consts=BINARY_SEARCH_CONSTS) -> Hint:
     """bsearch_time(n div 2) >= bsearch_time(n - n div 2 - 1).
 
-    Justified by monotonicity, tabulated up to table_bound when the hint is
-    consulted, plus the arithmetic fact that the upper window never exceeds
-    the lower one across the same range.
+    Justified by monotonicity, tabulated up to UPPER_TABLE_BOUND when the
+    hint is consulted, plus the arithmetic fact that the upper window never
+    exceeds the lower one across the same range.
     """
 
     def justify() -> bool:
-        spec = bsearch_recurrence(consts)
-        table = MonotoneTable(lambda k: eval_recurrence(spec, k), table_bound)
-        return table.monotone and upper_window_fits(table_bound)
+        spec = _bsearch_spec(consts)
+        table = MonotoneTable(lambda k: eval_recurrence(spec, k), UPPER_TABLE_BOUND)
+        return table.monotone and upper_window_fits(UPPER_TABLE_BOUND)
 
     return Hint(
         s=CallAtom("bsearch_time", (FloorDivE(N, 2),)),
-        t=normalize(t_call("bsearch_time", SubE(SubE(N, FloorDivE(N, 2)), ConstE(1)))),
+        t=t_call("bsearch_time", SubE(SubE(N, FloorDivE(N, 2)), ConstE(1))),
         justification=justify,
         note="upper window fits the half budget",
     )
@@ -120,15 +127,15 @@ def upper_window_hint(consts=BINARY_SEARCH_CONSTS, table_bound: int = 4096) -> H
 def binary_search_obligations(consts=BINARY_SEARCH_CONSTS):
     half = FloorDivE(N, 2)
     upper = SubE(SubE(N, half), ConstE(1))
-    level_total = normalize(t_lit(consts["level"]) + t_call("bsearch_time", half))
+    level_total = t_lit(consts["level"]) + t_call("bsearch_time", half)
     return [
-        ("empty", normalize(t_lit(consts["base"])), normalize(t_lit(1)), [], []),
-        ("hit", level_total, normalize(t_lit(2)), [], []),
-        ("lower", level_total, normalize(t_lit(1) + t_call("bsearch_time", half)), [], []),
+        ("empty", t_lit(consts["base"]), t_lit(1), [], []),
+        ("hit", level_total, t_lit(2), [], []),
+        ("lower", level_total, t_lit(1) + t_call("bsearch_time", half), [], []),
         (
             "upper",
             level_total,
-            normalize(t_lit(1) + t_call("bsearch_time", upper)),
+            t_lit(1) + t_call("bsearch_time", upper),
             [],
             [upper_window_hint(consts)],
         ),

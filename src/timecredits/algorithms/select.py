@@ -20,7 +20,6 @@ from ..credits import (
     MonotoneTable,
     MulE,
     VarE,
-    normalize,
     t_call,
     t_expr,
     t_lit,
@@ -33,6 +32,7 @@ from .sorting import sort_window
 
 N = VarE("n")
 CUTOFF = 20
+PARTITION_TABLE_BOUND = 1 << 14  # the window the partition hint tabulates
 
 SELECT_CONSTS = {
     "len": 1,
@@ -145,10 +145,11 @@ def select_time(n: int) -> int:
 
 
 def make_select_time(consts=SELECT_CONSTS):
-    """The window bound for these constants.  The defaults give select_time,
-    with the module's memo; other constants get a spec that lives as long as
-    the returned function."""
-    if consts == SELECT_CONSTS:
+    """The window bound for these constants.  Constants that differ from the
+    defaults only in "len", which the window never reads, give select_time
+    with the module's memo; others get a spec that lives as long as the
+    returned function."""
+    if dict(consts, len=SELECT_CONSTS["len"]) == SELECT_CONSTS:
         return select_time
     spec = select_recurrence(consts)
     return lambda n: eval_recurrence(spec, n)
@@ -183,23 +184,24 @@ def partition_sides_fit(table_bound: int) -> bool:
     )
 
 
-def partition_hint(consts=SELECT_CONSTS, table_bound: int = 1 << 14) -> Hint:
+def partition_hint(consts=SELECT_CONSTS) -> Hint:
     """select_time(ceil(7n/10)) >= select_time(l) for the actual window l.
 
-    Certified by monotonicity of select_time, tabulated up to table_bound,
-    together with the combinatorial window bound across the same range.
+    Certified by monotonicity of select_time, tabulated up to
+    PARTITION_TABLE_BOUND, together with the combinatorial window bound
+    across the same range.
     The justification builds the table when it is consulted, which a
     discharge does only once the rewritten total has matched its demand.
     """
 
     def justify() -> bool:
-        table = MonotoneTable(make_select_time(consts), table_bound)
-        return table.monotone and partition_sides_fit(table_bound)
+        table = MonotoneTable(make_select_time(consts), PARTITION_TABLE_BOUND)
+        return table.monotone and partition_sides_fit(PARTITION_TABLE_BOUND)
 
     cap = CeilDivE(MulE(7, N), 10)
     return Hint(
         s=CallAtom("select_time", (cap,)),
-        t=normalize(t_call("select_time", VarE("l"))),
+        t=t_call("select_time", VarE("l")),
         justification=justify,
         note="partition window fits under ceil(7n/10)",
     )
@@ -213,18 +215,16 @@ def select_obligations(consts=SELECT_CONSTS):
         + consts["part_coeff"] * t_var("n")
         + t_lit(consts["hit_ret"])
     )
-    total = normalize(
-        nonrec + t_call("select_time", groups) + t_call("select_time", cap)
-    )
-    small_total = normalize(t_lit(_ins_range_cost(consts, CUTOFF) + consts["small_probe"]))
-    small_demand = normalize(t_lit(_ins_range_cost(SELECT_CONSTS, CUTOFF) + 1))
+    total = nonrec + t_call("select_time", groups) + t_call("select_time", cap)
+    small_total = t_lit(_ins_range_cost(consts, CUTOFF) + consts["small_probe"])
+    small_demand = t_lit(_ins_range_cost(SELECT_CONSTS, CUTOFF) + 1)
     medians_demand = (
         32 * t_expr(groups)  # per-group sort (28) plus median swap (4)
         + 4 * t_var("n")     # three-way partition
         + t_lit(1)           # pivot-hit return
         + t_call("select_time", groups)
     )
-    recurse_demand = normalize(medians_demand + t_call("select_time", VarE("l")))
+    recurse_demand = medians_demand + t_call("select_time", VarE("l"))
     return [
         ("small-window", small_total, small_demand, [], []),
         ("recursive", total, recurse_demand, [], [partition_hint(consts)]),

@@ -162,15 +162,21 @@ def new_skew_heap() -> SkewHeap:
 def extract_tree(heap: Heap, root: Optional[Addr], node: Callable):
     """Rebuild a functional tree from three-cell [key, left, right] array
     nodes with `node(left, key, right)`, iteratively so that degenerate
-    trees cannot exhaust the interpreter stack."""
+    trees cannot exhaust the interpreter stack.  Shared subtrees are
+    accepted; a pointer cycle raises ValueError."""
     built: dict = {None: None}
+    building = set()  # addresses whose subtrees are under construction
     work = [(root, False)] if root is not None else []
     while work:
         addr, expanded = work.pop()
         key, left, right = heap.arrays[addr.index]
         if expanded:
             built[addr] = node(built[left], key, built[right])
+            building.discard(addr)
         else:
+            if addr in building:
+                raise ValueError(f"pointer cycle through {addr!r}")
+            building.add(addr)
             work.append((addr, True))
             for child in (left, right):
                 if child is not None and child not in built:

@@ -5,7 +5,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from ..credits import FloorDivE, SubE, VarE, normalize, t_call, t_lit, t_poly, t_var
+from ..credits import FloorDivE, SubE, VarE, t_call, t_lit, t_poly, t_var
 from ..heap import (
     adrop,
     array_len,
@@ -148,9 +148,9 @@ def merge_sort_obligations(consts=MERGE_SORT_CONSTS):
     """Per-branch credit demands against the recursive definition."""
     half = FloorDivE(N, 2)
     rest = SubE(N, half)
-    base_total = normalize(t_lit(consts["base"]))
-    base_demand = normalize(t_lit(2))  # len + ret
-    rec_total = normalize(
+    base_total = t_lit(consts["base"])
+    base_demand = t_lit(2)  # len + ret
+    rec_total = (
         t_lit(consts["step"])
         + t_call("atake_time", N)
         + t_call("adrop_time", N)
@@ -158,7 +158,7 @@ def merge_sort_obligations(consts=MERGE_SORT_CONSTS):
         + t_call("merge_sort_time", rest)
         + t_call("mergeinto_time", N)
     )
-    rec_demand = normalize(
+    rec_demand = (
         t_lit(2)  # len + trailing ret
         + t_call("atake_time", N)
         + t_call("adrop_time", N)
@@ -256,10 +256,10 @@ def insertion_sort_time(n: int, consts=INSERTION_SORT_CONSTS) -> int:
 
 def insertion_sort_obligations(consts=INSERTION_SORT_CONSTS):
     spec = insertion_sort_linear_rec(consts)
-    base_total = normalize(t_lit(eval_linear(spec, 0)))
-    base_demand = normalize(t_lit(2))
-    step_total = normalize(t_poly(spec.step, "i"))
-    step_demand = normalize(t_lit(1) + 2 * t_var("i") + t_lit(1))
+    base_total = t_lit(eval_linear(spec, 0))
+    base_demand = t_lit(2)
+    step_total = t_poly(spec.step, "i")
+    step_demand = t_lit(1) + 2 * t_var("i") + t_lit(1)
     return [
         ("base", base_total, base_demand, [], []),
         ("outer-step", step_total, step_demand, [], []),

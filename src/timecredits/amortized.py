@@ -24,7 +24,10 @@ class HarnessError(Exception):
 
 
 class NoMultiplier(Exception):
-    pass
+    """No multiplier up to K_MAX covers the corpus."""
+
+
+K_MAX = 1024
 
 
 @dataclass
@@ -198,7 +201,6 @@ def minimal_multiplier(
     scheme: AmortizedScheme,
     shape: Callable[[int], int],
     corpus: Sequence[OpLedgerEntry],
-    k_max: int = 1024,
 ) -> MultiplierResult:
     """The smallest K >= 1 for which K * shape(n) passes every corpus entry.
 
@@ -219,8 +221,8 @@ def minimal_multiplier(
         *(-(-(e.actual_cost + e.potential_after - e.potential_before) // s)
           for e, s in zip(corpus, shapes)),
     )
-    if k > k_max:
-        raise NoMultiplier(f"no multiplier up to {k_max} covers the corpus")
+    if k > K_MAX:
+        raise NoMultiplier(f"no multiplier up to {K_MAX} covers the corpus")
     binding = min(
         (replace(e, amortized=k * s) for e, s in zip(corpus, shapes)),
         key=lambda e: e.slack,

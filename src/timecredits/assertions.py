@@ -36,7 +36,9 @@ class UndecidableAssertion(Exception):
 class EnumConfig:
     int_window: tuple[int, int] = (-8, 8)
     max_candidates: int = 4096
-    max_owned: int = 16
+
+
+MAX_OWNED = 16  # owned sets enumerated by subsets, 2^16 splits at most
 
 
 @dataclass(frozen=True)
@@ -81,6 +83,10 @@ class Emp(Assertion):
 @dataclass(frozen=True)
 class Credits(Assertion):
     amount: int
+
+    def __post_init__(self):
+        if self.amount < 0:
+            raise ValueError(f"time credits are naturals, not {self.amount}")
 
 
 @dataclass(frozen=True)
@@ -132,39 +138,30 @@ def points_to_array(addr: Addr, values) -> PointsToArray:
     return PointsToArray(addr, tuple(values))
 
 
+def exact_need(assn: Assertion) -> Optional[tuple[frozenset, int]]:
+    """The exact owned set and credits a Top-free, quantifier-free assertion
+    requires, else None (Top absorbs anything; an existential's need depends
+    on the witness).  When known, the satisfying split of a separating
+    conjunction is forced, so no subset or credit enumeration is needed."""
+    if isinstance(assn, (Emp, Pure)):
+        return frozenset(), 0
+    if isinstance(assn, Credits):
+        return frozenset(), assn.amount
+    if isinstance(assn, (PointsToRef, PointsToArray)):
+        return frozenset((assn.addr,)), 0
+    if isinstance(assn, SepConj):
+        left = exact_need(assn.left)
+        right = exact_need(assn.right)
+        if left is None or right is None:
+            return None
+        return left[0] | right[0], left[1] + right[1]
+    return None
+
+
 def credit_demand(assn: Assertion) -> Optional[int]:
     """Exact credits a Top-free, quantifier-free assertion requires, else None."""
-    if isinstance(assn, (Emp, PointsToRef, PointsToArray, Pure)):
-        return 0
-    if isinstance(assn, Credits):
-        return assn.amount
-    if isinstance(assn, SepConj):
-        left = credit_demand(assn.left)
-        right = credit_demand(assn.right)
-        if left is None or right is None:
-            return None
-        return left + right
-    return None  # Top absorbs, ExistsVal depends on the witness
-
-
-def footprint(assn: Assertion) -> Optional[frozenset]:
-    """The exact owned set a Top-free, quantifier-free assertion requires.
-
-    When known, the satisfying address split of a separating conjunction is
-    forced, so no subset enumeration is needed.  None means unknown (Top
-    absorbs anything; an existential's footprint depends on the witness).
-    """
-    if isinstance(assn, (Emp, Credits, Pure)):
-        return frozenset()
-    if isinstance(assn, (PointsToRef, PointsToArray)):
-        return frozenset((assn.addr,))
-    if isinstance(assn, SepConj):
-        left = footprint(assn.left)
-        right = footprint(assn.right)
-        if left is None or right is None:
-            return None
-        return left | right
-    return None
+    need = exact_need(assn)
+    return None if need is None else need[1]
 
 
 def _candidates(heap: Heap, config: EnumConfig) -> list:
@@ -192,6 +189,13 @@ def _subsets(items: tuple):
     n = len(items)
     for mask in range(1 << n):
         yield frozenset(items[i] for i in range(n) if mask >> i & 1)
+
+
+def _check_owned(owned: frozenset) -> None:
+    if len(owned) > MAX_OWNED:
+        raise UndecidableAssertion(
+            f"owned set has {len(owned)} addresses, enumeration bound is {MAX_OWNED}"
+        )
 
 
 def sat(ph: PartialHeap, assn: Assertion, config: EnumConfig = EnumConfig()) -> bool:
@@ -231,25 +235,20 @@ def sat(ph: PartialHeap, assn: Assertion, config: EnumConfig = EnumConfig()) -> 
                 return _under_top(owned, credits, a.left)
             if isinstance(a.left, Top):
                 return _under_top(owned, credits, a.right)
-            dl, dr = credit_demand(a.left), credit_demand(a.right)
-            fl, fr = footprint(a.left), footprint(a.right)
-            if fl is not None:
+            left, right = exact_need(a.left), exact_need(a.right)
+            # a known side forces the address split and its credits
+            if left is not None:
+                fl, dl = left
                 splits = [(fl, owned - fl)] if fl <= owned else []
-            elif fr is not None:
+                fits = dl + right[1] == credits if right is not None else dl <= credits
+                lefts = [dl] if fits else []
+            elif right is not None:
+                fr, dr = right
                 splits = [(owned - fr, fr)] if fr <= owned else []
-            else:
-                if len(owned) > config.max_owned:
-                    raise UndecidableAssertion(
-                        f"owned set has {len(owned)} addresses, "
-                        f"enumeration bound is {config.max_owned}"
-                    )
-                splits = [(part, owned - part) for part in _subsets(tuple(owned))]
-            # the left side's credits: a known demand forces them
-            if dl is not None:
-                lefts = [dl] if (dl + dr == credits if dr is not None else dl <= credits) else []
-            elif dr is not None:
                 lefts = [credits - dr] if dr <= credits else []
             else:
+                _check_owned(owned)
+                splits = [(part, owned - part) for part in _subsets(tuple(owned))]
                 lefts = range(credits + 1)
             for left_part, right_part in splits:
                 for cl in lefts:
@@ -272,26 +271,23 @@ def sat(ph: PartialHeap, assn: Assertion, config: EnumConfig = EnumConfig()) -> 
         ):
             other = a.right if isinstance(a.left, Top) else a.left
             return _under_top(owned, credits, other)
-        fp = footprint(a)
-        demand = credit_demand(a)
-        if fp is not None and demand is not None:
+        need = exact_need(a)
+        if need is not None:
+            fp, demand = need
             return fp <= owned and demand <= credits and go(fp, demand, a)
         if isinstance(a, SepConj):
-            # peel whatever sub-structure keeps the footprint unknown
+            # peel whatever sub-structure keeps the need unknown
             for side, rest in ((a.left, a.right), (a.right, a.left)):
-                fs, ds = footprint(side), credit_demand(side)
-                if fs is not None and ds is not None:
+                need = exact_need(side)
+                if need is not None:
+                    fs, ds = need
                     return (
                         fs <= owned
                         and ds <= credits
                         and go(fs, ds, side)
                         and _under_top(owned - fs, credits - ds, rest)
                     )
-        if len(owned) > config.max_owned:
-            raise UndecidableAssertion(
-                f"owned set has {len(owned)} addresses, "
-                f"enumeration bound is {config.max_owned}"
-            )
+        _check_owned(owned)
         for part in _subsets(tuple(owned)):
             for c in range(credits + 1):
                 if go(part, c, a):

@@ -12,7 +12,7 @@ import random
 import sys
 from typing import Optional
 
-from .amortized import NoMultiplier, minimal_multiplier, run_sequence
+from .amortized import K_MAX, NoMultiplier, minimal_multiplier, run_sequence
 from .algorithms import ALGORITHM_NAMES, all_bundles, get_bundle
 from .algorithms.bundles import LEDGERS, STUDIES
 from .recurrence import RecurrenceError, akra_bazzi_class, empirical_ratio_check, load_spec
@@ -197,7 +197,7 @@ def cmd_amortized(args) -> int:
         found = minimal_multiplier(scheme, shape, report.entries[:2000])
         lines.append(f"minimal multiplier on this corpus: K = {found.multiplier}")
     except NoMultiplier as exc:
-        lines.append(f"minimal multiplier: none up to 1024 ({exc})")
+        lines.append(f"minimal multiplier: none up to {K_MAX} ({exc})")
         _emit(lines, None)
         return EXIT_CHECK_FAILED
     _emit(lines, None)

@@ -2,11 +2,11 @@
 
 Time expressions are sums of natural-coefficient terms over atoms: the
 constant 1, size variables, div/ceil/floor forms of linear expressions, and
-applications of named runtime functions.  `normalize` flattens an expression
-into a coefficient map; `subtract_match` decides T = T' + T'' by sequential
-term subtraction, comparing atoms up to a supplied equality set (congruence
-closure); `apply_hint` replaces a term s by a certified smaller t, marking
-the result as upper-bound-only.
+applications of named runtime functions.  They are built in their normal
+form, a `PolyForm` coefficient map; `subtract_match` decides T = T' + T''
+by sequential term subtraction, comparing atoms up to a supplied equality
+set (congruence closure); `apply_hint` replaces a term s by a certified
+smaller t, marking the result as upper-bound-only.
 """
 
 from __future__ import annotations
@@ -105,34 +105,6 @@ def eval_arg(e: ArgExpr, env: Mapping[str, int]) -> int:
     raise TypeError(f"unknown argument expression {e!r}")
 
 
-def _arg_children(e: ArgExpr) -> tuple:
-    if isinstance(e, (VarE, ConstE)):
-        return ()
-    if isinstance(e, (AddE, SubE)):
-        return (e.left, e.right)
-    if isinstance(e, (MulE, FloorDivE, CeilDivE)):
-        return (e.inner,)
-    raise TypeError(f"unknown argument expression {e!r}")
-
-
-def _arg_label(e: ArgExpr):
-    if isinstance(e, VarE):
-        return ("var", e.name)
-    if isinstance(e, ConstE):
-        return ("const", e.value)
-    if isinstance(e, AddE):
-        return ("add",)
-    if isinstance(e, SubE):
-        return ("sub",)
-    if isinstance(e, MulE):
-        return ("mul", e.factor)
-    if isinstance(e, FloorDivE):
-        return ("fdiv", e.divisor)
-    if isinstance(e, CeilDivE):
-        return ("cdiv", e.divisor)
-    raise TypeError(f"unknown argument expression {e!r}")
-
-
 # ---------------------------------------------------------------------------
 # atoms
 # ---------------------------------------------------------------------------
@@ -200,77 +172,8 @@ class Assignment:
 
 
 # ---------------------------------------------------------------------------
-# time expressions and normalization
+# time expressions in normal form
 # ---------------------------------------------------------------------------
-
-class TimeExpr:
-    __slots__ = ()
-
-    def __add__(self, other):
-        return SumT((self, _coerce(other)))
-
-    def __radd__(self, other):
-        return SumT((_coerce(other), self))
-
-    def __rmul__(self, k: int):
-        if not isinstance(k, int) or k < 0:
-            raise NormalizationError("coefficients must be naturals")
-        return ScaleT(k, self)
-
-
-@dataclass(frozen=True)
-class LitT(TimeExpr):
-    value: int
-
-
-@dataclass(frozen=True)
-class AtomT(TimeExpr):
-    atom: TimeAtom
-
-
-@dataclass(frozen=True)
-class SumT(TimeExpr):
-    parts: tuple
-
-
-@dataclass(frozen=True)
-class ScaleT(TimeExpr):
-    factor: int
-    inner: TimeExpr
-
-
-def _coerce(x) -> TimeExpr:
-    if isinstance(x, TimeExpr):
-        return x
-    if isinstance(x, int):
-        if x < 0:
-            raise NormalizationError("subtraction is outside the fragment")
-        return LitT(x)
-    raise NormalizationError(f"cannot use {x!r} in a time expression")
-
-
-def t_lit(n: int) -> TimeExpr:
-    return _coerce(n)
-
-
-def t_var(name: str) -> TimeExpr:
-    return AtomT(VarAtom(name))
-
-
-def t_poly(coeffs: Mapping[int, int], var: str) -> TimeExpr:
-    """c0 + c1*var from {0: c0, 1: c1}; higher powers are outside the fragment."""
-    if any(p > 1 for p, c in coeffs.items() if c):
-        raise NormalizationError(f"a power of {var} above 1 is outside the fragment")
-    return sum((c * (t_var(var) if p else t_lit(1)) for p, c in coeffs.items()), t_lit(0))
-
-
-def t_expr(e: ArgExpr) -> TimeExpr:
-    return AtomT(ExprAtom(e))
-
-
-def t_call(fn: str, *args: ArgExpr) -> TimeExpr:
-    return AtomT(CallAtom(fn, tuple(args)))
-
 
 class NormalizationError(ValueError):
     """Raised for expressions outside the sum-of-scaled-atoms fragment."""
@@ -286,14 +189,17 @@ def _atom_key(atom: TimeAtom):
 
 
 class PolyForm:
-    """Normalized time expression: a finite map atom -> natural coefficient."""
+    """Time expression in normal form: a finite map atom -> natural
+    coefficient.  Sums with naturals or other PolyForms and scaling by a
+    natural stay in the form, so every expression is built normalized."""
 
     __slots__ = ("coeffs", "absorbing")
 
     def __init__(self, coeffs: Mapping[TimeAtom, int] = (), absorbing: bool = False):
-        self.coeffs: dict[TimeAtom, int] = {
-            a: c for a, c in dict(coeffs).items() if c != 0
-        }
+        # a dict copy keeps the stored hashes; atoms rehash deeply
+        self.coeffs: dict[TimeAtom, int] = dict(coeffs)
+        for atom in [a for a, c in self.coeffs.items() if c == 0]:
+            del self.coeffs[atom]
         self.absorbing = absorbing  # True once credits were discarded by a hint
 
     def __eq__(self, other):
@@ -303,6 +209,20 @@ class PolyForm:
 
     def __repr__(self):
         return f"PolyForm({self.render()})"
+
+    def __add__(self, other) -> "PolyForm":
+        other = normalize(other)
+        out = dict(self.coeffs)
+        for a, c in other.coeffs.items():
+            out[a] = out.get(a, 0) + c
+        return PolyForm(out, self.absorbing or other.absorbing)
+
+    add = __radd__ = __add__
+
+    def __rmul__(self, k: int) -> "PolyForm":
+        if not isinstance(k, int) or k < 0:
+            raise NormalizationError("coefficients must be naturals")
+        return PolyForm({a: k * c for a, c in self.coeffs.items()}, self.absorbing)
 
     def items_canonical(self) -> list[tuple[TimeAtom, int]]:
         return sorted(self.coeffs.items(), key=lambda kv: _atom_key(kv[0]))
@@ -326,42 +246,61 @@ class PolyForm:
     def copy(self, absorbing: Optional[bool] = None) -> "PolyForm":
         return PolyForm(dict(self.coeffs), self.absorbing if absorbing is None else absorbing)
 
-    def add(self, other: "PolyForm") -> "PolyForm":
-        out = dict(self.coeffs)
-        for a, c in other.coeffs.items():
-            out[a] = out.get(a, 0) + c
-        return PolyForm(out, self.absorbing or other.absorbing)
+
+def normalize(expr: Union[PolyForm, int]) -> PolyForm:
+    """The normal form of a time expression: a PolyForm as it is, a natural
+    as a constant."""
+    if isinstance(expr, PolyForm):
+        return expr
+    if isinstance(expr, int):
+        if expr < 0:
+            raise NormalizationError("subtraction is outside the fragment")
+        return PolyForm({UNIT: expr})
+    raise NormalizationError(f"cannot use {expr!r} in a time expression")
 
 
-def normalize(expr: Union[TimeExpr, int]) -> PolyForm:
-    """Flatten a time expression into its unique coefficient map."""
-    coeffs: dict[TimeAtom, int] = {}
+def t_lit(n: int) -> PolyForm:
+    return normalize(n)
 
-    def walk(e: TimeExpr, scale: int):
-        if isinstance(e, LitT):
-            if e.value:
-                coeffs[UNIT] = coeffs.get(UNIT, 0) + scale * e.value
-        elif isinstance(e, AtomT):
-            coeffs[e.atom] = coeffs.get(e.atom, 0) + scale
-        elif isinstance(e, SumT):
-            for part in e.parts:
-                walk(part, scale)
-        elif isinstance(e, ScaleT):
-            if e.factor < 0:
-                raise NormalizationError("coefficients must be naturals")
-            if isinstance(e.inner, ScaleT) and not isinstance(e.inner.inner, (AtomT, LitT)):
-                raise NormalizationError("nested non-linear products are outside the fragment")
-            walk(e.inner, scale * e.factor)
-        else:
-            raise NormalizationError(f"cannot normalize {e!r}")
 
-    walk(_coerce(expr), 1)
-    return PolyForm(coeffs)
+def t_var(name: str) -> PolyForm:
+    return PolyForm({VarAtom(name): 1})
+
+
+def t_poly(coeffs: Mapping[int, int], var: str) -> PolyForm:
+    """c0 + c1*var from {0: c0, 1: c1}; higher powers are outside the fragment."""
+    if any(p > 1 for p, c in coeffs.items() if c):
+        raise NormalizationError(f"a power of {var} above 1 is outside the fragment")
+    return sum((c * (t_var(var) if p else t_lit(1)) for p, c in coeffs.items()), t_lit(0))
+
+
+def t_expr(e: ArgExpr) -> PolyForm:
+    return PolyForm({ExprAtom(e): 1})
+
+
+def t_call(fn: str, *args: ArgExpr) -> PolyForm:
+    return PolyForm({CallAtom(fn, tuple(args)): 1})
 
 
 # ---------------------------------------------------------------------------
 # congruence closure over atoms and argument expressions
 # ---------------------------------------------------------------------------
+
+def _term_parts(term) -> tuple[tuple, tuple]:
+    """(label, children) of an argument expression or atom, read off its
+    fields: a field holding an ArgExpr, or a call's tuple of them, gives
+    children; the class and the other fields form the label."""
+    label, children = [type(term)], []
+    for name in term.__match_args__:
+        value = getattr(term, name)
+        if isinstance(value, ArgExpr):
+            children.append(value)
+        elif isinstance(value, tuple):
+            children.extend(value)
+        else:
+            label.append(value)
+    return tuple(label), tuple(children)
+
 
 class _Congruence:
     """Closure of a finite equation set over the terms occurring in it plus
@@ -381,14 +320,8 @@ class _Congruence:
         if term in self.parent:
             return
         self.parent[term] = term
-        if isinstance(term, CallAtom):
-            for a in term.args:
-                self._register(a)
-        elif isinstance(term, ExprAtom):
-            self._register(term.expr)
-        elif isinstance(term, ArgExpr):
-            for child in _arg_children(term):
-                self._register(child)
+        for child in _term_parts(term)[1]:
+            self._register(child)
 
     def find(self, term):
         self._register(term)
@@ -405,13 +338,8 @@ class _Congruence:
             self.parent[ra] = rb
 
     def _signature(self, term):
-        if isinstance(term, CallAtom):
-            return ("call", term.fn, tuple(self.find(a) for a in term.args))
-        if isinstance(term, ExprAtom):
-            return ("expratom", self.find(term.expr))
-        if isinstance(term, ArgExpr):
-            return (_arg_label(term), tuple(self.find(c) for c in _arg_children(term)))
-        return None
+        label, children = _term_parts(term)
+        return label, tuple(self.find(c) for c in children)
 
     def _close(self):
         # propagate congruence: equal children force equal parents
@@ -421,8 +349,6 @@ class _Congruence:
             by_sig: dict = {}
             for term in list(self.parent):
                 sig = self._signature(term)
-                if sig is None:
-                    continue
                 if sig in by_sig:
                     if self.find(by_sig[sig]) != self.find(term):
                         self._union(by_sig[sig], term)
@@ -516,8 +442,7 @@ def rewrite_hint(total: PolyForm, hint: Hint) -> PolyForm:
     out[hint.s] -= 1
     if out[hint.s] == 0:
         del out[hint.s]
-    result = PolyForm(out).add(hint.t)
-    return result.copy(absorbing=True)
+    return (PolyForm(out) + hint.t).copy(absorbing=True)
 
 
 def apply_hint(total: PolyForm, hint: Hint) -> PolyForm:

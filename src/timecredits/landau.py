@@ -451,13 +451,13 @@ def calibrate_witness(
     f: Callable,
     g: AnyClass,
     train_samples: Sequence,
-    margin: float = 0.10,
 ) -> ThetaWitness:
     """Fit witness constants on training samples with a fixed slack margin.
 
     The point of the margin is that verification happens on a disjoint,
     larger sample set: a wrong class drifts past the margin there.
     """
+    margin = 0.10
     ratios = []
     threshold = None
     for sample in train_samples:
@@ -496,6 +496,6 @@ def geometric_samples(lo: int, hi: int, per_decade: int = 4) -> list[int]:
     return out
 
 
-def grid_samples(lo: int, hi: int, per_side: int = 6) -> list[tuple[int, int]]:
-    side = geometric_samples(lo, hi, per_decade=max(1, per_side // 2))
+def grid_samples(lo: int, hi: int) -> list[tuple[int, int]]:
+    side = geometric_samples(lo, hi, per_decade=3)
     return [(m, n) for m in side for n in side]

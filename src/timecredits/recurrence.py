@@ -209,12 +209,11 @@ def empirical_ratio_check(
     result_class,
     lo: int,
     hi: int,
-    slack: Optional[float] = None,
 ) -> RatioReport:
     """Compare exact values of f against the claimed class over a geometric
-    sample; the ratio spread must stay within the slack factor."""
-    if slack is None:
-        slack = 8.0 if getattr(result_class, "log_power", 0) > 0 else 4.0
+    sample; the ratio spread must stay within the slack factor, 8 for a
+    class with a log factor and 4 otherwise."""
+    slack = 8.0 if getattr(result_class, "log_power", 0) > 0 else 4.0
     ratios = []
     for n in geometric_samples(max(lo, 2), hi):
         value = eval_recurrence(spec, n)

@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import gc
 import hashlib
 import itertools
@@ -21,12 +22,14 @@ from timecredits.algorithms.bundles import (
 from timecredits.algorithms import search as srch
 from timecredits.algorithms import select as sel
 from timecredits.algorithms import sorting as srt
+from timecredits.algorithms import karatsuba as kara
 from timecredits.algorithms import knapsack as knap
 from timecredits.algorithms.skew_heap import (
     new_skew_heap,
     skew_elements,
     skew_extract,
     skew_meld_pair,
+    skew_node,
     skew_pop,
     skew_push,
 )
@@ -42,8 +45,8 @@ from timecredits.algorithms.splay_tree import (
     splay_lookup,
     tree_node,
 )
-from timecredits.credits import MonotoneTable
-from timecredits.heap import FAILURE, empty_heap, run, run_traced
+from timecredits.credits import UNIT, Assignment, MonotoneTable, PolyForm
+from timecredits.heap import ARRAY, FAILURE, Addr, Heap, empty_heap, run, run_traced
 from timecredits.landau import SOLVED, BoundRegistry, PolyLog, PolyLog2, Term, analyze_expr
 from timecredits.recurrence import LinearRecSpec, RecurrenceError, eval_recurrence
 
@@ -243,6 +246,16 @@ def test_skew_meld_identity_and_order():
     assert got == 1
     with pytest.raises(ValueError):
         skew_pop(new_skew_heap())
+
+
+def test_skew_extract_rejects_a_pointer_cycle_and_accepts_sharing():
+    a0, a1 = Addr(0, ARRAY), Addr(1, ARRAY)
+    cycle = Heap(arrays={0: [5, a1, None], 1: [6, a0, None]}, next_addr=2)
+    with pytest.raises(ValueError, match="cycle"):
+        skew_extract(cycle, a0)
+    shared = Heap(arrays={0: [5, a1, a1], 1: [6, None, None]}, next_addr=2)
+    leaf = skew_extract(shared, a1)
+    assert skew_extract(shared, a0) == skew_node(leaf, 5, leaf)
 
 
 def test_splay_zig_example():
@@ -561,3 +574,54 @@ def test_knapsack_class_comes_from_its_capacity_step(monkeypatch):
     assert knap.knapsack_time(3, 4) == (4 + 2) + 3 * 16 + 1
     with pytest.raises(RecurrenceError, match="linear step"):
         BUNDLES["knapsack"].claim()
+
+
+def test_len_faults_reuse_the_default_recurrences(monkeypatch):
+    # "len" is read only by the whole-run bound, never by a recurrence, so
+    # its fault probes must not build a spec (and a memo) of their own
+    built = []
+    for module, name in ((sel, "select_recurrence"), (srch, "bsearch_recurrence")):
+        real = getattr(module, name)
+        monkeypatch.setattr(
+            module, name, lambda *a, real=real, name=name: built.append(name) or real(*a)
+        )
+    for row in ("select", "binary_search"):
+        assert constant_fault_detected(BUNDLES[row], "len")
+    assert built == []
+
+
+def _bound_calls(*fns):
+    """Per constants, the named time functions bound to them (memoised here:
+    off the defaults a time function builds its spec on every call)."""
+    return lambda consts: {
+        fn.__name__: functools.cache(functools.partial(fn, consts=consts)) for fn in fns
+    }
+
+
+@pytest.mark.parametrize("row, spec_of, base_name, calls_of", [
+    ("merge_sort", srt.merge_sort_recurrence, "base", _bound_calls(
+        srt.atake_time, srt.adrop_time, srt.mergeinto_time, srt.merge_sort_time)),
+    ("karatsuba", kara.karatsuba_recurrence, "base", _bound_calls(kara.karatsuba_time)),
+    ("select", sel.select_recurrence, "small-window",
+     lambda consts: {"select_time": sel.make_select_time(consts)}),
+    ("binary_search", srch.bsearch_recurrence, "empty", _bound_calls(srch.bsearch_time)),
+])
+def test_obligation_totals_restate_their_recurrence(row, spec_of, base_name, calls_of):
+    """Every total an obligation list charges is the spec's own right-hand
+    side: the base total is its costliest base case, and each recursive
+    total, its calls bound to the row's time functions, equals the
+    recurrence at every n from the threshold to 2048.  This holds at the
+    defaults and at each constant decremented by one."""
+    defaults = BUNDLES[row].consts
+    variants = [defaults] + [dict(defaults, **{k: v - 1}) for k, v in defaults.items()]
+    for consts in variants:
+        spec = spec_of(consts)
+        calls = calls_of(consts)
+        totals = {name: total for name, total, *_ in BUNDLES[row].with_consts(consts).obligations()}
+        assert totals.pop(base_name) == PolyForm({UNIT: max(spec.base.values())}), consts
+        for total in {total.render(): total for total in totals.values()}.values():
+            mismatches = [
+                n for n in range(spec.x0, 2049)
+                if total.eval(Assignment({"n": n}, calls)) != eval_recurrence(spec, n)
+            ]
+            assert mismatches == [], (consts, total.render(), mismatches[:5])

@@ -140,6 +140,13 @@ def test_credit_demand_structural():
     assert credit_demand(Credits(1) * TOP) is None
 
 
+def test_negative_credits_are_rejected_when_built():
+    with pytest.raises(ValueError, match="naturals"):
+        sat(pheap(empty_heap(), (), 2), Credits(-1) * Credits(3))
+    with pytest.raises(ValueError, match="naturals"):
+        sat(pheap(empty_heap(), (), 0), Credits(-1) * TOP)
+
+
 # ---------------------------------------------------------------------------
 # triples
 # ---------------------------------------------------------------------------
