@@ -3,6 +3,7 @@ import io
 import itertools
 import json
 import os
+import subprocess
 import sys
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
@@ -238,6 +239,21 @@ def test_report_csv_deterministic(tmp_path):
     assert main(["report", "--trials", "1", "--seed", "3", "--format", "csv",
                  "--out", str(b)]) == 0
     assert a.read_bytes() == b.read_bytes()
+
+
+def test_report_bytes_do_not_depend_on_the_string_hash_seed():
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    outputs = []
+    for hash_seed in ("1", "2"):
+        env = dict(os.environ, PYTHONHASHSEED=hash_seed)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        done = subprocess.run(
+            [sys.executable, "-m", "timecredits.cli", "report", "--trials", "1",
+             "--seed", "3", "--format", "csv"],
+            env=env, capture_output=True, check=True,
+        )
+        outputs.append(done.stdout)
+    assert outputs[0] and outputs[0] == outputs[1]
 
 
 def test_recurrence_with_b_near_one_gives_a_verdict(tmp_path, capsys):

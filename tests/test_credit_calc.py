@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from timecredits.credits import (
     UNIT,
+    AddE,
     Assignment,
     CallAtom,
     CeilDivE,
@@ -23,6 +24,7 @@ from timecredits.credits import (
     SubE,
     VarAtom,
     VarE,
+    _Congruence,
     apply_hint,
     eval_arg,
     normalize,
@@ -291,3 +293,88 @@ def test_match_then_recombine_property(lhs, rhs):
     total = PolyForm(lhs).add(PolyForm(rhs))
     remainder = subtract_match(total, PolyForm(rhs))
     assert remainder == PolyForm(lhs)
+
+
+# ---------------------------------------------------------------------------
+# congruence closure against a naive fixpoint
+# ---------------------------------------------------------------------------
+
+_ARGS = st.recursive(
+    st.sampled_from([N, M, ConstE(1), ConstE(2)]),
+    lambda inner: st.one_of(
+        st.builds(FloorDivE, inner, st.just(2)),
+        st.builds(AddE, inner, inner),
+    ),
+    max_leaves=3,
+)
+_CALLS = st.builds(
+    lambda fn, arg: next(iter(t_call(fn, arg).coeffs)), st.sampled_from(["f", "g"]), _ARGS
+)
+_TERMS = st.one_of(_ARGS, _CALLS)
+
+
+def _label_children(term):
+    if isinstance(term, VarE):
+        return ("var", term.name), ()
+    if isinstance(term, ConstE):
+        return ("const", term.value), ()
+    if isinstance(term, FloorDivE):
+        return ("div", term.divisor), (term.inner,)
+    if isinstance(term, AddE):
+        return ("add",), (term.left, term.right)
+    return ("call", term.fn), term.args
+
+
+def _naive_classes(terms, equations) -> dict:
+    """Class ids of every subterm of `terms` and `equations`: merge each
+    equation, then merge any two terms with one label and equal children
+    until nothing changes."""
+    universe = _subterms(list(terms) + [t for eq in equations for t in eq])
+    cls = {term: i for i, term in enumerate(universe)}
+
+    def merge(a, b):
+        old, new = cls[a], cls[b]
+        for term, c in cls.items():
+            if c == old:
+                cls[term] = new
+
+    for a, b in equations:
+        merge(a, b)
+    changed = True
+    while changed:
+        changed = False
+        for a in universe:
+            for b in universe:
+                (la, ca), (lb, cb) = _label_children(a), _label_children(b)
+                if cls[a] != cls[b] and la == lb and len(ca) == len(cb) and all(
+                    cls[x] == cls[y] for x, y in zip(ca, cb)
+                ):
+                    merge(a, b)
+                    changed = True
+    return cls
+
+
+def _subterms(terms) -> list:
+    out, todo = set(), list(terms)
+    while todo:
+        term = todo.pop()
+        if term not in out:
+            out.add(term)
+            todo.extend(_label_children(term)[1])
+    return sorted(out, key=repr)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.lists(_TERMS, min_size=1, max_size=4), st.data())
+def test_congruence_agrees_with_naive_closure(terms, data):
+    """Equations between subterms of the drawn terms; every pair of drawn
+    terms and subterms is queried, in both orders on fresh instances."""
+    queries = _subterms(terms)
+    equations = data.draw(st.lists(st.tuples(*[st.sampled_from(queries)] * 2), max_size=3))
+    cls = _naive_classes(queries, equations)
+    pairs = [(a, b) for a in queries for b in queries]
+    want = [cls[a] == cls[b] for a, b in pairs]
+    forward = _Congruence(equations)
+    assert [forward.equal(a, b) for a, b in pairs] == want
+    backward = _Congruence(equations)
+    assert [backward.equal(a, b) for a, b in reversed(pairs)] == want[::-1]

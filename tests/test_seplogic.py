@@ -21,6 +21,7 @@ from timecredits.assertions import (
     SepConj,
     Top,
     UndecidableAssertion,
+    _candidates,
     check_triple,
     check_triple_sampled,
     credit_demand,
@@ -463,3 +464,70 @@ def _powerset(items):
 @example(SepConj(SepConj(SepConj(Pure(True), TOP), Credits(3)), TOP), frozenset([_R0]), 3)
 def test_sat_agrees_with_brute_force_enumeration(a, owned, credits):
     assert sat(pheap(_BRUTE_HEAP, owned, credits), a) == _brute_sat(owned, credits, a)
+
+
+# ---------------------------------------------------------------------------
+# sat with existentials against a brute-force enumerator
+# ---------------------------------------------------------------------------
+
+def _some_ref_cell():
+    return ExistsVal(lambda v: PointsToRef(_R0, v), note="ref")
+
+
+def _some_array_contents():
+    return ExistsVal(
+        lambda v: PointsToArray(_A0, v) if isinstance(v, tuple) else Pure(False), note="xs"
+    )
+
+
+def _some_credits():
+    return ExistsVal(
+        lambda v: Credits(v) if type(v) is int and 0 <= v <= 3 else Pure(False), note="c"
+    )
+
+
+_QUANTIFIED_LEAVES = st.one_of(
+    _LEAVES,
+    st.builds(_some_ref_cell),
+    st.builds(_some_array_contents),
+    st.builds(_some_credits),
+)
+# `a * Top` is drawn on its own too: it is the shape every triple's post takes
+_QUANTIFIED = st.recursive(
+    _QUANTIFIED_LEAVES,
+    lambda inner: st.one_of(
+        st.builds(SepConj, inner, inner), st.builds(SepConj, inner, st.just(TOP))
+    ),
+    max_leaves=5,
+)
+# the domain sat ranges its existentials over on this heap
+_BRUTE_DOMAIN = tuple(_candidates(_BRUTE_HEAP, EnumConfig()))
+
+
+@cache
+def _brute_sat_exists(owned: frozenset, credits: int, a) -> bool:
+    """The satisfaction relation by definition, with each existential
+    expanded over the candidate domain."""
+    if isinstance(a, ExistsVal):
+        return any(_brute_sat_exists(owned, credits, a.body(v)) for v in _BRUTE_DOMAIN)
+    if isinstance(a, SepConj):
+        return any(
+            _brute_sat_exists(part, cl, a.left)
+            and _brute_sat_exists(owned - part, credits - cl, a.right)
+            for part in map(frozenset, _powerset(owned))
+            for cl in range(credits + 1)
+        )
+    return _brute_sat(owned, credits, a)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(
+    _QUANTIFIED,
+    st.sets(st.sampled_from([_A0, _A1, _R0])).map(frozenset),
+    st.integers(0, 4),
+)
+# an existential under Top with cells and credits left over for Top
+@example(SepConj(_some_credits(), TOP), frozenset([_R0]), 3)
+@example(SepConj(TOP, SepConj(_some_ref_cell(), _some_array_contents())), frozenset([_A0, _A1, _R0]), 2)
+def test_sat_with_existentials_agrees_with_brute_force(a, owned, credits):
+    assert sat(pheap(_BRUTE_HEAP, owned, credits), a) == _brute_sat_exists(owned, credits, a)
