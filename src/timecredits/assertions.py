@@ -4,6 +4,7 @@ A partial heap is a heap, a set of owned addresses, and a credit count.
 Satisfaction is decidable here because heaps are concrete: separating
 conjunction enumerates splits of the owned set, while credit splits are
 computed from each side's exact demand whenever the side is Top-free.
+`a * Top` is the same recursion with the leftover cells and credits absorbed.
 Existential quantifiers range over a finite candidate set drawn from the
 heap plus a configurable integer window; overflowing that set raises
 rather than guessing.
@@ -46,9 +47,6 @@ class PartialHeap:
     heap: Heap
     owned: frozenset[Addr]
     credits: int
-
-    def wellformed(self) -> bool:
-        return self.credits >= 0 and self.owned <= self.heap.allocated()
 
     def describe(self) -> str:
         cells = []
@@ -202,99 +200,50 @@ def sat(ph: PartialHeap, assn: Assertion, config: EnumConfig = EnumConfig()) -> 
     """Decide the satisfaction relation on a concrete partial heap."""
     heap = ph.heap
 
-    def go(owned: frozenset[Addr], credits: int, a: Assertion) -> bool:
-        if isinstance(a, Emp):
-            return not owned and credits == 0
-        if isinstance(a, Credits):
-            return not owned and credits == a.amount
-        if isinstance(a, Pure):
-            return a.truth and not owned and credits == 0
-        if isinstance(a, PointsToRef):
-            return (
-                credits == 0
-                and owned == frozenset((a.addr,))
-                and a.addr.kind == "ref"
-                and heap.refs.get(a.addr.index, _MISSING) == a.value
+    def go(owned: frozenset[Addr], credits: int, a: Assertion, rest: bool) -> bool:
+        """owned, credits |= a, or a * Top when `rest` absorbs the leftover."""
+        if isinstance(a, Top):
+            return True
+        if isinstance(a, ExistsVal):
+            return any(
+                go(owned, credits, a.body(witness), rest) for witness in _candidates(heap, config)
             )
-        if isinstance(a, PointsToArray):
-            if credits != 0 or owned != frozenset((a.addr,)) or a.addr.kind != ARRAY:
-                return False
-            cells = heap.arrays.get(a.addr.index)
-            return cells is not None and tuple(cells) == a.values
-        if isinstance(a, Top):
-            return True
-        if isinstance(a, ExistsVal):
-            for witness in _candidates(heap, config):
-                if go(owned, credits, a.body(witness)):
-                    return True
-            return False
         if isinstance(a, SepConj):
-            # an absorbing side soaks up any leftover cells and credits, so
-            # only the other side constrains anything
-            if isinstance(a.right, Top):
-                return _under_top(owned, credits, a.left)
-            if isinstance(a.left, Top):
-                return _under_top(owned, credits, a.right)
-            left, right = exact_need(a.left), exact_need(a.right)
-            # a known side forces the address split and its credits
-            if left is not None:
-                fl, dl = left
-                splits = [(fl, owned - fl)] if fl <= owned else []
-                fits = dl + right[1] == credits if right is not None else dl <= credits
-                lefts = [dl] if fits else []
-            elif right is not None:
-                fr, dr = right
-                splits = [(owned - fr, fr)] if fr <= owned else []
-                lefts = [credits - dr] if dr <= credits else []
-            else:
-                _check_owned(owned)
-                splits = [(part, owned - part) for part in _subsets(tuple(owned))]
-                lefts = range(credits + 1)
-            for left_part, right_part in splits:
-                for cl in lefts:
-                    if go(left_part, cl, a.left) and go(right_part, credits - cl, a.right):
-                        return True
-            return False
-        raise TypeError(f"unknown assertion node: {a!r}")
-
-    def _under_top(owned: frozenset[Addr], credits: int, a: Assertion) -> bool:
-        """Decide owned, credits |= a * Top: a on some sub-pheap, rest absorbed."""
-        if isinstance(a, Top):
-            return True
-        if isinstance(a, ExistsVal):
-            for witness in _candidates(heap, config):
-                if _under_top(owned, credits, a.body(witness)):
-                    return True
-            return False
-        if isinstance(a, SepConj) and (
-            isinstance(a.left, Top) or isinstance(a.right, Top)
-        ):
-            other = a.right if isinstance(a.left, Top) else a.left
-            return _under_top(owned, credits, other)
+            if isinstance(a.right, Top) or isinstance(a.left, Top):
+                other = a.left if isinstance(a.right, Top) else a.right
+                return go(owned, credits, other, True)
+            left = exact_need(a.left)
+            need = left if left is not None else exact_need(a.right)
+            if need is not None:
+                # a known side takes exactly its need, the other side the rest
+                known, other = (a.left, a.right) if left is not None else (a.right, a.left)
+                fp, demand = need
+                return (
+                    fp <= owned
+                    and demand <= credits
+                    and go(fp, demand, known, False)
+                    and go(owned - fp, credits - demand, other, rest)
+                )
+            _check_owned(owned)
+            return any(
+                go(part, cl, a.left, False) and go(owned - part, credits - cl, a.right, rest)
+                for part in _subsets(tuple(owned))
+                for cl in range(credits + 1)
+            )
         need = exact_need(a)
-        if need is not None:
-            fp, demand = need
-            return fp <= owned and demand <= credits and go(fp, demand, a)
-        if isinstance(a, SepConj):
-            # peel whatever sub-structure keeps the need unknown
-            for side, rest in ((a.left, a.right), (a.right, a.left)):
-                need = exact_need(side)
-                if need is not None:
-                    fs, ds = need
-                    return (
-                        fs <= owned
-                        and ds <= credits
-                        and go(fs, ds, side)
-                        and _under_top(owned - fs, credits - ds, rest)
-                    )
-        _check_owned(owned)
-        for part in _subsets(tuple(owned)):
-            for c in range(credits + 1):
-                if go(part, c, a):
-                    return True
-        return False
+        if need is None:
+            raise TypeError(f"unknown assertion node: {a!r}")
+        fp, demand = need
+        if not (fp <= owned and demand <= credits if rest else fp == owned and demand == credits):
+            return False
+        if isinstance(a, PointsToRef):
+            return a.addr.kind == "ref" and heap.refs.get(a.addr.index, _MISSING) == a.value
+        if isinstance(a, PointsToArray):
+            cells = heap.arrays.get(a.addr.index) if a.addr.kind == ARRAY else None
+            return cells is not None and tuple(cells) == a.values
+        return not isinstance(a, Pure) or bool(a.truth)
 
-    return go(ph.owned, ph.credits, assn)
+    return go(ph.owned, ph.credits, assn, False)
 
 
 _MISSING = object()

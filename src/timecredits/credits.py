@@ -5,8 +5,8 @@ constant 1, size variables, div/ceil/floor forms of linear expressions, and
 applications of named runtime functions.  They are built in their normal
 form, a `PolyForm` coefficient map; `subtract_match` decides T = T' + T''
 by sequential term subtraction, comparing atoms up to a supplied equality
-set (congruence closure); `apply_hint` replaces a term s by a certified
-smaller t, marking the result as upper-bound-only.
+set (congruence closure, computed once per set); `apply_hint` replaces a
+term s by a certified smaller t, marking the result as upper-bound-only.
 """
 
 from __future__ import annotations
@@ -303,28 +303,35 @@ def _term_parts(term) -> tuple[tuple, tuple]:
 
 
 class _Congruence:
-    """Closure of a finite equation set over the terms occurring in it plus
-    any terms later queried; equality is structural plus the equations."""
+    """Congruence closure of a finite equation set over the terms it mentions,
+    computed once (Nelson and Oppen).  A query compares class keys read
+    bottom-up: a mentioned term keys as its root, any other as the root of
+    the mentioned term with its signature, or else as that signature."""
 
     def __init__(self, equations: Iterable[tuple] = ()):
         self.parent: dict = {}
-        self.pending = [tuple(eq) for eq in equations]
-        for lhs, rhs in self.pending:
+        for lhs, rhs in equations:
             self._register(lhs)
             self._register(rhs)
-        for lhs, rhs in self.pending:
             self._union(lhs, rhs)
-        self._close()
+        # propagate congruence: equal children force equal parents.  The
+        # last pass merges nothing, so its signature table is the closed one.
+        changed = True
+        while changed:
+            changed, self.by_sig = False, {}
+            for term in self.parent:
+                first = self.by_sig.setdefault(self._signature(term), term)
+                if self.find(first) != self.find(term):
+                    self._union(first, term)
+                    changed = True
 
     def _register(self, term):
-        if term in self.parent:
-            return
-        self.parent[term] = term
-        for child in _term_parts(term)[1]:
-            self._register(child)
+        if term not in self.parent:
+            self.parent[term] = term
+            for child in _term_parts(term)[1]:
+                self._register(child)
 
     def find(self, term):
-        self._register(term)
         root = term
         while self.parent[root] != root:
             root = self.parent[root]
@@ -339,30 +346,16 @@ class _Congruence:
 
     def _signature(self, term):
         label, children = _term_parts(term)
-        return label, tuple(self.find(c) for c in children)
+        return label, tuple(self._key(c) for c in children)
 
-    def _close(self):
-        # propagate congruence: equal children force equal parents
-        changed = True
-        while changed:
-            changed = False
-            by_sig: dict = {}
-            for term in list(self.parent):
-                sig = self._signature(term)
-                if sig in by_sig:
-                    if self.find(by_sig[sig]) != self.find(term):
-                        self._union(by_sig[sig], term)
-                        changed = True
-                else:
-                    by_sig[sig] = term
+    def _key(self, term):
+        if term in self.parent:
+            return self.find(term)
+        sig = self._signature(term)
+        return self.find(self.by_sig[sig]) if sig in self.by_sig else sig
 
     def equal(self, a, b) -> bool:
-        if a == b:
-            return True
-        self._register(a)
-        self._register(b)
-        self._close()
-        return self.find(a) == self.find(b)
+        return a == b or self._key(a) == self._key(b)
 
 
 # ---------------------------------------------------------------------------

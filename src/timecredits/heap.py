@@ -17,9 +17,10 @@ itself a `proc`.  One driver loop, `_drive`, executes them for `run` and
 `run_traced` alike: the generators of the running procs sit on an explicit
 frame stack, not on the host stack, so a program's nesting depth is not
 limited by Python's recursion limit.  The hot opcodes (`array_nth`,
-`array_upd`, PROC, `ret`) are executed inline; the rest go through
-`_exec`.  A yielded value that is not an instruction raises `TypeError`
-before anything is charged.
+`array_upd`, PROC, `ret`) are executed inline; the rest through their
+opcode's `impl`.  The driver is the one place that records a charge.  A
+yielded value that is not an instruction raises `TypeError` before anything
+is charged.
 """
 
 from __future__ import annotations
@@ -105,13 +106,16 @@ class _Fail(Exception):
 
 class _Op:
     """A private opcode: the primitive's name and, for the opcodes `_drive`
-    does not execute inline, ``impl(heap, trace, instr) -> (value, units)``."""
+    does not execute inline, its `impl` and charge order.  A `unit` opcode
+    costs 1, charged before ``impl(heap, instr) -> value`` validates
+    anything; any other validates first and returns ``(value, units)``."""
 
-    __slots__ = ("name", "impl")
+    __slots__ = ("name", "impl", "unit")
 
-    def __init__(self, name: str, impl=None):
+    def __init__(self, name: str, impl=None, unit: bool = False):
         self.name = name
         self.impl = impl
+        self.unit = unit
 
     def __repr__(self) -> str:
         return self.name
@@ -198,7 +202,7 @@ def _drive(comp: Computation, base: Heap, trace) -> tuple[Any, int, _Overlay]:
     `send` resumes the innermost running proc (None at the top level); the
     procs waiting for it keep their `send` on `frames`.  A failing primitive
     raises `_Fail`; any other exception propagates unchanged.  Each charge is
-    appended to `trace` unless it is None.
+    appended to `trace` unless it is None; no other code records one.
     """
     heap = _Overlay(base)
     arrays, base_arrays = heap.arrays, base.arrays
@@ -246,9 +250,18 @@ def _drive(comp: Computation, base: Heap, trace) -> tuple[Any, int, _Overlay]:
             if trace is not None:
                 trace.append(_RET_CHARGE)
             value = instr[1]
+        elif type(op) is not _Op:
+            raise TypeError(f"not a computation: {instr!r}")
+        elif op.unit:
+            cost += 1
+            if trace is not None:
+                trace.append((op.name, 1))
+            value = op.impl(heap, instr)
         else:
-            value, units = _exec(op, instr, heap, trace)
+            value, units = op.impl(heap, instr)
             cost += units
+            if trace is not None:
+                trace.append((op.name, units))
         # hand the value to the innermost proc; one that returns hands its
         # result on to its caller
         while True:
@@ -260,19 +273,6 @@ def _drive(comp: Computation, base: Heap, trace) -> tuple[Any, int, _Overlay]:
             except StopIteration as stop:
                 value = stop.value
                 send = pop()
-
-
-def _exec(op, instr, heap: _Overlay, trace) -> tuple[Any, int]:
-    """Execute an instruction that `_drive` does not inline."""
-    if type(op) is not _Op:
-        raise TypeError(f"not a computation: {instr!r}")
-    return op.impl(heap, trace, instr)
-
-
-def _charge(trace, name: str, units: int) -> int:
-    if trace is not None:
-        trace.append((name, units))
-    return units
 
 
 def _is_index(i) -> bool:
@@ -315,89 +315,78 @@ def _alloc_array(heap: _Overlay, cells: list[Value]) -> Addr:
 
 
 # ---------------------------------------------------------------------------
-# opcodes.  `ret`, `ref_*`, `array_len`, `array_nth`, `array_upd` and
-# `array_of_list` charge before they validate, so a failure trace ends with
-# their charge; `array_new`, `array_to_list`, `atake`, `adrop` and `agrow`
-# validate first.
+# opcodes.  `ret`, `array_nth`, `array_upd` and the `unit` opcodes charge
+# before they validate, so a failure trace ends with their charge; the others
+# validate first and are charged by `_drive` on their return.
 # ---------------------------------------------------------------------------
 
-def _ref_new(heap, trace, instr):
-    units = _charge(trace, "ref_new", 1)
+def _ref_new(heap, instr):
     a = Addr(heap.next_addr, REF)
     heap.refs[a.index] = instr[1]
     heap.next_addr += 1
-    return a, units
+    return a
 
 
-def _ref_read(heap, trace, instr):
-    units = _charge(trace, "ref_read", 1)
-    return heap.refs[_as_ref(heap, instr[1])], units
+def _ref_read(heap, instr):
+    return heap.refs[_as_ref(heap, instr[1])]
 
 
-def _ref_write(heap, trace, instr):
-    units = _charge(trace, "ref_write", 1)
+def _ref_write(heap, instr):
     _, a, v = instr
     heap.refs[_as_ref(heap, a)] = v
-    return None, units
 
 
-def _array_len(heap, trace, instr):
-    units = _charge(trace, "array_len", 1)
-    return len(_as_array(heap, instr[1])), units
+def _array_len(heap, instr):
+    return len(_as_array(heap, instr[1]))
 
 
-def _array_new(heap, trace, instr):
+def _array_new(heap, instr):
     _, n, x = instr
     if not _is_index(n) or n < 0:
         raise _Fail()
-    units = _charge(trace, "array_new", n + 1)
-    return _alloc_array(heap, [x] * n), units
+    return _alloc_array(heap, [x] * n), n + 1
 
 
-def _array_of_list(heap, trace, instr):
+def _array_of_list(heap, instr):
     cells = instr[1]
-    units = _charge(trace, "array_of_list", len(cells) + 1)
-    return _alloc_array(heap, list(cells)), units
+    return _alloc_array(heap, list(cells)), len(cells) + 1
 
 
-def _array_to_list(heap, trace, instr):
+def _array_to_list(heap, instr):
     cells = _as_array(heap, instr[1])
-    return tuple(cells), _charge(trace, "array_to_list", len(cells) + 1)
+    return tuple(cells), len(cells) + 1
 
 
-def _atake(heap, trace, instr):
+def _atake(heap, instr):
     _, k, a = instr
     cells = _as_array(heap, a)
     if not _is_index(k) or not 0 <= k <= len(cells):
         raise _Fail()
-    units = _charge(trace, "atake", k + 1)
-    return _alloc_array(heap, cells[:k]), units
+    return _alloc_array(heap, cells[:k]), k + 1
 
 
-def _adrop(heap, trace, instr):
+def _adrop(heap, instr):
     _, k, a = instr
     cells = _as_array(heap, a)
     if not _is_index(k) or not 0 <= k <= len(cells):
         raise _Fail()
-    units = _charge(trace, "adrop", (len(cells) - k) + 1)
-    return _alloc_array(heap, cells[k:]), units
+    return _alloc_array(heap, cells[k:]), (len(cells) - k) + 1
 
 
-def _agrow(heap, trace, instr):
+def _agrow(heap, instr):
     _, n, a, fill = instr
     cells = _as_array(heap, a)
     if not _is_index(n) or n < len(cells):
         raise _Fail()
-    units = _charge(trace, "agrow", len(cells) + 1)
-    return _alloc_array(heap, cells + [fill] * (n - len(cells))), units
+    return _alloc_array(heap, cells + [fill] * (n - len(cells))), len(cells) + 1
 
 
 _NTH, _UPD, _PROC, _RET = _Op("array_nth"), _Op("array_upd"), _Op("proc"), _Op("ret")
 _NTH_CHARGE, _UPD_CHARGE, _RET_CHARGE = ("array_nth", 1), ("array_upd", 1), ("ret", 1)
-_REF_NEW = _Op("ref_new", _ref_new)
-_REF_READ = _Op("ref_read", _ref_read)
-_REF_WRITE = _Op("ref_write", _ref_write)
-_ARRAY_LEN = _Op("array_len", _array_len)
+_REF_NEW = _Op("ref_new", _ref_new, unit=True)
+_REF_READ = _Op("ref_read", _ref_read, unit=True)
+_REF_WRITE = _Op("ref_write", _ref_write, unit=True)
+_ARRAY_LEN = _Op("array_len", _array_len, unit=True)
 _ARRAY_NEW = _Op("array_new", _array_new)
 _ARRAY_OF_LIST = _Op("array_of_list", _array_of_list)
 _ARRAY_TO_LIST = _Op("array_to_list", _array_to_list)
