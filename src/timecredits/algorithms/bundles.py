@@ -153,16 +153,21 @@ class AlgorithmBundle:
         return empirical_ratio_check(spec, cls, 2 ** 8, self.study.ratio_hi).passed
 
     def _witness_ok(self, cls) -> bool:
-        fn = self.study.witness(self.consts)
-        if self.study.grid:
-            train, test = grid_samples(2 ** 4, 2 ** 7), grid_samples(2 ** 7, 2 ** 10)
-        else:
-            train, test = geometric_samples(2 ** 8, 2 ** 12), geometric_samples(2 ** 13, 2 ** 20)
-        try:
-            witness = calibrate_witness(fn, cls, train)
-        except ValueError:
-            return False
-        return check_theta_witness(fn, cls, witness, test).passed
+        return _witness_holds(self.study.witness(self.consts), cls, self.study.grid)
+
+
+def _witness_holds(fn, cls, grid: bool = False) -> bool:
+    """Whether a Theta witness for `fn` in `cls`, calibrated on small
+    samples, holds on a disjoint larger range."""
+    if grid:
+        train, test = grid_samples(2 ** 4, 2 ** 7), grid_samples(2 ** 7, 2 ** 10)
+    else:
+        train, test = geometric_samples(2 ** 8, 2 ** 12), geometric_samples(2 ** 13, 2 ** 20)
+    try:
+        witness = calibrate_witness(fn, cls, train)
+    except ValueError:
+        return False
+    return check_theta_witness(fn, cls, witness, test).passed
 
 
 def discharge_obligation(entry) -> DischargeReport:
@@ -455,12 +460,15 @@ def register_time_function(
     sweep: range,
 ) -> None:
     """Admit a closed form into the registry only after an exhaustive check
-    that it bounds the measured interpreter cost across the sweep."""
+    that it bounds the measured interpreter cost across the sweep, and only
+    if the declared class passes a Theta witness on the closed form."""
     for n in sweep:
         if actual_cost(n) > closed_form(n):
             raise BoundCheckFailed(
                 f"{name}({n}) = {closed_form(n)} below measured cost {actual_cost(n)}"
             )
+    if not _witness_holds(closed_form, cls):
+        raise BoundCheckFailed(f"{name} fails a Theta witness for {cls.render()}")
     registry.register(name, cls, DECLARED)
 
 

@@ -42,11 +42,19 @@ class EnumConfig:
 MAX_OWNED = 16  # owned sets enumerated by subsets, 2^16 splits at most
 
 
+def _check_credits(amount) -> None:
+    if not isinstance(amount, int) or isinstance(amount, bool) or amount < 0:
+        raise ValueError(f"time credits are naturals, not {amount!r}")
+
+
 @dataclass(frozen=True)
 class PartialHeap:
     heap: Heap
     owned: frozenset[Addr]
     credits: int
+
+    def __post_init__(self):
+        _check_credits(self.credits)
 
     def describe(self) -> str:
         cells = []
@@ -83,8 +91,7 @@ class Credits(Assertion):
     amount: int
 
     def __post_init__(self):
-        if self.amount < 0:
-            raise ValueError(f"time credits are naturals, not {self.amount}")
+        _check_credits(self.amount)
 
 
 @dataclass(frozen=True)

@@ -14,6 +14,7 @@ from timecredits.algorithms import all_bundles, build_registry, discharge_all
 from timecredits.algorithms.bundles import (
     AlgorithmBundle,
     BoundCheckFailed,
+    _atake_cost,
     check_claimed_class,
     constant_fault_detected,
     discharge_obligation,
@@ -419,6 +420,18 @@ def test_registration_rejects_broken_bound():
             range(0, 8),
         )
     assert "too_small" not in registry.entries
+
+
+@pytest.mark.parametrize("cls", [PolyLog(0, 0), PolyLog(2, 0), PolyLog(0, 1)])
+def test_registration_rejects_a_class_the_closed_form_is_not_in(cls):
+    registry = BoundRegistry()
+    with pytest.raises(BoundCheckFailed, match="Theta witness"):
+        register_time_function(registry, "atake_time", srt.atake_time, cls, _atake_cost,
+                               range(0, 64))
+    assert registry.entries == {}
+    register_time_function(registry, "atake_time", srt.atake_time, PolyLog(1, 0), _atake_cost,
+                           range(0, 64))
+    assert registry.lookup("atake_time").cls == PolyLog(1, 0)
 
 
 def test_obligations_discharge_with_declared_hints():

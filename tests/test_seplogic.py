@@ -1,5 +1,6 @@
 import itertools
 import random
+from fractions import Fraction
 from functools import cache
 
 import pytest
@@ -146,6 +147,23 @@ def test_negative_credits_are_rejected_when_built():
         sat(pheap(empty_heap(), (), 2), Credits(-1) * Credits(3))
     with pytest.raises(ValueError, match="naturals"):
         sat(pheap(empty_heap(), (), 0), Credits(-1) * TOP)
+
+
+@pytest.mark.parametrize("amount", [0.5, Fraction(1, 3), True, 1.5])
+def test_credit_amounts_that_are_not_naturals_are_rejected(amount):
+    with pytest.raises(ValueError, match="naturals"):
+        Credits(amount)
+    with pytest.raises(ValueError, match="naturals"):
+        pheap(empty_heap(), (), amount)
+
+
+def test_fractional_credit_splits_are_rejected_when_built():
+    with pytest.raises(ValueError, match="naturals"):
+        sat(pheap(empty_heap(), (), 1), Credits(0.5) * Credits(0.5))
+    with pytest.raises(ValueError, match="naturals"):
+        sat(pheap(empty_heap(), (), 1), Credits(Fraction(1, 3)) * Credits(Fraction(2, 3)))
+    with pytest.raises(ValueError, match="naturals"):
+        pheap(empty_heap(), (), -1)
 
 
 # ---------------------------------------------------------------------------
