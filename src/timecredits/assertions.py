@@ -196,13 +196,6 @@ def _subsets(items: tuple):
         yield frozenset(items[i] for i in range(n) if mask >> i & 1)
 
 
-def _check_owned(owned: frozenset) -> None:
-    if len(owned) > MAX_OWNED:
-        raise UndecidableAssertion(
-            f"owned set has {len(owned)} addresses, enumeration bound is {MAX_OWNED}"
-        )
-
-
 def sat(ph: PartialHeap, assn: Assertion, config: EnumConfig = EnumConfig()) -> bool:
     """Decide the satisfaction relation on a concrete partial heap."""
     heap = ph.heap
@@ -212,9 +205,10 @@ def sat(ph: PartialHeap, assn: Assertion, config: EnumConfig = EnumConfig()) -> 
         if isinstance(a, Top):
             return True
         if isinstance(a, ExistsVal):
-            return any(
-                go(owned, credits, a.body(witness), rest) for witness in _candidates(heap, config)
-            )
+            for witness in _candidates(heap, config):
+                if go(owned, credits, a.body(witness), rest):
+                    return True
+            return False
         if isinstance(a, SepConj):
             if isinstance(a.right, Top) or isinstance(a.left, Top):
                 other = a.left if isinstance(a.right, Top) else a.right
@@ -231,7 +225,10 @@ def sat(ph: PartialHeap, assn: Assertion, config: EnumConfig = EnumConfig()) -> 
                     and go(fp, demand, known, False)
                     and go(owned - fp, credits - demand, other, rest)
                 )
-            _check_owned(owned)
+            if len(owned) > MAX_OWNED:
+                raise UndecidableAssertion(
+                    f"owned set has {len(owned)} addresses, enumeration bound is {MAX_OWNED}"
+                )
             return any(
                 go(part, cl, a.left, False) and go(owned - part, credits - cl, a.right, rest)
                 for part in _subsets(tuple(owned))
