@@ -307,9 +307,7 @@ _ARGS = st.recursive(
     ),
     max_leaves=3,
 )
-_CALLS = st.builds(
-    lambda fn, arg: next(iter(t_call(fn, arg).coeffs)), st.sampled_from(["f", "g"]), _ARGS
-)
+_CALLS = st.builds(lambda fn, arg: CallAtom(fn, (arg,)), st.sampled_from(["f", "g"]), _ARGS)
 _TERMS = st.one_of(_ARGS, _CALLS)
 
 
