@@ -36,7 +36,7 @@ from .landau import (
     PolyLog,
     PolyLog2,
     ThetaWitness,
-    analyze_expr,
+    analyze_form,
     check_theta_witness,
     compose_linear,
     o_subset,

@@ -499,27 +499,25 @@ def _mergeinto_cost(n: int) -> int:
     return out.cost
 
 
+# each auxiliary's measured cost and the least n it is measured from;
+# mergeinto is only ever invoked on two nonempty halves (n >= 2)
+_AUX_COSTS = {
+    "atake_time": (_atake_cost, 0),
+    "adrop_time": (_adrop_cost, 0),
+    "mergeinto_time": (_mergeinto_cost, 2),
+}
+
+
 def build_registry(sweep_hi: int = 1 << 12) -> BoundRegistry:
     """The table of known runtime-function bounds: auxiliaries checked
     exhaustively against the interpreter before admission, and the solved
     classes taken from their rows' claims."""
     registry = BoundRegistry()
-    sweep = range(0, sweep_hi + 1)
-    register_time_function(
-        registry, "atake_time", srt.atake_time, PolyLog(1, 0), _atake_cost, sweep
-    )
-    register_time_function(
-        registry, "adrop_time", srt.adrop_time, PolyLog(1, 0), _adrop_cost, sweep
-    )
-    # mergeinto is only ever invoked on two nonempty halves (n >= 2)
-    register_time_function(
-        registry,
-        "mergeinto_time",
-        srt.mergeinto_time,
-        PolyLog(1, 0),
-        _mergeinto_cost,
-        range(2, sweep_hi + 1),
-    )
+    for name, closed_form, cls in srt.MERGE_SORT_AUX:
+        cost, lo = _AUX_COSTS[name]
+        register_time_function(
+            registry, name, closed_form, cls, cost, range(lo, sweep_hi + 1)
+        )
     bundles = all_bundles()
     solved = {"merge_sort_time": "merge_sort", "insertion_sort_time": "insertion_sort",
               "bsearch_time": "binary_search", "select_time": "select", "knapsack_time": "knapsack"}

@@ -10,10 +10,9 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from ..credits import CeilDivE, FloorDivE, VarE, t_call, t_expr, t_lit, t_var
+from ..credits import CeilDivE, ConstE, FloorDivE, MulE, SubE, VarE, t_call, t_expr, t_lit, t_var
 from ..heap import adrop, array_len, array_new, array_nth, array_upd, atake, proc, ret
-from ..landau import PolyLog
-from ..recurrence import AkraBazziSpec, RecTerm, eval_recurrence
+from ..recurrence import AkraBazziSpec, RecTerm, eval_recurrence, toll_fields
 
 N = VarE("n")
 
@@ -116,47 +115,10 @@ def karatsuba_impl(p, q):
     return (yield ret(out))
 
 
-def karatsuba_toll(n: int, consts=KARATSUBA_CONSTS) -> int:
-    """Exact non-recursive cost at size n >= 2, mirroring the loops above."""
-    m = -(-n // 2)
-    lo = n - m
-    split = 2 * (m + lo) + consts["split_pad"]
-    sums = 2 * (m + consts["sum_pad"]) + 2 * (consts["sum_cell"] * m + consts["sum_extra"] * lo)
-    alloc_out = (2 * n - 1) + consts["out_pad"]
-    add_bands = consts["add_cell"] * ((2 * m - 1) + (2 * lo - 1))
-    mid_band = consts["mid_cell"] * (2 * m - 1) + consts["mid_extra"] * (2 * lo - 1)
-    trailing_ret = 1
-    return consts["len_reads"] + split + sums + alloc_out + add_bands + mid_band + trailing_ret
-
-
-def karatsuba_recurrence(consts=KARATSUBA_CONSTS) -> AkraBazziSpec:
-    return AkraBazziSpec(
-        x0=2,
-        terms=(
-            RecTerm(Fraction(2), Fraction(1, 2), "ceil"),
-            RecTerm(Fraction(1), Fraction(1, 2), "floor"),
-        ),
-        g_class=PolyLog(1, 0),
-        g_concrete=lambda n: karatsuba_toll(n, consts),
-        base={0: consts["base"], 1: consts["base"]},
-        name="karatsuba_time",
-    )
-
-
-_KARATSUBA_SPEC = karatsuba_recurrence()
-
-
-def karatsuba_time(n: int, consts=KARATSUBA_CONSTS) -> int:
-    """Other constants than the defaults get a spec for this call only."""
-    spec = _KARATSUBA_SPEC if consts == KARATSUBA_CONSTS else karatsuba_recurrence(consts)
-    return eval_recurrence(spec, n)
-
-
 def _toll_expr(consts):
-    """The recursive-case toll over subtraction-free atoms: n, the two half
-    widths, and the two output band widths 2*ceil - 1 and 2*floor - 1."""
-    from ..credits import ConstE, MulE, SubE
-
+    """The recursive-case toll, mirroring the loops of karatsuba_impl, over
+    atoms of positive slope: n, the two half widths, and the two output
+    band widths 2*ceil - 1 and 2*floor - 1."""
     half_up = CeilDivE(N, 2)
     half_dn = FloorDivE(N, 2)
     band_up = SubE(MulE(2, half_up), ConstE(1))
@@ -178,16 +140,39 @@ def _toll_expr(consts):
     )
 
 
-def karatsuba_obligations(consts=KARATSUBA_CONSTS):
+def _karatsuba_total(consts):
+    """The recursive branch's budget: the spec's right-hand side."""
     half_up = CeilDivE(N, 2)
-    base_total = t_lit(consts["base"])
-    base_demand = t_lit(6)
     recursion = 2 * t_call("karatsuba_time", half_up) + t_call(
         "karatsuba_time", FloorDivE(N, 2)
     )
-    rec_total = _toll_expr(consts) + recursion
-    rec_demand = _toll_expr(KARATSUBA_CONSTS) + recursion
+    return _toll_expr(consts) + recursion
+
+
+def karatsuba_recurrence(consts=KARATSUBA_CONSTS) -> AkraBazziSpec:
+    return AkraBazziSpec(
+        x0=2,
+        terms=(
+            RecTerm(Fraction(2), Fraction(1, 2), "ceil"),
+            RecTerm(Fraction(1), Fraction(1, 2), "floor"),
+        ),
+        **toll_fields(_karatsuba_total, consts, "karatsuba_time"),
+        base={0: consts["base"], 1: consts["base"]},
+        name="karatsuba_time",
+    )
+
+
+_KARATSUBA_SPEC = karatsuba_recurrence()
+
+
+def karatsuba_time(n: int, consts=KARATSUBA_CONSTS) -> int:
+    """Other constants than the defaults get a spec for this call only."""
+    spec = _KARATSUBA_SPEC if consts == KARATSUBA_CONSTS else karatsuba_recurrence(consts)
+    return eval_recurrence(spec, n)
+
+
+def karatsuba_obligations(consts=KARATSUBA_CONSTS):
     return [
-        ("base", base_total, base_demand, [], []),
-        ("recursive", rec_total, rec_demand, [], []),
+        ("base", t_lit(consts["base"]), t_lit(6), [], []),
+        ("recursive", _karatsuba_total(consts), _karatsuba_total(KARATSUBA_CONSTS), [], []),
     ]

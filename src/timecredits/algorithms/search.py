@@ -22,8 +22,7 @@ from ..credits import (
     t_lit,
 )
 from ..heap import array_len, array_nth, proc, ret
-from ..landau import PolyLog
-from ..recurrence import AkraBazziSpec, RecTerm, eval_recurrence
+from ..recurrence import AkraBazziSpec, RecTerm, eval_recurrence, toll_fields
 
 N = VarE("n")
 UPPER_TABLE_BOUND = 4096  # the window the upper-window hint tabulates
@@ -64,12 +63,16 @@ def binary_search_impl(x, key):
     return (yield ret(None))
 
 
+def _level_total(consts):
+    """One probe level's budget: the spec's right-hand side."""
+    return t_lit(consts["level"]) + t_call("bsearch_time", FloorDivE(N, 2))
+
+
 def bsearch_recurrence(consts=BINARY_SEARCH_CONSTS) -> AkraBazziSpec:
     return AkraBazziSpec(
         x0=1,
         terms=(RecTerm(Fraction(1), Fraction(1, 2), "floor"),),
-        g_class=PolyLog(0, 0),
-        g_concrete=lambda n: consts["level"],
+        **toll_fields(_level_total, consts, "bsearch_time"),
         base={0: consts["base"]},
         name="bsearch_time",
     )
@@ -127,7 +130,7 @@ def upper_window_hint(consts=BINARY_SEARCH_CONSTS) -> Hint:
 def binary_search_obligations(consts=BINARY_SEARCH_CONSTS):
     half = FloorDivE(N, 2)
     upper = SubE(SubE(N, half), ConstE(1))
-    level_total = t_lit(consts["level"]) + t_call("bsearch_time", half)
+    level_total = _level_total(consts)
     return [
         ("empty", t_lit(consts["base"]), t_lit(1), [], []),
         ("hit", level_total, t_lit(2), [], []),

@@ -26,8 +26,7 @@ from ..credits import (
     t_var,
 )
 from ..heap import array_len, array_nth, array_upd, proc, ret
-from ..landau import PolyLog
-from ..recurrence import AkraBazziSpec, RecTerm, eval_recurrence
+from ..recurrence import AkraBazziSpec, RecTerm, eval_recurrence, toll_fields
 from .sorting import sort_window
 
 N = VarE("n")
@@ -110,23 +109,27 @@ def select_impl(x, i: int):
     return (yield _select_window(x, 0, n, i))
 
 
-def select_recurrence(consts=SELECT_CONSTS) -> AkraBazziSpec:
-    def toll(n: int) -> int:
-        groups = -(-n // 5)
-        return (
-            (consts["group_sort"] + consts["group_pad"]) * groups
-            + consts["part_coeff"] * n
-            + consts["hit_ret"]
-        )
+def _select_total(consts):
+    """The recursive window's budget, recursing on the partition side at its
+    worst size ceil(7n/10): the spec's right-hand side."""
+    groups = CeilDivE(N, 5)
+    return (
+        (consts["group_sort"] + consts["group_pad"]) * t_expr(groups)
+        + consts["part_coeff"] * t_var("n")
+        + t_lit(consts["hit_ret"])
+        + t_call("select_time", groups)
+        + t_call("select_time", CeilDivE(MulE(7, N), 10))
+    )
 
+
+def select_recurrence(consts=SELECT_CONSTS) -> AkraBazziSpec:
     return AkraBazziSpec(
         x0=CUTOFF + 1,
         terms=(
             RecTerm(Fraction(1), Fraction(1, 5), "ceil"),
             RecTerm(Fraction(1), Fraction(7, 10), "ceil"),
         ),
-        g_class=PolyLog(1, 0),
-        g_concrete=toll,
+        **toll_fields(_select_total, consts, "select_time"),
         # a small window is insertion-sorted and read once
         base={
             n: _ins_range_cost(consts, n) + consts["small_probe"] if n >= 1 else 1
@@ -209,13 +212,7 @@ def partition_hint(consts=SELECT_CONSTS) -> Hint:
 
 def select_obligations(consts=SELECT_CONSTS):
     groups = CeilDivE(N, 5)
-    cap = CeilDivE(MulE(7, N), 10)
-    nonrec = (
-        (consts["group_sort"] + consts["group_pad"]) * t_expr(groups)
-        + consts["part_coeff"] * t_var("n")
-        + t_lit(consts["hit_ret"])
-    )
-    total = nonrec + t_call("select_time", groups) + t_call("select_time", cap)
+    total = _select_total(consts)
     small_total = t_lit(_ins_range_cost(consts, CUTOFF) + consts["small_probe"])
     small_demand = t_lit(_ins_range_cost(SELECT_CONSTS, CUTOFF) + 1)
     medians_demand = (

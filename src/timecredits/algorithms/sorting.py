@@ -16,7 +16,9 @@ from ..heap import (
     ret,
 )
 from ..landau import PolyLog
-from ..recurrence import AkraBazziSpec, LinearRecSpec, RecTerm, eval_linear, eval_recurrence
+from ..recurrence import (
+    AkraBazziSpec, LinearRecSpec, RecTerm, eval_linear, eval_recurrence, toll_fields,
+)
 
 N = VarE("n")
 
@@ -113,23 +115,37 @@ def mergeinto_time(n: int, consts=MERGE_SORT_CONSTS) -> int:
     return consts["merge_coeff"] * n
 
 
-def merge_sort_recurrence(consts=MERGE_SORT_CONSTS) -> AkraBazziSpec:
-    def toll(n: int) -> int:
-        return (
-            consts["step"]
-            + atake_time(n, consts)
-            + adrop_time(n, consts)
-            + mergeinto_time(n, consts)
-        )
+# merge sort's auxiliary time functions and their classes, declared once:
+# the toll's class reads them, and build_registry admits each only after
+# checking it against the interpreter and a Theta witness
+MERGE_SORT_AUX = (
+    ("atake_time", atake_time, PolyLog(1, 0)),
+    ("adrop_time", adrop_time, PolyLog(1, 0)),
+    ("mergeinto_time", mergeinto_time, PolyLog(1, 0)),
+)
 
+
+def _merge_sort_total(consts):
+    """The recursive branch's budget: the spec's right-hand side."""
+    half = FloorDivE(N, 2)
+    return (
+        t_lit(consts["step"])
+        + t_call("atake_time", N)
+        + t_call("adrop_time", N)
+        + t_call("merge_sort_time", half)
+        + t_call("merge_sort_time", SubE(N, half))
+        + t_call("mergeinto_time", N)
+    )
+
+
+def merge_sort_recurrence(consts=MERGE_SORT_CONSTS) -> AkraBazziSpec:
     return AkraBazziSpec(
         x0=2,
         terms=(
             RecTerm(Fraction(1), Fraction(1, 2), "floor"),
             RecTerm(Fraction(1), Fraction(1, 2), "ceil"),
         ),
-        g_class=PolyLog(1, 0),
-        g_concrete=toll,
+        **toll_fields(_merge_sort_total, consts, "merge_sort_time", MERGE_SORT_AUX),
         base={0: consts["base"], 1: consts["base"]},
         name="merge_sort_time",
     )
@@ -150,14 +166,7 @@ def merge_sort_obligations(consts=MERGE_SORT_CONSTS):
     rest = SubE(N, half)
     base_total = t_lit(consts["base"])
     base_demand = t_lit(2)  # len + ret
-    rec_total = (
-        t_lit(consts["step"])
-        + t_call("atake_time", N)
-        + t_call("adrop_time", N)
-        + t_call("merge_sort_time", half)
-        + t_call("merge_sort_time", rest)
-        + t_call("mergeinto_time", N)
-    )
+    rec_total = _merge_sort_total(consts)
     rec_demand = (
         t_lit(2)  # len + trailing ret
         + t_call("atake_time", N)

@@ -163,12 +163,6 @@ def exact_need(assn: Assertion) -> Optional[tuple[frozenset, int]]:
     return None
 
 
-def credit_demand(assn: Assertion) -> Optional[int]:
-    """Exact credits a Top-free, quantifier-free assertion requires, else None."""
-    need = exact_need(assn)
-    return None if need is None else need[1]
-
-
 def _candidates(heap: Heap, config: EnumConfig) -> list:
     lo, hi = config.int_window
     out: list = [None, True, False]

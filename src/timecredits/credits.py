@@ -12,6 +12,7 @@ term s by a certified smaller t, marking the result as upper-bound-only.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Callable, Iterable, Mapping, Optional, Union
 
 
@@ -84,25 +85,36 @@ class CeilDivE(ArgExpr):
         return f"ceil({self.inner}/{self.divisor})"
 
 
-def eval_arg(e: ArgExpr, env: Mapping[str, int]) -> int:
+def _arg_fn(e: ArgExpr) -> Callable[[Mapping[str, int]], int]:
+    """The value of e as a function of the environment, resolved once, so
+    that evaluating it again walks no expression."""
     if isinstance(e, VarE):
-        return env[e.name]
+        return itemgetter(e.name)
     if isinstance(e, ConstE):
-        return e.value
+        return lambda env, value=e.value: value
+    if isinstance(e, MulE):
+        return lambda env, k=e.factor, inner=_arg_fn(e.inner): k * inner(env)
+    if isinstance(e, FloorDivE):
+        return lambda env, d=e.divisor, inner=_arg_fn(e.inner): inner(env) // d
+    if isinstance(e, CeilDivE):
+        return lambda env, d=e.divisor, inner=_arg_fn(e.inner): -(-inner(env) // d)
+    if not isinstance(e, (AddE, SubE)):
+        raise TypeError(f"unknown argument expression {e!r}")
+    left, right = _arg_fn(e.left), _arg_fn(e.right)
     if isinstance(e, AddE):
-        return eval_arg(e.left, env) + eval_arg(e.right, env)
-    if isinstance(e, SubE):
-        value = eval_arg(e.left, env) - eval_arg(e.right, env)
+        return lambda env: left(env) + right(env)
+
+    def sub(env):
+        value = left(env) - right(env)
         if value < 0:
             raise ValueError(f"argument {e!r} evaluates below zero")
         return value
-    if isinstance(e, MulE):
-        return e.factor * eval_arg(e.inner, env)
-    if isinstance(e, FloorDivE):
-        return eval_arg(e.inner, env) // e.divisor
-    if isinstance(e, CeilDivE):
-        return -(-eval_arg(e.inner, env) // e.divisor)
-    raise TypeError(f"unknown argument expression {e!r}")
+
+    return sub
+
+
+def eval_arg(e: ArgExpr, env: Mapping[str, int]) -> int:
+    return _arg_fn(e)(env)
 
 
 # ---------------------------------------------------------------------------
@@ -159,16 +171,7 @@ class Assignment:
         self.funcs = dict(funcs) if funcs else {}
 
     def atom_value(self, atom: TimeAtom) -> int:
-        if isinstance(atom, UnitAtom):
-            return 1
-        if isinstance(atom, VarAtom):
-            return self.env[atom.name]
-        if isinstance(atom, ExprAtom):
-            return eval_arg(atom.expr, self.env)
-        if isinstance(atom, CallAtom):
-            args = [eval_arg(a, self.env) for a in atom.args]
-            return self.funcs[atom.fn](*args)
-        raise TypeError(f"unknown atom {atom!r}")
+        return PolyForm({atom: 1}).eval(self)
 
 
 # ---------------------------------------------------------------------------
@@ -193,14 +196,16 @@ class PolyForm:
     coefficient.  Sums with naturals or other PolyForms and scaling by a
     natural stay in the form, so every expression is built normalized."""
 
-    __slots__ = ("coeffs", "absorbing")
+    __slots__ = ("coeffs", "absorbing", "_terms")
 
     def __init__(self, coeffs: Mapping[TimeAtom, int] = (), absorbing: bool = False):
         # a dict copy keeps the stored hashes; atoms rehash deeply
         self.coeffs: dict[TimeAtom, int] = dict(coeffs)
-        for atom in [a for a, c in self.coeffs.items() if c == 0]:
-            del self.coeffs[atom]
+        if 0 in self.coeffs.values():
+            for atom in [a for a, c in self.coeffs.items() if c == 0]:
+                del self.coeffs[atom]
         self.absorbing = absorbing  # True once credits were discarded by a hint
+        self._terms = None  # the atoms' evaluators, resolved on the first eval
 
     def __eq__(self, other):
         if not isinstance(other, PolyForm):
@@ -241,10 +246,40 @@ class PolyForm:
         return " + ".join(parts)
 
     def eval(self, assignment: Assignment) -> int:
-        return sum(c * assignment.atom_value(a) for a, c in self.coeffs.items())
+        if self._terms is None:
+            self._terms = _resolve(self.coeffs)
+        total, plain, calls = self._terms
+        env, funcs = assignment.env, assignment.funcs
+        for c, value in plain:
+            total += c * value(env)
+        for c, fn, args in calls:
+            if len(args) == 1:
+                total += c * funcs[fn](args[0](env))
+            else:
+                total += c * funcs[fn](*[arg(env) for arg in args])
+        return total
 
     def copy(self, absorbing: Optional[bool] = None) -> "PolyForm":
         return PolyForm(dict(self.coeffs), self.absorbing if absorbing is None else absorbing)
+
+
+def _resolve(coeffs: Mapping[TimeAtom, int]) -> tuple:
+    """A form's atoms with their evaluators, resolved once: the constant,
+    (coefficient, value of the environment) pairs for variables and
+    expressions, and (coefficient, name, argument values) for calls."""
+    const, plain, calls = 0, [], []
+    for atom, c in coeffs.items():
+        if isinstance(atom, UnitAtom):
+            const += c
+        elif isinstance(atom, VarAtom):
+            plain.append((c, itemgetter(atom.name)))
+        elif isinstance(atom, ExprAtom):
+            plain.append((c, _arg_fn(atom.expr)))
+        elif isinstance(atom, CallAtom):
+            calls.append((c, atom.fn, tuple(map(_arg_fn, atom.args))))
+        else:
+            raise TypeError(f"unknown atom {atom!r}")
+    return const, tuple(plain), tuple(calls)
 
 
 def normalize(expr: Union[PolyForm, int]) -> PolyForm:
@@ -445,21 +480,9 @@ def apply_hint(total: PolyForm, hint: Hint) -> PolyForm:
 
 
 class MonotoneTable:
-    """Certifies f(x) >= f(y) for x >= y by checking that the tabulated f is
-    monotone up to a bound; outside the table it falls back to evaluation."""
+    """Whether f is nondecreasing on every natural up to a bound, decided by
+    tabulating it."""
 
     def __init__(self, fn: Callable[[int], int], bound: int):
-        self.fn = fn
-        self.bound = bound
         values = [fn(i) for i in range(bound + 1)]
         self.monotone = all(values[i] <= values[i + 1] for i in range(bound))
-
-    def certify(self, x: int, y: int) -> bool:
-        if x <= self.bound and y <= self.bound and self.monotone:
-            return y <= x
-        return self.fn(x) >= self.fn(y)
-
-
-def numeric_ge(fn: Callable[[int], int], x: int, y: int) -> Callable[[], bool]:
-    """Justification by direct evaluation at a concrete instance."""
-    return lambda: fn(x) >= fn(y)

@@ -4,9 +4,11 @@ Classes are n^a (ln n)^b, or products of such in m and n under the product
 filter (both variables large).  Sums of two-variable classes cover shapes
 like m + n that no single product class expresses.  Inclusion is decided
 exponent-wise; summation uses absorption; composition with a linear inner
-function leaves the class unchanged.  Numeric Theta witnesses (constants
-plus a threshold) are calibrated on one sample set and must re-verify on a
-disjoint one, so a claimed class cannot be overfitted to its own samples.
+function of positive slope leaves the class unchanged, so a time
+expression in n is classified atom by atom against a registry of known
+bounds.  Numeric Theta witnesses (constants plus a threshold) are
+calibrated on one sample set and must re-verify on a disjoint one, so a
+claimed class cannot be overfitted to its own samples.
 """
 
 from __future__ import annotations
@@ -16,6 +18,11 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from typing import Callable, Iterable, Optional, Sequence, Union
+
+from .credits import (
+    AddE, ArgExpr, CeilDivE, ConstE, ExprAtom, FloorDivE, MulE, PolyForm, SubE, UnitAtom, VarAtom,
+    VarE,
+)
 
 
 def _factors(var: str, power: int, log_power: int) -> list[str]:
@@ -98,6 +105,7 @@ TwoVarClass = Union[PolyLog2, SumClass2]
 AnyClass = Union[PolyLog, PolyLog2, SumClass2, RealPowerClass]
 
 CONSTANT = PolyLog(0, 0)
+LINEAR = PolyLog(1, 0)
 
 
 def sum_class2(members: Iterable[PolyLog2]) -> TwoVarClass:
@@ -195,39 +203,6 @@ def sum_theta2(classes: Sequence[TwoVarClass]) -> TwoVarClass:
 # composition with linear inner functions
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class LinearArg:
-    """An inner argument alpha*n + beta with optional floor/ceil rounding of
-    the scaled part; always Theta(n) since alpha = num/den > 0."""
-
-    num: int = 1
-    den: int = 1
-    offset: int = 0
-    rounding: str = "floor"
-
-    def __post_init__(self):
-        if self.num < 1 or self.den < 1:
-            raise NonLinearArgument(f"inner function must scale by a positive ratio: {self}")
-        if self.rounding not in ("floor", "ceil"):
-            raise NonLinearArgument(f"unknown rounding {self.rounding!r}")
-
-    def apply(self, n: int) -> int:
-        scaled = self.num * n
-        q = scaled // self.den if self.rounding == "floor" else -(-scaled // self.den)
-        return q + self.offset
-
-    def render(self) -> str:
-        core = "n" if (self.num, self.den) == (1, 1) else f"{self.num}n/{self.den}"
-        if self.offset > 0:
-            return f"{core}+{self.offset}"
-        if self.offset < 0:
-            return f"{core}{self.offset}"
-        return core
-
-
-IDENTITY = LinearArg()
-
-
 class NonLinearArgument(ValueError):
     """Composition is only admitted for linear inner functions."""
 
@@ -236,16 +211,35 @@ class UnknownFunction(KeyError):
     pass
 
 
-def compose_linear(g: PolyLog, inner: LinearArg) -> PolyLog:
-    """Composition rule: a polylog class after a Theta(n) inner function is
-    unchanged.  Anything that is not a LinearArg is rejected outright."""
-    if not isinstance(inner, LinearArg):
-        raise NonLinearArgument(f"inner function {inner!r} is not linear")
+def arg_slope(e: ArgExpr) -> Fraction:
+    """The exact slope of an argument expression in the size variable n:
+    rounding a division moves the value by less than one, so div and ceil
+    by d divide the slope by d."""
+    if isinstance(e, VarE) and e.name == "n":
+        return Fraction(1)
+    if isinstance(e, ConstE):
+        return Fraction(0)
+    if isinstance(e, AddE):
+        return arg_slope(e.left) + arg_slope(e.right)
+    if isinstance(e, SubE):
+        return arg_slope(e.left) - arg_slope(e.right)
+    if isinstance(e, MulE):
+        return e.factor * arg_slope(e.inner)
+    if isinstance(e, (FloorDivE, CeilDivE)) and e.divisor > 0:
+        return arg_slope(e.inner) / e.divisor
+    raise NonLinearArgument(f"inner function {e!r} is not linear in n")
+
+
+def compose_linear(g: PolyLog, inner: ArgExpr) -> PolyLog:
+    """Composition rule: a polylog class after an inner function of positive
+    slope is unchanged.  Any other inner function is rejected outright."""
+    if not isinstance(inner, ArgExpr) or arg_slope(inner) <= 0:
+        raise NonLinearArgument(f"inner function {inner!r} is not linear with positive slope")
     return g
 
 
 # ---------------------------------------------------------------------------
-# registry and the expression analyzer
+# registry and the time-expression analyzer
 # ---------------------------------------------------------------------------
 
 DECLARED = "declared"
@@ -322,79 +316,25 @@ class BoundRegistry:
         return reg
 
 
-@dataclass(frozen=True)
-class Term:
-    """One summand of a single-variable runtime expression: a monomial
-    factor n^power times at most one registry call on a linear argument."""
-
-    power: int = 0
-    call: Optional[str] = None
-    arg: LinearArg = IDENTITY
-    coeff: int = 1
-
-
-@dataclass(frozen=True)
-class Term2:
-    """Two-variable summand: m^i n^j times at most one call.
-
-    For a single-variable callee, `applied_to` says which variable feeds it;
-    for a two-variable callee both inner arguments must be linear.
-    """
-
-    m_power: int = 0
-    n_power: int = 0
-    call: Optional[str] = None
-    applied_to: str = "n"
-    arg_m: LinearArg = IDENTITY
-    arg_n: LinearArg = IDENTITY
-    coeff: int = 1
-
-
-def _shift2(cls: TwoVarClass, dm: int, dn: int) -> TwoVarClass:
-    members = cls.members if isinstance(cls, SumClass2) else (cls,)
-    shifted = [
-        PolyLog2(g.m_power + dm, g.m_log, g.n_power + dn, g.n_log) for g in members
-    ]
-    return sum_class2(shifted)
-
-
-def analyze_expr(
-    terms: Sequence[Union[Term, Term2]], registry: BoundRegistry
-) -> Union[PolyLog, TwoVarClass]:
-    """Class of a sum of terms, by per-term classification plus absorption."""
-    if not terms:
-        raise ValueError("empty expression")
-    if isinstance(terms[0], Term):
-        classes = []
-        for t in terms:
-            if t.call is None:
-                classes.append(PolyLog(t.power, 0))
-                continue
-            entry = registry.lookup(t.call)
-            if entry.arity != 1:
-                raise UnknownFunction(f"{t.call} is not a single-variable function")
-            inner = compose_linear(entry.cls, t.arg)
-            classes.append(PolyLog(t.power + inner.power, inner.log_power))
-        return sum_theta(classes)
-
-    classes2: list[TwoVarClass] = []
-    for t in terms:
-        if t.call is None:
-            classes2.append(PolyLog2(t.m_power, 0, t.n_power, 0))
-            continue
-        entry = registry.lookup(t.call)
-        if entry.arity == 1:
-            base = compose_linear(entry.cls, t.arg_m if t.applied_to == "m" else t.arg_n)
-            if t.applied_to == "m":
-                cls: TwoVarClass = PolyLog2(base.power, base.log_power, 0, 0)
-            else:
-                cls = PolyLog2(0, 0, base.power, base.log_power)
+def analyze_form(form: PolyForm, registry: BoundRegistry) -> PolyLog:
+    """Class of a time expression in n, by per-atom classification plus
+    absorption: the unit is Theta(1), n and an expression of positive slope
+    are Theta(n), and a call is its registered class composed with its
+    argument."""
+    classes = []
+    for atom in form.coeffs:
+        if isinstance(atom, UnitAtom):
+            classes.append(CONSTANT)
+        elif isinstance(atom, VarAtom):
+            classes.append(compose_linear(LINEAR, VarE(atom.name)))
+        elif isinstance(atom, ExprAtom):
+            classes.append(compose_linear(LINEAR, atom.expr))
         else:
-            if not isinstance(t.arg_m, LinearArg) or not isinstance(t.arg_n, LinearArg):
-                raise NonLinearArgument(f"{t.call} applied to a non-linear argument")
-            cls = entry.cls
-        classes2.append(_shift2(cls, t.m_power, t.n_power))
-    return sum_theta2(classes2)
+            entry = registry.lookup(atom.fn)
+            if entry.arity != 1 or len(atom.args) != 1:
+                raise UnknownFunction(f"{atom.fn} is not a single-variable function")
+            classes.append(compose_linear(entry.cls, atom.args[0]))
+    return sum_theta(classes)
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,8 @@ its characteristic exponent p, the root of sum a_i * b_i^p = 1.  Whether g
 grows below, at, or above x^p picks a bottom-heavy, balanced, or top-heavy
 solution.  When the recurrence additionally carries a concrete toll
 function and base table, `eval_recurrence` computes exact values, which the
-ratio check uses to keep the symbolic answer honest.
+ratio check uses to keep the symbolic answer honest.  `toll_fields` reads
+both the toll function and its class off one recursive total.
 """
 
 from __future__ import annotations
@@ -14,18 +15,20 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import partial
+from functools import lru_cache, partial
 from itertools import accumulate
 from math import comb
 from typing import Callable, Optional, Union
 
-from .landau import PolyLog, PolyLog2, RealPowerClass, geometric_samples
+from .credits import Assignment, CallAtom, PolyForm
+from .landau import (
+    BoundRegistry, PolyLog, PolyLog2, RealPowerClass, analyze_form, geometric_samples,
+)
 
 BOTTOM_HEAVY = "bottom-heavy"
 BALANCED = "balanced"
 TOP_HEAVY = "top-heavy"
 
-BALANCED_TOLERANCE = 1e-6
 ROOT_TOLERANCE = 1e-9
 BRACKET = (-32.0, 32.0)
 
@@ -97,9 +100,10 @@ class AkraBazziResult:
         return f"p={self.p:.7f} ({self.case}), Theta({self.result_class.render()})"
 
 
-def _phi(spec: AkraBazziSpec, p: float) -> float:
+def _phi(terms: list[tuple], p: float) -> float:
+    """sum a * b^p - 1 over the terms' (a, b) pairs, in floats."""
     try:
-        return sum(float(t.a) * float(t.b) ** p for t in spec.terms) - 1.0
+        return sum(float(a) * float(b) ** p for a, b in terms) - 1.0
     except (OverflowError, ZeroDivisionError):
         raise RecurrenceError(
             f"sum of a * b^p is out of float range at p={p:g}; a term's a or b is too extreme"
@@ -109,15 +113,17 @@ def _phi(spec: AkraBazziSpec, p: float) -> float:
 def solve_exponent(spec: AkraBazziSpec) -> float:
     """Root of sum a_i b_i^p = 1 by bisection; the function is strictly
     decreasing in p, so the root is unique."""
+    terms = [(t.a, t.b) for t in spec.terms]
     lo, hi = BRACKET
-    f_lo, f_hi = _phi(spec, lo), _phi(spec, hi)
+    f_lo, f_hi = _phi(terms, lo), _phi(terms, hi)
     if f_lo < 0 or f_hi > 0:
         raise RootOutOfRange(
             f"no sign change on [{lo}, {hi}]: phi({lo})={f_lo:.3g}, phi({hi})={f_hi:.3g}"
         )
+    terms = [(float(a), float(b)) for a, b in terms]  # both ends converted them
     while hi - lo > ROOT_TOLERANCE:
         mid = 0.5 * (lo + hi)
-        if _phi(spec, mid) > 0:
+        if _phi(terms, mid) > 0:
             lo = mid
         else:
             hi = mid
@@ -125,17 +131,22 @@ def solve_exponent(spec: AkraBazziSpec) -> float:
 
 
 def akra_bazzi_class(spec: AkraBazziSpec) -> AkraBazziResult:
+    """The case is the sign of phi(q) = sum a_i b_i^q - 1 at the toll's
+    natural power q, exact in rationals; phi decreases strictly, so q lies
+    below, at or above p as phi(q) is positive, zero or negative.  The
+    bisected p is only rendered."""
     p = solve_exponent(spec)
-    residual = abs(_phi(spec, p))
+    residual = abs(_phi([(t.a, t.b) for t in spec.terms], p))
     q, logs = spec.g_class.power, spec.g_class.log_power
-    if abs(q - p) <= BALANCED_TOLERANCE:
+    phi_q = sum(t.a * t.b ** q for t in spec.terms) - 1
+    if phi_q == 0:
         return AkraBazziResult(p, BALANCED, PolyLog(q, logs + 1), residual)
     if logs != 0:
         raise RecurrenceError(
             "toll with log factors must sit exactly at the exponent "
             f"(q={q}, p={p:.6f})"
         )
-    if q < p:
+    if phi_q > 0:
         if spec.g_concrete is not None:
             _check_eventually_positive(spec)
         return AkraBazziResult(p, BOTTOM_HEAVY, RealPowerClass(p), residual)
@@ -148,6 +159,38 @@ def _check_eventually_positive(spec: AkraBazziSpec) -> None:
     for n in probe:
         if eval_recurrence(spec, n) <= 0:
             raise RecurrenceError(f"f({n}) is not positive")
+
+
+def toll_fields(total_of: Callable[[dict], PolyForm], consts: dict, name: str, aux=()) -> dict:
+    """The spec's two toll fields, as keywords, from the recursive total
+    that `total_of` builds for these constants.  The toll is the total less
+    its calls of `name`: `g_concrete` evaluates it at n, each auxiliary
+    call bound to its time function at these constants, and `g_class` is
+    read off its atoms, each auxiliary with its class.  `aux` holds (name,
+    time function, class) triples.  A toll is derived once per `total_of`
+    and constants."""
+    g_class, g_concrete = _derived_toll(total_of, tuple(sorted(consts.items())), name, aux)
+    return {"g_class": g_class, "g_concrete": g_concrete}
+
+
+@lru_cache(maxsize=256)
+def _derived_toll(total_of, consts_items: tuple, name: str, aux: tuple):
+    consts = dict(consts_items)
+    coeffs = dict(total_of(consts).coeffs)
+    for atom in [a for a in coeffs if isinstance(a, CallAtom) and a.fn == name]:
+        del coeffs[atom]
+    if not coeffs:
+        raise RecurrenceError(f"the toll of {name} is identically zero")
+    toll, registry = PolyForm(coeffs), BoundRegistry()
+    for fn, _, cls in aux:
+        registry.register(fn, cls)
+    sigma = Assignment({}, {fn: lambda n, time=time: time(n, consts) for fn, time, _ in aux})
+
+    def g_concrete(n: int) -> int:
+        sigma.env["n"] = n  # one assignment serves every point
+        return toll.eval(sigma)
+
+    return analyze_form(toll, registry), g_concrete
 
 
 def eval_recurrence(spec: AkraBazziSpec, n: int):

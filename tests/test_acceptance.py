@@ -10,7 +10,16 @@ import random
 
 from timecredits.amortized import collect_corpus, minimal_multiplier, run_sequence
 from timecredits.assertions import Credits, HoareTriple, PointsToRef, Pure, check_triple, pheap, sat
-from timecredits.credits import Assignment, subtract_match
+from timecredits.credits import (
+    AddE,
+    Assignment,
+    ConstE,
+    FloorDivE,
+    MulE,
+    VarE,
+    subtract_match,
+    t_call,
+)
 from timecredits.heap import (
     array_len,
     array_new,
@@ -31,18 +40,16 @@ from timecredits.heap import (
 from timecredits.landau import (
     BoundRegistry,
     IncomparableError,
-    LinearArg,
     PolyLog,
     PolyLog2,
     Rel,
-    Term,
-    Term2,
-    analyze_expr,
+    analyze_form,
     calibrate_witness,
     check_theta_witness,
     grid_samples,
     o_subset2,
     sum_class2,
+    sum_theta2,
 )
 from timecredits.recurrence import akra_bazzi_class, linear_rec_class
 from timecredits.algorithms import all_bundles, discharge_all
@@ -271,39 +278,29 @@ def test_criterion_8_automation_examples():
     reg.register("f3", PolyLog2(1, 0, 1, 0))
     reg.register("f4", sum_class2([PolyLog2(1, 0, 0, 0), PolyLog2(0, 0, 1, 0)]))
 
-    goal1 = analyze_expr(
-        [
-            Term(call="f1", arg=LinearArg(offset=1)),
-            Term(power=1, call="f2", arg=LinearArg(num=2)),
-            Term(power=1, call="f2", arg=LinearArg(num=1, den=3), coeff=3),
-        ],
+    reg.register("f5", PolyLog(1, 1))
+
+    n = VarE("n")
+    goal1 = analyze_form(
+        t_call("f1", AddE(n, ConstE(1)))
+        + t_call("f5", MulE(2, n))
+        + 3 * t_call("f5", FloorDivE(n, 3))
+        + t_call("f2", n),
         reg,
     )
-    goal2 = analyze_expr(
-        [
-            Term2(call="f1", applied_to="n"),
-            Term2(call="f2", applied_to="m"),
-            Term2(m_power=1, n_power=1),
-            Term2(call="f3", arg_m=LinearArg(num=1, den=3), arg_n=LinearArg(offset=1)),
-        ],
-        reg,
-    )
-    goal3 = analyze_expr(
-        [
-            Term2(),
-            Term2(call="f1", applied_to="n"),
-            Term2(call="f2", applied_to="m"),
-            Term2(call="f4", arg_m=LinearArg(offset=1), arg_n=LinearArg(offset=1)),
-        ],
-        reg,
-    )
+    # two-variable goals: f1 on n, f2 on m, m n and f3; then 1, f1 on n,
+    # f2 on m and f4, summed by absorption
+    goal2 = sum_theta2([
+        PolyLog2(0, 0, 1, 0), PolyLog2(0, 1, 0, 0), PolyLog2(1, 0, 1, 0), reg.lookup("f3").cls,
+    ])
+    goal3 = sum_theta2([
+        PolyLog2(0, 0, 0, 0), PolyLog2(0, 0, 1, 0), PolyLog2(0, 1, 0, 0), reg.lookup("f4").cls,
+    ])
     ok = goal1 == PolyLog(1, 1)
     ok = ok and goal2 == PolyLog2(1, 0, 1, 0)
     ok = ok and goal3 == sum_class2([PolyLog2(1, 0, 0, 0), PolyLog2(0, 0, 1, 0)])
     ok = ok and o_subset2(PolyLog2(2, 0, 1, 0), PolyLog2(1, 0, 2, 0)) is Rel.INCOMPARABLE
     try:
-        from timecredits.landau import sum_theta2
-
         sum_theta2([PolyLog2(2, 0, 1, 0), PolyLog2(1, 0, 2, 0)])
         ok = False
     except IncomparableError:

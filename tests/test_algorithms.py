@@ -46,10 +46,10 @@ from timecredits.algorithms.splay_tree import (
     splay_lookup,
     tree_node,
 )
-from timecredits.credits import UNIT, Assignment, MonotoneTable, PolyForm
+from timecredits.credits import UNIT, Assignment, CallAtom, MonotoneTable, PolyForm, VarE, t_call
 from timecredits.heap import ARRAY, FAILURE, Addr, Heap, empty_heap, run, run_traced
-from timecredits.landau import SOLVED, BoundRegistry, PolyLog, PolyLog2, Term, analyze_expr
-from timecredits.recurrence import LinearRecSpec, RecurrenceError, eval_recurrence
+from timecredits.landau import SOLVED, BoundRegistry, PolyLog, PolyLog2, analyze_form
+from timecredits.recurrence import LinearRecSpec, RecurrenceError, eval_recurrence, toll_fields
 
 BUNDLES = all_bundles()
 
@@ -380,16 +380,35 @@ def test_splay_rotations_match_the_functional_splay_and_are_pinned():
 def test_time_function_registration_and_reduction():
     registry = build_registry(sweep_hi=256)
     assert registry.lookup("atake_time").cls == PolyLog(1, 0)
-    # the registered linear auxiliaries reduce the non-recursive part of the
-    # merge sort budget to a linear class
-    terms = [
-        Term(),
-        Term(),
-        Term(call="atake_time"),
-        Term(call="adrop_time"),
-        Term(call="mergeinto_time"),
-    ]
-    assert analyze_expr(terms, registry) == PolyLog(1, 0)
+    # the registered linear auxiliaries reduce merge sort's recursive total,
+    # less its self-calls, to a linear class
+    total = dict((name, t) for name, t, *_ in srt.merge_sort_obligations())["recursive"]
+    toll = PolyForm({
+        atom: c for atom, c in total.coeffs.items()
+        if not (isinstance(atom, CallAtom) and atom.fn == "merge_sort_time")
+    })
+    assert len(toll.coeffs) == 4
+    assert analyze_form(toll, registry) == PolyLog(1, 0)
+
+
+@pytest.mark.parametrize("spec_of, cls", [
+    (srt.merge_sort_recurrence, PolyLog(1, 0)),
+    (kara.karatsuba_recurrence, PolyLog(1, 0)),
+    (sel.select_recurrence, PolyLog(1, 0)),
+    (srch.bsearch_recurrence, PolyLog(0, 0)),
+])
+def test_toll_classes_are_derived_from_the_recursive_totals(spec_of, cls):
+    assert spec_of().g_class == cls
+    # derived once per constants: a second spec shares the toll
+    assert spec_of().g_concrete is spec_of().g_concrete
+
+
+def test_an_identically_zero_toll_gets_no_class():
+    n = VarE("n")
+    with pytest.raises(RecurrenceError, match="identically zero"):
+        toll_fields(lambda consts: 2 * t_call("f", n), {}, "f")
+    with pytest.raises(RecurrenceError, match="identically zero"):
+        srch.bsearch_recurrence(dict(srch.BINARY_SEARCH_CONSTS, level=0))
 
 
 def test_registry_takes_solved_classes_from_claims(monkeypatch):

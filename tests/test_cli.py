@@ -153,6 +153,27 @@ def test_recurrence_rejects_a_class_contradicting_the_toll(tmp_path, capsys, g_c
         assert "contradicts g_poly" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("a, case, result", [
+    ("1999999/1000000", "top-heavy", "Theta(n)"),
+    ("2000001/1000000", "bottom-heavy", "Theta(n^1.0000007)"),
+])
+def test_recurrence_case_is_decided_exactly_near_balance(tmp_path, capsys, a, case, result):
+    """T(n) = a T(n div 2) + n with a within 1e-6 of 2: p lies within 1e-6
+    of the toll's power 1, yet the case is decided by the exact sign of
+    a / 2 - 1, not called balanced."""
+    path = tmp_path / "near.json"
+    path.write_text(json.dumps({
+        "x0": 1,
+        "terms": [{"a": a, "b": "1/2", "round": "floor"}],
+        "g_class": [1, 0],
+        "g_poly": {"1": 1},
+        "base": {"0": 1},
+    }))
+    assert main(["recurrence", str(path)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[1:3] == [f"case: {case}", f"result: {result}"]
+
+
 def test_amortized_dynarray(capsys):
     code = main(["amortized", "dynarray", "--ops", "2000", "--seed", "1"])
     out = capsys.readouterr().out

@@ -1,22 +1,35 @@
 import math
 import random
+from fractions import Fraction
 
 import pytest
 
+from timecredits.credits import (
+    AddE,
+    CeilDivE,
+    ConstE,
+    FloorDivE,
+    MulE,
+    SubE,
+    VarE,
+    t_call,
+    t_expr,
+    t_lit,
+    t_var,
+)
 from timecredits.landau import (
     CONSTANT,
     BoundRegistry,
     IncomparableError,
-    LinearArg,
     NonLinearArgument,
     PolyLog,
     PolyLog2,
     Rel,
     SumClass2,
-    Term,
-    Term2,
     ThetaWitness,
-    analyze_expr,
+    UnknownFunction,
+    analyze_form,
+    arg_slope,
     calibrate_witness,
     check_theta_witness,
     compose_linear,
@@ -28,6 +41,8 @@ from timecredits.landau import (
     sum_theta,
     sum_theta2,
 )
+
+N = VarE("n")
 
 
 def test_subset_basic():
@@ -100,16 +115,42 @@ def test_sum_theta2_later_dominator_wins():
 
 
 def test_compose_linear_keeps_class():
-    assert compose_linear(PolyLog(0, 1), LinearArg(num=2)) == PolyLog(0, 1)
-    assert compose_linear(PolyLog(1, 0), LinearArg(offset=1)) == PolyLog(1, 0)
-    assert compose_linear(PolyLog(1, 0), LinearArg(num=1, den=3)) == PolyLog(1, 0)
+    assert compose_linear(PolyLog(0, 1), MulE(2, N)) == PolyLog(0, 1)
+    assert compose_linear(PolyLog(1, 0), AddE(N, ConstE(1))) == PolyLog(1, 0)
+    assert compose_linear(PolyLog(1, 0), FloorDivE(N, 3)) == PolyLog(1, 0)
 
 
 def test_compose_rejects_non_linear():
     with pytest.raises(NonLinearArgument):
         compose_linear(PolyLog(1, 0), lambda n: 2 ** n)
     with pytest.raises(NonLinearArgument):
-        LinearArg(num=0)
+        compose_linear(PolyLog(1, 0), MulE(0, N))
+
+
+def test_arg_slope_is_exact():
+    assert arg_slope(CeilDivE(MulE(7, N), 10)) == Fraction(7, 10)
+    assert arg_slope(SubE(SubE(N, FloorDivE(N, 2)), ConstE(1))) == Fraction(1, 2)
+    assert arg_slope(SubE(MulE(2, CeilDivE(N, 2)), ConstE(1))) == 1
+    assert arg_slope(ConstE(5)) == 0
+
+
+@pytest.mark.parametrize("arg", [
+    SubE(ConstE(5), N), ConstE(3), SubE(N, N), FloorDivE(N, 0), MulE(-1, N),
+    VarE("m"), AddE(N, VarE("m")),
+])
+def test_arguments_of_slope_at_most_zero_are_refused(arg):
+    """An argument must grow linearly in the size variable n: a slope at
+    most zero, a division by zero or a second variable is refused."""
+    reg = _example_registry()
+    with pytest.raises(NonLinearArgument):
+        analyze_form(t_call("f1", arg), reg)
+    with pytest.raises(NonLinearArgument):
+        analyze_form(t_expr(arg), reg)
+
+
+def test_a_variable_other_than_n_is_refused():
+    with pytest.raises(NonLinearArgument):
+        analyze_form(t_var("m") + t_var("n"), _example_registry())
 
 
 def _example_registry():
@@ -118,72 +159,55 @@ def _example_registry():
     reg.register("f2", PolyLog(0, 1))
     reg.register("f3", PolyLog2(1, 0, 1, 0))
     reg.register("f4", sum_class2([PolyLog2(1, 0, 0, 0), PolyLog2(0, 0, 1, 0)]))
+    reg.register("f5", PolyLog(1, 1))
     return reg
 
 
 def test_analyze_single_variable_example():
     reg = _example_registry()
-    terms = [
-        Term(call="f1", arg=LinearArg(offset=1)),
-        Term(power=1, call="f2", arg=LinearArg(num=2)),
-        Term(power=1, call="f2", arg=LinearArg(num=1, den=3), coeff=3),
-    ]
-    assert analyze_expr(terms, reg) == PolyLog(1, 1)
-
-
-def test_analyze_two_variable_product_example():
-    reg = _example_registry()
-    terms = [
-        Term2(call="f1", applied_to="n"),
-        Term2(call="f2", applied_to="m"),
-        Term2(m_power=1, n_power=1),
-        Term2(call="f3", arg_m=LinearArg(num=1, den=3), arg_n=LinearArg(offset=1)),
-    ]
-    assert analyze_expr(terms, reg) == PolyLog2(1, 0, 1, 0)
-
-
-def test_analyze_two_variable_sum_example():
-    reg = _example_registry()
-    terms = [
-        Term2(),
-        Term2(call="f1", applied_to="n"),
-        Term2(call="f2", applied_to="m"),
-        Term2(call="f4", arg_m=LinearArg(offset=1), arg_n=LinearArg(offset=1)),
-    ]
-    got = analyze_expr(terms, reg)
-    assert got == sum_class2([PolyLog2(1, 0, 0, 0), PolyLog2(0, 0, 1, 0)])
-    assert got.render() == "m + n"
+    form = (
+        t_call("f1", AddE(N, ConstE(1)))
+        + t_call("f5", MulE(2, N))
+        + 3 * t_call("f5", FloorDivE(N, 3))
+        + t_call("f2", N)
+    )
+    assert analyze_form(form, reg) == PolyLog(1, 1)
+    assert analyze_form(t_lit(3), reg) == CONSTANT
+    assert analyze_form(t_var("n") + t_call("f2", N), reg) == PolyLog(1, 0)
 
 
 def test_analyze_permutation_invariant():
     reg = _example_registry()
     terms = [
-        Term(call="f1", arg=LinearArg(offset=1)),
-        Term(power=1, call="f2", arg=LinearArg(num=2)),
-        Term(power=2),
-        Term(),
+        t_call("f1", AddE(N, ConstE(1))),
+        t_call("f5", MulE(2, N)),
+        t_expr(CeilDivE(N, 2)),
+        t_var("n"),
+        t_lit(1),
     ]
     rng = random.Random(8)
-    expected = analyze_expr(terms, reg)
+    expected = analyze_form(sum(terms, t_lit(0)), reg)
+    assert expected == PolyLog(1, 1)
     for _ in range(10):
         shuffled = terms[:]
         rng.shuffle(shuffled)
-        assert analyze_expr(shuffled, reg) == expected
+        assert analyze_form(sum(shuffled, t_lit(0)), reg) == expected
 
 
 def test_analyze_unknown_function():
     reg = _example_registry()
-    from timecredits.landau import UnknownFunction
-
     with pytest.raises(UnknownFunction):
-        analyze_expr([Term(call="mystery")], reg)
+        analyze_form(t_call("mystery", N), reg)
+    # a two-variable entry has no class in one variable
+    with pytest.raises(UnknownFunction):
+        analyze_form(t_call("f3", N), reg)
 
 
 def test_registry_referential_transparency():
     reg1 = _example_registry()
     reg2 = _example_registry()
-    terms = [Term(call="f1"), Term(power=1, call="f2")]
-    assert analyze_expr(terms, reg1) == analyze_expr(terms, reg2)
+    form = t_call("f1", N) + t_call("f2", N)
+    assert analyze_form(form, reg1) == analyze_form(form, reg2)
 
 
 def test_registry_roundtrip(tmp_path):

@@ -403,3 +403,29 @@ def test_eval_recurrence_rejects_a_term_that_does_not_shrink():
 def test_spec_from_json_rejects_a_malformed_shape(data):
     with pytest.raises(RecurrenceError):
         spec_from_json(data)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(
+    st.lists(
+        st.tuples(st.integers(1, 9), st.integers(2, 12)).filter(lambda t: t[0] < t[1]),
+        min_size=1, max_size=3,
+    ),
+    st.integers(0, 3),
+    st.sampled_from([0, 1, -1]),
+)
+def test_case_agrees_with_the_exact_sign_at_balance(bs, q, nudge):
+    """The first term's a is chosen so that phi(q) = sum a_i b_i^q - 1 is
+    exactly 0, or off it by 1e-12 of the first term, where the bisected p
+    cannot tell q from p; the case follows the exact sign regardless."""
+    b = [Fraction(num, den) for num, den in bs]
+    rest = [Fraction(1, 4 * len(b))] * (len(b) - 1)
+    share = 1 - sum(a * bi ** q for a, bi in zip(rest, b[1:]))
+    first = share / b[0] ** q * (1 + Fraction(nudge, 10 ** 12))
+    spec = AkraBazziSpec(
+        x0=2,
+        terms=tuple(RecTerm(a, bi, "floor") for a, bi in zip([first] + rest, b)),
+        g_class=PolyLog(q, 0),
+    )
+    expected = {0: BALANCED, 1: BOTTOM_HEAVY, -1: TOP_HEAVY}[nudge]
+    assert akra_bazzi_class(spec).case == expected

@@ -25,7 +25,7 @@ from timecredits.assertions import (
     _candidates,
     check_triple,
     check_triple_sampled,
-    credit_demand,
+    exact_need,
     pheap,
     points_to_array,
     sat,
@@ -137,9 +137,9 @@ def test_locality_mutation_outside_owned():
 
 
 def test_credit_demand_structural():
-    assert credit_demand(Credits(4) * Credits(2)) == 6
-    assert credit_demand(EMP) == 0
-    assert credit_demand(Credits(1) * TOP) is None
+    assert exact_need(Credits(4) * Credits(2))[1] == 6
+    assert exact_need(EMP)[1] == 0
+    assert exact_need(Credits(1) * TOP) is None
 
 
 def test_negative_credits_are_rejected_when_built():
