@@ -8,7 +8,7 @@ amortized cost per push is a small constant.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 from ..amortized import AmortizedOp, AmortizedScheme
 from ..heap import (
@@ -27,31 +27,23 @@ from ..heap import (
 )
 
 
-@dataclass(frozen=True)
-class DynArray:
+class DynArray(NamedTuple):
     heap: Heap
-    data: Addr
+    data: Addr  # the heap holds the only copy of the contents
     length: int
     capacity: int
-    mirror: tuple
 
 
 def new_dynarray() -> DynArray:
     out = run(array_new(0, 0), empty_heap())
-    return DynArray(out.heap, out.value, 0, 0, ())
+    return DynArray(out.heap, out.value, 0, 0)
 
 
 def push(d: DynArray, value) -> tuple[DynArray, int]:
     if d.length < d.capacity:
         out = run(array_upd(d.data, d.length, value), d.heap)
         assert isinstance(out, Success)
-        new = replace(
-            d,
-            heap=out.heap,
-            length=d.length + 1,
-            mirror=d.mirror + (value,),
-        )
-        return new, out.cost
+        return DynArray(out.heap, d.data, d.length + 1, d.capacity), out.cost
 
     new_cap = max(1, 2 * d.capacity)
 
@@ -63,10 +55,7 @@ def push(d: DynArray, value) -> tuple[DynArray, int]:
 
     out = run(grow_and_write(), d.heap)
     assert isinstance(out, Success)
-    new = DynArray(
-        out.heap, out.value, d.length + 1, new_cap, d.mirror + (value,)
-    )
-    return new, out.cost
+    return DynArray(out.heap, out.value, d.length + 1, new_cap), out.cost
 
 
 def get(d: DynArray, index: int) -> tuple[object, int]:

@@ -2,15 +2,15 @@
 
 Functional nodes cache subtree size and the count of right-heavy nodes at
 construction, so potentials are O(1) to read while the persistent mirrors
-share structure.  The imperative version works on three-cell array nodes
+share structure.  Nodes are immutable tuple-backed records, built only by
+`skew_node`.  The imperative version works on three-cell array nodes
 [key, left, right] and is kept in lockstep with the functional one.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from operator import attrgetter
-from typing import Callable, Optional
+from operator import itemgetter
+from typing import Callable, NamedTuple, Optional
 
 from ..amortized import AmortizedOp, AmortizedScheme
 from ..heap import (
@@ -44,8 +44,7 @@ def same_tree(a, b, label) -> bool:
     return True
 
 
-@dataclass(frozen=True, eq=False)
-class SkewNode:
+class SkewNode(NamedTuple):
     left: Optional["SkewNode"]
     key: int
     right: Optional["SkewNode"]
@@ -53,13 +52,18 @@ class SkewNode:
     heavy: int        # right-heavy nodes in this subtree
     heap_ok: bool     # order invariant, cached so preconditions are O(1)
 
+    # Equal only to a node of the same type, never to a plain tuple; `!=`
+    # and hashing would otherwise fall back to the tuple's.
     def __eq__(self, other):
-        if type(other) is not type(self):
-            return NotImplemented
-        return same_tree(self, other, _SKEW_LABEL)
+        return type(other) is type(self) and same_tree(self, other, _SKEW_LABEL)
+
+    def __ne__(self, other):
+        return not self == other
+
+    __hash__ = None
 
 
-_SKEW_LABEL = attrgetter("key", "size", "heavy", "heap_ok")
+_SKEW_LABEL = itemgetter(1, 3, 4, 5)  # key, size, heavy, heap_ok
 
 
 def skew_node(left, key, right) -> SkewNode:
@@ -70,8 +74,8 @@ def skew_node(left, key, right) -> SkewNode:
     ordered = (left is None or (left.heap_ok and left.key >= key)) and (
         right is None or (right.heap_ok and right.key >= key)
     )
-    return SkewNode(
-        left, key, right, ls + rs + 1, lh + rh + (1 if rs > ls else 0), ordered
+    return tuple.__new__(
+        SkewNode, (left, key, right, ls + rs + 1, lh + rh + (1 if rs > ls else 0), ordered)
     )
 
 
@@ -148,8 +152,7 @@ def skew_del_min_impl(root):
     return (yield ret((key, rest)))
 
 
-@dataclass(frozen=True)
-class SkewHeap:
+class SkewHeap(NamedTuple):
     heap: Heap
     root: Optional[Addr]
     mirror: Optional[SkewNode]

@@ -5,14 +5,14 @@ once functionally and once imperatively over three-cell array nodes; the
 two stay in lockstep, which the harness checks by extracting the pointer
 structure.  Functional nodes cache subtree size and the potential sum
 (each node contributes ceil(3 * log2 size1)), so potentials cost O(1) to
-read across persistent versions.
+read across persistent versions.  Nodes are immutable tuple-backed
+records, built only by `tree_node`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from operator import attrgetter
-from typing import Optional
+from operator import itemgetter
+from typing import NamedTuple, Optional
 
 from ..amortized import AmortizedOp, AmortizedScheme
 from ..heap import (
@@ -30,8 +30,7 @@ from ..heap import (
 from .skew_heap import ceil_3_log2, extract_tree, same_tree, skew_shape
 
 
-@dataclass(frozen=True, eq=False)
-class TreeNode:
+class TreeNode(NamedTuple):
     left: Optional["TreeNode"]
     key: int
     right: Optional["TreeNode"]
@@ -41,13 +40,17 @@ class TreeNode:
     min_key: int
     max_key: int
 
+    # as for SkewNode: equal only to a node of the same type
     def __eq__(self, other):
-        if type(other) is not type(self):
-            return NotImplemented
-        return same_tree(self, other, _TREE_LABEL)
+        return type(other) is type(self) and same_tree(self, other, _TREE_LABEL)
+
+    def __ne__(self, other):
+        return not self == other
+
+    __hash__ = None
 
 
-_TREE_LABEL = attrgetter("key", "size", "phi", "bst", "min_key", "max_key")
+_TREE_LABEL = itemgetter(1, 3, 4, 5, 6, 7)  # every field but the children
 
 
 def tree_node(left, key, right) -> TreeNode:
@@ -60,7 +63,7 @@ def tree_node(left, key, right) -> TreeNode:
         (left is None or (left.bst and left.max_key < key))
         and (right is None or (right.bst and right.min_key > key))
     )
-    return TreeNode(
+    return tuple.__new__(TreeNode, (
         left,
         key,
         right,
@@ -69,7 +72,7 @@ def tree_node(left, key, right) -> TreeNode:
         ordered,
         left.min_key if left else key,
         right.max_key if right else key,
-    )
+    ))
 
 
 def tree_size(t: Optional[TreeNode]) -> int:
@@ -261,8 +264,7 @@ def lookup_impl(x: int, root):
 # structure wrapper and amortized scheme
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class SplayTree:
+class SplayTree(NamedTuple):
     heap: Heap
     root: Optional[Addr]
     mirror: Optional[TreeNode]

@@ -11,8 +11,8 @@ of recorded ledger entries is computed in closed form, entry by entry.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from typing import Any, Callable, Optional, Sequence
+from dataclasses import dataclass
+from typing import Any, Callable, NamedTuple, Optional, Sequence
 
 
 class PreconditionViolated(Exception):
@@ -48,8 +48,7 @@ class AmortizedScheme:
     precondition: Callable[[Any], bool] = lambda s: True
 
 
-@dataclass(frozen=True)
-class OpLedgerEntry:
+class OpLedgerEntry(NamedTuple):
     op: str
     size: int
     actual_cost: int
@@ -93,14 +92,7 @@ def check_op_inequality(
     p_after = scheme.potential(new_structure)
     if p_after < 0:
         raise HarnessError("potential went negative")
-    entry = OpLedgerEntry(
-        op=op_name,
-        size=size,
-        actual_cost=cost,
-        amortized=op.amortized_bound(size),
-        potential_before=p_before,
-        potential_after=p_after,
-    )
+    entry = OpLedgerEntry(op_name, size, cost, op.amortized_bound(size), p_before, p_after)
     return entry, new_structure
 
 
@@ -216,15 +208,10 @@ def minimal_multiplier(
     for e, s in zip(corpus, shapes):
         if s < 1:
             raise ValueError(f"shape({e.size}) = {s} is below 1")
-    k = max(
-        1,
-        *(-(-(e.actual_cost + e.potential_after - e.potential_before) // s)
-          for e, s in zip(corpus, shapes)),
-    )
+    needs = [e.actual_cost + e.potential_after - e.potential_before for e in corpus]
+    k = max(1, *(-(-need // s) for need, s in zip(needs, shapes)))
     if k > K_MAX:
         raise NoMultiplier(f"no multiplier up to {K_MAX} covers the corpus")
-    binding = min(
-        (replace(e, amortized=k * s) for e, s in zip(corpus, shapes)),
-        key=lambda e: e.slack,
-    )
-    return MultiplierResult(k, binding)
+    # the binding entry is the first of least slack k * shape - need
+    i = min(range(len(corpus)), key=lambda i: k * shapes[i] - needs[i])
+    return MultiplierResult(k, corpus[i]._replace(amortized=k * shapes[i]))

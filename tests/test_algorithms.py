@@ -317,17 +317,53 @@ def test_splay_lookup_on_a_deep_ascending_chain():
 
 
 def test_deep_trees_compare_without_recursion():
-    """Node equality walks its own stack: a 2000-deep splay chain and a
-    3000-deep skew-heap spine compare equal to their mirrors."""
+    """Node equality and inequality walk their own stack: a 3000-deep splay
+    chain and a 3000-deep skew-heap spine compare equal to their mirrors."""
     st = new_splay_tree()
-    for k in range(2000):
+    for k in range(3000):
         st, _ = splay_insert(st, k)
     assert splay_extract(st.heap, st.root) == st.mirror
+    assert not splay_extract(st.heap, st.root) != st.mirror
     s = new_skew_heap()
     for k in range(3000, 0, -1):
         s, _ = skew_push(s, k)
     assert skew_extract(s.heap, s.root) == s.mirror
+    assert not skew_extract(s.heap, s.root) != s.mirror
     assert skew_extract(s.heap, s.root) != skew_pop(s)[1].mirror
+
+
+TREE_FIELDS = ("left", "key", "right", "size", "phi", "bst", "min_key", "max_key")
+SKEW_FIELDS = ("left", "key", "right", "size", "heavy", "heap_ok")
+
+
+@pytest.mark.parametrize(
+    "node, names",
+    [
+        (tree_node(tree_node(None, 1, None), 2, None), TREE_FIELDS),
+        (skew_node(skew_node(None, 2, None), 1, None), SKEW_FIELDS),
+    ],
+)
+def test_mirror_nodes_are_immutable_unhashable_and_not_tuples(node, names):
+    """Mirror nodes cannot be changed or hashed, and equality is structural
+    over nodes only: a node is never equal to the plain tuple of its fields,
+    from either side and under both operators."""
+    with pytest.raises(AttributeError):
+        node.key = 0
+    with pytest.raises(AttributeError):
+        node.extra = 0
+    with pytest.raises(TypeError):
+        hash(node)
+    fields = tuple(getattr(node, name) for name in names)
+    assert not node == fields and not fields == node
+    assert node != fields and fields != node
+    assert node != 0 and not node == None  # noqa: E711
+
+
+def test_tree_and_skew_nodes_are_never_equal():
+    for key in (0, 1, 7):
+        t, s = tree_node(None, key, None), skew_node(None, key, None)
+        assert not t == s and not s == t
+        assert t != s and s != t
 
 
 def _splay_steps(x, t):

@@ -1,7 +1,8 @@
+import hashlib
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from timecredits.amortized import (
@@ -15,6 +16,7 @@ from timecredits.amortized import (
     minimal_multiplier,
     run_sequence,
 )
+from timecredits.algorithms.bundles import LEDGERS, get_bundle
 from timecredits.algorithms.dynarray import (
     DYNARRAY_PUSH_MULTIPLIER,
     dynarray_scheme,
@@ -143,6 +145,9 @@ ledger_entries = st.lists(
 
 @settings(max_examples=200, deadline=None)
 @given(ledger_entries, st.lists(st.integers(1, 9), min_size=51, max_size=51))
+@example(  # two entries tie for the least slack: the first one binds
+    [OpLedgerEntry("op", 1, 5, 0, 0, 0), OpLedgerEntry("op", 2, 5, 0, 0, 0)], [1] * 51
+)
 def test_minimal_multiplier_is_least_passing(corpus, shape_table):
     shape = shape_table.__getitem__
     found = minimal_multiplier(None, shape, corpus)
@@ -156,8 +161,18 @@ def test_minimal_multiplier_is_least_passing(corpus, shape_table):
     if k > 1:
         assert not all(passes_at(e, k - 1) for e in corpus)
     assert found.binding.amortized == k * shape(found.binding.size)
-    assert found.binding.slack == min(
+    slacks = [
         k * shape(e.size) + e.potential_before - e.actual_cost - e.potential_after for e in corpus
+    ]
+    assert found.binding.slack == min(slacks)
+    first = corpus[slacks.index(min(slacks))]  # ties go to the earliest entry
+    assert found.binding == OpLedgerEntry(
+        op=first.op,
+        size=first.size,
+        actual_cost=first.actual_cost,
+        amortized=k * shape(first.size),
+        potential_before=first.potential_before,
+        potential_after=first.potential_after,
     )
 
 
@@ -238,3 +253,36 @@ def test_failure_record_is_replayable():
     again = run_sequence(failing, report.ops_replay, new_dynarray(), seed=9)
     assert not again.passed
     assert again.first_failure().op == report.first_failure().op
+
+
+def test_dynarray_contents_read_back_from_the_heap():
+    """The interpreter heap is the only copy of a dynarray's contents: the
+    data array holds every pushed value, and each kept earlier version still
+    reads its own prefix."""
+    rng = random.Random(12)
+    values = [rng.randrange(-10**6, 10**6) for _ in range(1000)]
+    d = new_dynarray()
+    versions = [d]
+    for v in values:
+        d, _ = push(d, v)
+        versions.append(d)
+    assert d.heap.arrays[d.data.index][: d.length] == values
+    for old in versions:
+        assert old.heap.arrays[old.data.index][: old.length] == values[: old.length]
+
+
+# sha256 of each ledger's CSV: a byte pin on every cost and potential at a
+# scale the CLI goldens do not reach
+LEDGER_CSV_SHA256 = {
+    ("skew_heap", 2000): "2dc45233b7c852645208355fe97a5c5c9e86299d1aacfdfb53f322b367b78e22",
+    ("splay_tree", 2000): "1f29f38268bf71d0a6835fab11cf24c0d8127b115d51d42eee134ab528294b76",
+    ("dynarray", 4000): "da8ba11fb5df79bda1c5d3cd43b5999947d7ac205283ca61da87f84bc7402ccd",
+}
+
+
+@pytest.mark.parametrize("name, ops", sorted(LEDGER_CSV_SHA256))
+def test_ledger_csv_bytes_are_pinned_at_scale(name, ops):
+    factory, fresh, _, _ = LEDGERS[name]
+    script = get_bundle(name).gen_input(random.Random(0), ops)
+    csv = run_sequence(factory(), script, fresh(), seed=0).to_csv()
+    assert hashlib.sha256(csv.encode()).hexdigest() == LEDGER_CSV_SHA256[name, ops]
