@@ -2,30 +2,33 @@
 
 The runtime bound halves on the floor side only; the ceiling-side recursion
 is covered by a single monotonicity hint, the first of the two places in
-this collection where plain term matching is not enough.
+this collection where plain term matching is not enough.  Its side facts
+are decided for every n, by induction and by residue classes.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import cache
 
 from ..credits import (
     CallAtom,
     ConstE,
     FloorDivE,
     Hint,
-    MonotoneTable,
     SubE,
     VarE,
+    holds_for_all_n,
     t_call,
     t_lit,
 )
 from ..heap import array_len, array_nth, proc, ret
-from ..recurrence import AkraBazziSpec, RecTerm, eval_recurrence, toll_fields
+from ..recurrence import (
+    AkraBazziSpec, RecTerm, eval_recurrence, monotone_by_induction, toll_fields,
+)
 
 N = VarE("n")
-UPPER_TABLE_BOUND = 4096  # the window the upper-window hint tabulates
+HALF = FloorDivE(N, 2)
+UPPER = SubE(SubE(N, HALF), ConstE(1))  # the window above a missed probe
 
 BINARY_SEARCH_CONSTS = {
     "len": 1,    # reading the array length
@@ -65,7 +68,7 @@ def binary_search_impl(x, key):
 
 def _level_total(consts):
     """One probe level's budget: the spec's right-hand side."""
-    return t_lit(consts["level"]) + t_call("bsearch_time", FloorDivE(N, 2))
+    return t_lit(consts["level"]) + t_call("bsearch_time", HALF)
 
 
 def bsearch_recurrence(consts=BINARY_SEARCH_CONSTS) -> AkraBazziSpec:
@@ -99,46 +102,36 @@ def binary_search_time(n: int, consts=BINARY_SEARCH_CONSTS) -> int:
     return consts["len"] + bsearch_time(n, consts)
 
 
-@cache
-def upper_window_fits(table_bound: int) -> bool:
-    """n - n div 2 - 1 <= n div 2 for every n up to table_bound.  No
-    constant enters it, so it is decided once per process for each bound."""
-    return all(n - n // 2 - 1 <= n // 2 for n in range(table_bound + 1))
-
-
 def upper_window_hint(consts=BINARY_SEARCH_CONSTS) -> Hint:
     """bsearch_time(n div 2) >= bsearch_time(n - n div 2 - 1).
 
-    Justified by monotonicity, tabulated up to UPPER_TABLE_BOUND when the
-    hint is consulted, plus the arithmetic fact that the upper window never
-    exceeds the lower one across the same range.
+    Justified, for every n, by bsearch_time being nondecreasing
+    (`monotone_by_induction`) and by the upper window never exceeding the
+    lower one at any probe level, n >= 1 (`holds_for_all_n`).
     """
 
     def justify() -> bool:
         spec = _bsearch_spec(consts)
-        table = MonotoneTable(lambda k: eval_recurrence(spec, k), UPPER_TABLE_BOUND)
-        return table.monotone and upper_window_fits(UPPER_TABLE_BOUND)
+        return monotone_by_induction(spec) and holds_for_all_n(UPPER, HALF, spec.x0)
 
     return Hint(
-        s=CallAtom("bsearch_time", (FloorDivE(N, 2),)),
-        t=t_call("bsearch_time", SubE(SubE(N, FloorDivE(N, 2)), ConstE(1))),
+        s=CallAtom("bsearch_time", (HALF,)),
+        t=t_call("bsearch_time", UPPER),
         justification=justify,
         note="upper window fits the half budget",
     )
 
 
 def binary_search_obligations(consts=BINARY_SEARCH_CONSTS):
-    half = FloorDivE(N, 2)
-    upper = SubE(SubE(N, half), ConstE(1))
     level_total = _level_total(consts)
     return [
         ("empty", t_lit(consts["base"]), t_lit(1), [], []),
         ("hit", level_total, t_lit(2), [], []),
-        ("lower", level_total, t_lit(1) + t_call("bsearch_time", half), [], []),
+        ("lower", level_total, t_lit(1) + t_call("bsearch_time", HALF), [], []),
         (
             "upper",
             level_total,
-            t_lit(1) + t_call("bsearch_time", upper),
+            t_lit(1) + t_call("bsearch_time", UPPER),
             [],
             [upper_window_hint(consts)],
         ),

@@ -5,33 +5,39 @@ pivot is found by recursing on that block, and a three-way partition decides
 which side (if any) to recurse into.  Small windows fall back to insertion
 sort.  The runtime bound charges the partition-side recursion at the ceiling
 of 7n/10; the actual window is smaller, which the selection hint certifies
-via monotonicity.
+via monotonicity, decided for every n.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import cache
 
 from ..credits import (
+    AddE,
     CallAtom,
     CeilDivE,
+    ConstE,
+    FloorDivE,
     Hint,
-    MonotoneTable,
     MulE,
+    SubE,
     VarE,
+    eval_arg,
+    holds_for_all_n,
     t_call,
     t_expr,
     t_lit,
     t_var,
 )
 from ..heap import array_len, array_nth, array_upd, proc, ret
-from ..recurrence import AkraBazziSpec, RecTerm, eval_recurrence, toll_fields
+from ..recurrence import (
+    AkraBazziSpec, RecTerm, eval_recurrence, monotone_by_induction, toll_fields,
+)
 from .sorting import sort_window
 
 N = VarE("n")
 CUTOFF = 20
-PARTITION_TABLE_BOUND = 1 << 14  # the window the partition hint tabulates
+CAP = CeilDivE(MulE(7, N), 10)  # the partition side the bound recurses on
 
 SELECT_CONSTS = {
     "len": 1,
@@ -118,7 +124,7 @@ def _select_total(consts):
         + consts["part_coeff"] * t_var("n")
         + t_lit(consts["hit_ret"])
         + t_call("select_time", groups)
-        + t_call("select_time", CeilDivE(MulE(7, N), 10))
+        + t_call("select_time", CAP)
     )
 
 
@@ -147,14 +153,21 @@ def select_time(n: int) -> int:
     return eval_recurrence(_SELECT_SPEC, n)
 
 
-def make_select_time(consts=SELECT_CONSTS):
-    """The window bound for these constants.  Constants that differ from the
-    defaults only in "len", which the window never reads, give select_time
-    with the module's memo; others get a spec that lives as long as the
-    returned function."""
+def _select_spec(consts):
+    """The module's spec and memo for constants that differ from the
+    defaults only in "len", which the window never reads; a spec for this
+    call only otherwise."""
     if dict(consts, len=SELECT_CONSTS["len"]) == SELECT_CONSTS:
+        return _SELECT_SPEC
+    return select_recurrence(consts)
+
+
+def make_select_time(consts=SELECT_CONSTS):
+    """The window bound for these constants: select_time with the module's
+    memo, or one whose spec lives as long as the returned function."""
+    spec = _select_spec(consts)
+    if spec is _SELECT_SPEC:
         return select_time
-    spec = select_recurrence(consts)
     return lambda n: eval_recurrence(spec, n)
 
 
@@ -164,46 +177,44 @@ def make_select_bound(consts=SELECT_CONSTS):
     return lambda n: consts["len"] + window(n)
 
 
+# The worst recursive window after partitioning, from the group-median
+# counting argument, is the larger of two sides: n less the elements known
+# to be at most the pivot, and n less those known to be at least it.  Of the
+# ceil(n/5) groups the last holds r = n + 5 - 5*ceil(n/5) elements;
+# ceil(groups/2) medians are at most the pivot and groups div 2 + 1 at
+# least it, each bringing 3 elements of a full group, or of the last group
+# r div 2 + 1 and r - r div 2 respectively.
+_GROUPS = CeilDivE(N, 5)
+_R = SubE(AddE(N, ConstE(5)), MulE(5, _GROUPS))
+PARTITION_SIDES = (
+    # n - (3 * (ceil(groups/2) - 1) + r div 2 + 1)
+    SubE(SubE(AddE(N, ConstE(2)), MulE(3, CeilDivE(_GROUPS, 2))), FloorDivE(_R, 2)),
+    # n - (3 * (groups div 2) + r - r div 2)
+    AddE(SubE(SubE(N, MulE(3, FloorDivE(_GROUPS, 2))), _R), FloorDivE(_R, 2)),
+)
+
+
 def partition_side_bound(n: int) -> int:
-    """Worst size of the recursive window after partitioning, from the
-    group-median counting argument."""
-    groups = -(-n // 5)
-    r = n - 5 * (groups - 1)
-    le_medians = -(-groups // 2)
-    ge_medians = groups // 2 + 1
-    le_elems = 3 * le_medians if r == 5 else 3 * (le_medians - 1) + (r // 2 + 1)
-    ge_elems = 3 * ge_medians if r == 5 else 3 * (ge_medians - 1) + (r - r // 2)
-    return max(n - le_elems, n - ge_elems)
-
-
-@cache
-def partition_sides_fit(table_bound: int) -> bool:
-    """partition_side_bound(n) <= ceil(7n/10) for every window above the
-    cutoff up to table_bound.  No constant enters it, so it is decided once
-    per process for each bound."""
-    return all(
-        partition_side_bound(n) <= -(-7 * n // 10)
-        for n in range(CUTOFF + 1, table_bound + 1)
-    )
+    """Worst size of the recursive window after partitioning a window of
+    n >= 1 elements."""
+    return max(eval_arg(side, {"n": n}) for side in PARTITION_SIDES)
 
 
 def partition_hint(consts=SELECT_CONSTS) -> Hint:
     """select_time(ceil(7n/10)) >= select_time(l) for the actual window l.
 
-    Certified by monotonicity of select_time, tabulated up to
-    PARTITION_TABLE_BOUND, together with the combinatorial window bound
-    across the same range.
-    The justification builds the table when it is consulted, which a
-    discharge does only once the rewritten total has matched its demand.
+    Certified, for every n, by select_time being nondecreasing
+    (`monotone_by_induction`) and by both sides of the worst window staying
+    under ceil(7n/10) above the cutoff (`holds_for_all_n`).
     """
 
     def justify() -> bool:
-        table = MonotoneTable(make_select_time(consts), PARTITION_TABLE_BOUND)
-        return table.monotone and partition_sides_fit(PARTITION_TABLE_BOUND)
+        return monotone_by_induction(_select_spec(consts)) and all(
+            holds_for_all_n(side, CAP, CUTOFF + 1) for side in PARTITION_SIDES
+        )
 
-    cap = CeilDivE(MulE(7, N), 10)
     return Hint(
-        s=CallAtom("select_time", (cap,)),
+        s=CallAtom("select_time", (CAP,)),
         t=t_call("select_time", VarE("l")),
         justification=justify,
         note="partition window fits under ceil(7n/10)",

@@ -193,13 +193,16 @@ def _subsets(items: tuple):
 def sat(ph: PartialHeap, assn: Assertion, config: EnumConfig = EnumConfig()) -> bool:
     """Decide the satisfaction relation on a concrete partial heap."""
     heap = ph.heap
+    candidates: list = []  # the heap is fixed: built on the first existential
 
     def go(owned: frozenset[Addr], credits: int, a: Assertion, rest: bool) -> bool:
         """owned, credits |= a, or a * Top when `rest` absorbs the leftover."""
         if isinstance(a, Top):
             return True
         if isinstance(a, ExistsVal):
-            for witness in _candidates(heap, config):
+            if not candidates:
+                candidates.extend(_candidates(heap, config))
+            for witness in candidates:
                 if go(owned, credits, a.body(witness), rest):
                     return True
             return False

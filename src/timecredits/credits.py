@@ -6,12 +6,15 @@ applications of named runtime functions.  They are built in their normal
 form, a `PolyForm` coefficient map; `subtract_match` decides T = T' + T''
 by sequential term subtraction, comparing atoms up to a supplied equality
 set (congruence closure, computed once per set); `apply_hint` replaces a
-term s by a certified smaller t, marking the result as upper-bound-only.
+term s by a certified smaller t, marking the result as upper-bound-only;
+`holds_for_all_n` decides a floor/ceiling inequality between argument
+expressions at every n, the side facts such certificates rest on.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import lcm
 from operator import itemgetter
 from typing import Callable, Iterable, Mapping, Optional, Union
 
@@ -115,6 +118,71 @@ def _arg_fn(e: ArgExpr) -> Callable[[Mapping[str, int]], int]:
 
 def eval_arg(e: ArgExpr, env: Mapping[str, int]) -> int:
     return _arg_fn(e)(env)
+
+
+def _period(e: ArgExpr, above: int = 1) -> int:
+    """The lcm over the n in e of the product of the divisors above each."""
+    if isinstance(e, VarE):
+        return above
+    if isinstance(e, ConstE):
+        return 1
+    if isinstance(e, (FloorDivE, CeilDivE)):
+        if e.divisor < 1:
+            raise NormalizationError(f"{e!r} divides by a nonpositive constant")
+        return _period(e.inner, above * e.divisor)
+    if isinstance(e, MulE):
+        return _period(e.inner, above)
+    if not isinstance(e, (AddE, SubE)):
+        raise TypeError(f"unknown argument expression {e!r}")
+    return lcm(_period(e.left, above), _period(e.right, above))
+
+
+def _on_class(e: ArgExpr, period: int, r: int, differences: list) -> tuple[int, int]:
+    """(a, b) with e = a*k + b at every n = period*k + r, exactly: each
+    divisor divides the slope of what it divides.  The (a, b) of every
+    difference in e is appended to `differences`."""
+    if isinstance(e, VarE):
+        if e.name != "n":
+            raise NormalizationError(f"{e!r} is not the size variable n")
+        return period, r
+    if isinstance(e, ConstE):
+        return 0, e.value
+    if isinstance(e, MulE):
+        a, b = _on_class(e.inner, period, r, differences)
+        return e.factor * a, e.factor * b
+    if isinstance(e, FloorDivE):
+        a, b = _on_class(e.inner, period, r, differences)
+        return a // e.divisor, b // e.divisor
+    if isinstance(e, CeilDivE):
+        a, b = _on_class(e.inner, period, r, differences)
+        return a // e.divisor, -(-b // e.divisor)
+    (a1, b1), (a2, b2) = (_on_class(side, period, r, differences) for side in (e.left, e.right))
+    if isinstance(e, AddE):
+        return a1 + a2, b1 + b2
+    differences.append((a1 - a2, b1 - b2))
+    return differences[-1]
+
+
+def holds_for_all_n(lhs: ArgExpr, rhs: ArgExpr, lo: int = 0) -> bool:
+    """Whether lhs <= rhs, with every difference on either side at least 0,
+    at every natural n >= lo.  The expressions are over n, naturals, +, -,
+    natural scaling and div or ceil-div by positive constants.
+
+    On each residue class n = L*k + r, with L the lcm over both sides of
+    the product of the divisors above each n, every subexpression is
+    exactly linear in k (Cooper's splitting of floor terms), so each of
+    these conditions holds on the class iff it holds at the least k with
+    n >= lo and its slope is not negative.
+    """
+    fact = SubE(rhs, lhs)  # lhs <= rhs is rhs - lhs >= 0
+    period = _period(fact)
+    for r in range(period):
+        k0 = max(0, -(-(lo - r) // period))
+        differences: list = []
+        _on_class(fact, period, r, differences)
+        if not all(a >= 0 and a * k0 + b >= 0 for a, b in differences):
+            return False
+    return True
 
 
 # ---------------------------------------------------------------------------
@@ -478,11 +546,3 @@ def apply_hint(total: PolyForm, hint: Hint) -> PolyForm:
     justify_hint(hint)
     return rewrite_hint(total, hint)
 
-
-class MonotoneTable:
-    """Whether f is nondecreasing on every natural up to a bound, decided by
-    tabulating it."""
-
-    def __init__(self, fn: Callable[[int], int], bound: int):
-        values = [fn(i) for i in range(bound + 1)]
-        self.monotone = all(values[i] <= values[i + 1] for i in range(bound))

@@ -7,20 +7,25 @@ grows below, at, or above x^p picks a bottom-heavy, balanced, or top-heavy
 solution.  When the recurrence additionally carries a concrete toll
 function and base table, `eval_recurrence` computes exact values, which the
 ratio check uses to keep the symbolic answer honest.  `toll_fields` reads
-both the toll function and its class off one recursive total.
+the toll function, its class and its time expression off one recursive
+total; `monotone_by_induction` decides from that expression and the base
+table that f is nondecreasing at every n.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import lru_cache, partial
 from itertools import accumulate
 from math import comb
 from typing import Callable, Optional, Union
 
-from .credits import Assignment, CallAtom, PolyForm
+from .credits import (
+    AddE, ArgExpr, Assignment, CallAtom, CeilDivE, ConstE, ExprAtom, FloorDivE, MulE, PolyForm,
+    SubE, UnitAtom, VarAtom, VarE, holds_for_all_n,
+)
 from .landau import (
     BoundRegistry, PolyLog, PolyLog2, RealPowerClass, analyze_form, geometric_samples,
 )
@@ -63,12 +68,14 @@ class RecTerm:
 @dataclass
 class AkraBazziSpec:
     """Recurrence description: threshold, recursive terms, toll class, and
-    (optionally) a concrete toll plus base table for exact evaluation."""
+    (optionally) a concrete toll plus base table for exact evaluation, and
+    the toll as a time expression in n."""
 
     x0: int
     terms: tuple[RecTerm, ...]
     g_class: PolyLog
     g_concrete: Optional[Callable[[int], int]] = None
+    g_form: Optional[PolyForm] = None
     base: dict[int, int] = field(default_factory=dict)
     name: str = ""
     _memo: dict = field(default_factory=dict, repr=False, compare=False)
@@ -162,15 +169,15 @@ def _check_eventually_positive(spec: AkraBazziSpec) -> None:
 
 
 def toll_fields(total_of: Callable[[dict], PolyForm], consts: dict, name: str, aux=()) -> dict:
-    """The spec's two toll fields, as keywords, from the recursive total
+    """The spec's three toll fields, as keywords, from the recursive total
     that `total_of` builds for these constants.  The toll is the total less
-    its calls of `name`: `g_concrete` evaluates it at n, each auxiliary
-    call bound to its time function at these constants, and `g_class` is
-    read off its atoms, each auxiliary with its class.  `aux` holds (name,
-    time function, class) triples.  A toll is derived once per `total_of`
-    and constants."""
-    g_class, g_concrete = _derived_toll(total_of, tuple(sorted(consts.items())), name, aux)
-    return {"g_class": g_class, "g_concrete": g_concrete}
+    its calls of `name`, kept as `g_form`: `g_concrete` evaluates it at n,
+    each auxiliary call bound to its time function at these constants, and
+    `g_class` is read off its atoms, each auxiliary with its class.  `aux`
+    holds (name, time function, class) triples.  A toll is derived once per
+    `total_of` and constants."""
+    toll = _derived_toll(total_of, tuple(sorted(consts.items())), name, aux)
+    return dict(zip(("g_class", "g_concrete", "g_form"), toll))
 
 
 @lru_cache(maxsize=256)
@@ -190,7 +197,49 @@ def _derived_toll(total_of, consts_items: tuple, name: str, aux: tuple):
         sigma.env["n"] = n  # one assignment serves every point
         return toll.eval(sigma)
 
-    return analyze_form(toll, registry), g_concrete
+    return analyze_form(toll, registry), g_concrete, toll
+
+
+def _at_next(e: ArgExpr) -> ArgExpr:
+    """e with n replaced by n + 1."""
+    if isinstance(e, VarE):
+        return AddE(e, ConstE(1))
+    fields = {name: getattr(e, name) for name in e.__match_args__}
+    return replace(e, **{k: _at_next(v) for k, v in fields.items() if isinstance(v, ArgExpr)})
+
+
+def monotone_by_induction(spec: AkraBazziSpec) -> bool:
+    """Whether f is nondecreasing at every natural, by strong induction on
+    n, from premises each decided once for the spec:
+
+    - the base table is nondecreasing on [0, x0), and f(x0 - 1) <= f(x0);
+    - every a_i >= 0, and h_i(x) < x for every x >= x0 (h_i, a rounded
+      b_i * x, is nondecreasing);
+    - every toll atom but 1 has a coefficient >= 0 and is n or an
+      expression nondecreasing in n; a spec with a call atom, or with no
+      toll expression, is refused.
+
+    Then f(x + 1) - f(x) = g(x + 1) - g(x) + sum a_i (f(h_i(x + 1)) -
+    f(h_i(x))) >= 0 for x >= x0, as h_i(x + 1) <= x.
+    """
+    x0, base, n = spec.x0, spec.base, VarE("n")
+    if spec.g_form is None or any(k not in base for k in range(x0)):
+        return False
+    for t in spec.terms:
+        rounded = CeilDivE if t.rounding == "ceil" else FloorDivE
+        h = rounded(MulE(t.b.numerator, n), t.b.denominator)
+        if t.a < 0 or not holds_for_all_n(h, SubE(n, ConstE(1)), x0):
+            return False
+    for atom, c in spec.g_form.coeffs.items():
+        if isinstance(atom, UnitAtom):
+            continue
+        if c < 0 or not (
+            atom == VarAtom("n")
+            or isinstance(atom, ExprAtom) and holds_for_all_n(atom.expr, _at_next(atom.expr), x0)
+        ):
+            return False
+    table = [base[k] for k in range(x0)] + [eval_recurrence(spec, x0)]
+    return all(a <= b for a, b in zip(table, table[1:]))
 
 
 def eval_recurrence(spec: AkraBazziSpec, n: int):

@@ -7,6 +7,7 @@ import json
 import random
 import weakref
 import zlib
+from fractions import Fraction
 
 import pytest
 
@@ -46,10 +47,14 @@ from timecredits.algorithms.splay_tree import (
     splay_lookup,
     tree_node,
 )
-from timecredits.credits import UNIT, Assignment, CallAtom, MonotoneTable, PolyForm, VarE, t_call
+from timecredits.credits import (
+    UNIT, Assignment, CallAtom, CeilDivE, MulE, PolyForm, VarAtom, VarE, holds_for_all_n, t_call,
+)
 from timecredits.heap import ARRAY, FAILURE, Addr, Heap, empty_heap, run, run_traced
 from timecredits.landau import SOLVED, BoundRegistry, PolyLog, PolyLog2, analyze_form
-from timecredits.recurrence import LinearRecSpec, RecurrenceError, eval_recurrence, toll_fields
+from timecredits.recurrence import (
+    LinearRecSpec, RecTerm, RecurrenceError, eval_recurrence, monotone_by_induction, toll_fields,
+)
 
 BUNDLES = all_bundles()
 
@@ -567,34 +572,80 @@ def _discharge_and_probe_everything():
             constant_fault_detected(bundle, key)
 
 
-def test_constant_free_sweeps_run_once_per_process(monkeypatch):
-    sel.partition_sides_fit.cache_clear()
-    srch.upper_window_fits.cache_clear()
-    swept = []
-    side_bound = sel.partition_side_bound
-    monkeypatch.setattr(sel, "partition_side_bound", lambda n: swept.append(n) or side_bound(n))
+def test_induction_rules_are_consulted_only_for_matched_discharges(monkeypatch):
+    consulted = []
+    for module in (srch, sel):
+        rule = module.monotone_by_induction
+        monkeypatch.setattr(
+            module, "monotone_by_induction",
+            lambda spec, rule=rule: consulted.append(spec.name) or rule(spec),
+        )
     _discharge_and_probe_everything()
-    _discharge_and_probe_everything()
-    assert swept == list(range(sel.CUTOFF + 1, (1 << 14) + 1))
-    assert sel.partition_sides_fit.cache_info().misses == 1
-    assert srch.upper_window_fits.cache_info().misses == 1
+    # one rule call per matched hinted discharge: the two default bundles,
+    # plus the "len" faults of binary search and select, which no
+    # obligation mentions
+    assert sorted(consulted) == ["bsearch_time", "bsearch_time", "select_time", "select_time"]
 
 
-def test_monotone_tables_are_built_only_for_matched_discharges(monkeypatch):
-    built = []
-    init = MonotoneTable.__init__
+def _old_partition_side_bound(n):
+    """The counting formula the two ArgExpr sides restate, with its r == 5
+    branches."""
+    groups = -(-n // 5)
+    r = n - 5 * (groups - 1)
+    le_medians = -(-groups // 2)
+    ge_medians = groups // 2 + 1
+    le_elems = 3 * le_medians if r == 5 else 3 * (le_medians - 1) + (r // 2 + 1)
+    ge_elems = 3 * ge_medians if r == 5 else 3 * (ge_medians - 1) + (r - r // 2)
+    return max(n - le_elems, n - ge_elems)
 
-    def counting_init(self, fn, bound):
-        built.append(bound)
-        init(self, fn, bound)
 
-    monkeypatch.setattr(MonotoneTable, "__init__", counting_init)
-    _discharge_and_probe_everything()
-    # one table per matched hinted discharge: the two default bundles, plus
-    # the "len" faults of binary search and select, which no obligation
-    # mentions.  Tabulating every hint as its obligation list was built took
-    # 11 (binary search 1 + 3 faults, select 1 + 6 faults).
-    assert sorted(built) == [4096, 4096, 1 << 14, 1 << 14]
+def test_partition_sides_restate_the_counting_formula():
+    for n in range(1, 20001):
+        assert sel.partition_side_bound(n) == _old_partition_side_bound(n), n
+    for side in sel.PARTITION_SIDES:
+        assert holds_for_all_n(side, sel.CAP, sel.CUTOFF + 1)
+    # and the facts are not vacuous: neither side fits under ceil(6n/10)
+    tighter = CeilDivE(MulE(6, VarE("n")), 10)
+    assert not any(holds_for_all_n(side, tighter, sel.CUTOFF + 1) for side in sel.PARTITION_SIDES)
+
+
+def _refused(spec, **change):
+    return dataclasses.replace(spec, _memo={}, **change)
+
+
+_SELECT_TOLL = sel._SELECT_SPEC.g_form
+REFUSED_SPECS = {
+    "negative-toll-coefficient": (sel, "_select_spec", lambda: _refused(
+        sel._SELECT_SPEC, g_form=PolyForm({**_SELECT_TOLL.coeffs, VarAtom("n"): -1}))),
+    "decreasing-base": (srch, "_bsearch_spec", lambda: _refused(
+        srch._BSEARCH_SPEC, x0=3, base={0: 1, 1: 5, 2: 4})),
+    "term-not-below-x": (sel, "_select_spec", lambda: _refused(sel._SELECT_SPEC, terms=(
+        RecTerm(Fraction(1), Fraction(1, 5), "ceil"),
+        RecTerm(Fraction(1), Fraction(99, 100), "ceil")))),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(REFUSED_SPECS))
+def test_refused_specs_make_their_hinted_discharge_fail(monkeypatch, kind):
+    module, name, make = REFUSED_SPECS[kind]
+    spec = make()
+    assert not monotone_by_induction(spec)
+    monkeypatch.setattr(module, name, lambda consts: spec)
+    bundle = BUNDLES["select" if module is sel else "binary_search"]
+    reports = discharge_all(bundle)
+    hinted = [r for r in reports if r.hints_used]
+    assert [r.success for r in hinted] == [False]
+    assert hinted[0].detail.startswith("could not certify")
+
+
+def test_default_and_probed_specs_are_monotone_by_induction():
+    for spec in (srch._BSEARCH_SPEC, sel._SELECT_SPEC):
+        assert monotone_by_induction(spec)
+        assert all(eval_recurrence(spec, n) <= eval_recurrence(spec, n + 1) for n in range(3000))
+    # select's small_probe fault makes the base table decrease at 0
+    assert not monotone_by_induction(sel.select_recurrence(dict(sel.SELECT_CONSTS, small_probe=0)))
+    # merge sort's toll calls its auxiliary time functions, which the rule refuses
+    assert not monotone_by_induction(srt.merge_sort_recurrence())
 
 
 def test_every_constant_fault_detected():

@@ -462,13 +462,19 @@ def test_amortized_rejects_a_multiplier_below_one(capsys, scheme, multiplier):
 _UNWRITABLE = ("missing-dir", "a-directory")
 
 
+_SPEC_PATHS = ("spec-file", "missing-file", "a-directory")
+
+
 @st.composite
 def _cli_argvs(draw):
-    """Argument lists for `run`, `amortized` and `report`: sizes up to 64,
-    up to 200 operations, any seed, multipliers down to -3, and `--out`
-    paths that may not be writable."""
-    command = draw(st.sampled_from(["run", "amortized", "report"]))
+    """Argument lists for `run`, `amortized`, `report` and `recurrence`:
+    sizes up to 64, up to 200 operations, any seed, multipliers down to -3,
+    builtin names or spec paths (a builtin spec, possibly mutated, a missing
+    file or a directory), and `--out` paths that may not be writable.  A
+    spec path is returned as its kind, with the spec to write for a file."""
+    command = draw(st.sampled_from(["run", "amortized", "report", "recurrence"]))
     seed = draw(st.one_of(st.integers(-5, 5), st.integers(-(2 ** 70), 2 ** 70)))
+    spec = None
     if command == "run":
         sizes = draw(st.lists(st.integers(-1, 64), min_size=1, max_size=3))
         argv = ["run", draw(st.sampled_from([*ALGORITHM_NAMES, "no_such_study"])),
@@ -481,20 +487,37 @@ def _cli_argvs(draw):
         multiplier = draw(st.one_of(st.none(), st.integers(-3, 20)))
         if multiplier is not None:
             argv.append(f"--multiplier={multiplier}")
+    elif command == "recurrence":
+        argv = ["recurrence"]
+        path = draw(st.sampled_from([None, *_SPEC_PATHS]))
+        if path is not None:
+            argv.append(path)
+        if path == "spec-file":
+            spec = draw(st.one_of(st.sampled_from(_BUILTIN_SPEC_JSONS), _mutated_specs()))
+        if path is None or draw(st.booleans()):
+            argv.append("--builtin=" + draw(st.sampled_from([*BUILTIN_SPECS, "no_such_spec"])))
     else:
         # a report always runs every study at its own sizes, so keep it to one trial
         argv = ["report", f"--trials={draw(st.integers(-1, 1))}"]
+    if command != "recurrence":
+        argv.append(f"--seed={seed}")
     out = draw(st.sampled_from([None, None, "writable", *_UNWRITABLE]))
-    return [*argv, f"--seed={seed}"], out
+    return argv, out, spec
 
 
 @settings(max_examples=100, deadline=None, derandomize=True)
 @given(_cli_argvs())
-@example((["amortized", "dynarray", "--ops=20", "--multiplier=0"], None))
-@example((["amortized", "dynarray", "--ops=20", "--multiplier=-1"], None))
+@example((["amortized", "dynarray", "--ops=20", "--multiplier=0"], None, None))
+@example((["amortized", "dynarray", "--ops=20", "--multiplier=-1"], None, None))
 def test_cli_arguments_get_an_exit_code_not_a_traceback(case):
-    argv, out = case
+    argv, out, spec = case
     with tempfile.TemporaryDirectory() as tmp:
+        paths = {"spec-file": os.path.join(tmp, "spec.json"), "a-directory": tmp,
+                 "missing-file": os.path.join(tmp, "missing.json")}
+        if spec is not None:
+            with open(paths["spec-file"], "w") as fh:
+                json.dump(spec, fh)
+        argv = [paths.get(arg, arg) for arg in argv]
         if out is not None:
             target = {"writable": os.path.join(tmp, "out.txt"), "a-directory": tmp,
                       "missing-dir": os.path.join(tmp, "missing", "out.txt")}[out]

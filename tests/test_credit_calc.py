@@ -1,7 +1,7 @@
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from timecredits.credits import (
@@ -17,7 +17,6 @@ from timecredits.credits import (
     HintAbsent,
     HintUnprovable,
     MatchFailure,
-    MonotoneTable,
     MulE,
     NormalizationError,
     PolyForm,
@@ -25,8 +24,10 @@ from timecredits.credits import (
     VarAtom,
     VarE,
     _Congruence,
+    _period,
     apply_hint,
     eval_arg,
+    holds_for_all_n,
     normalize,
     subtract_match,
     t_call,
@@ -257,11 +258,49 @@ def test_apply_reflexive_hint_only_sets_flag():
     assert out.absorbing
 
 
-def test_monotone_table():
-    table = MonotoneTable(select_time_stub, bound=64)
-    assert table.monotone
-    bumpy = MonotoneTable(lambda x: x % 3, bound=8)
-    assert not bumpy.monotone
+_ARG_EXPRS = st.recursive(
+    st.one_of(st.just(N), st.integers(0, 3).map(ConstE)),
+    lambda inner: st.one_of(
+        st.builds(AddE, inner, inner),
+        st.builds(SubE, inner, inner),
+        st.builds(MulE, st.integers(0, 3), inner),
+        st.builds(FloorDivE, inner, st.integers(1, 4)),
+        st.builds(CeilDivE, inner, st.integers(1, 4)),
+    ),
+    max_leaves=5,
+)
+
+
+def _holds_directly(lhs, rhs, lo, hi):
+    """lhs <= rhs, both defined, at every n in [lo, hi]."""
+    try:
+        return all(eval_arg(lhs, {"n": n}) <= eval_arg(rhs, {"n": n}) for n in range(lo, hi + 1))
+    except ValueError:  # a difference went below zero
+        return False
+
+
+NESTED = CeilDivE(CeilDivE(N, 2), 2)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(_ARG_EXPRS, _ARG_EXPRS, st.integers(0, 12))
+@example(NESTED, CeilDivE(N, 4), 0)  # equal: ceil(ceil(n/2)/2) = ceil(n/4)
+@example(NESTED, FloorDivE(N, 4), 0)  # needs period 4, not lcm(2, 2)
+@example(SubE(SubE(N, FloorDivE(N, 2)), ConstE(1)), FloorDivE(N, 2), 0)  # undefined at 0
+@example(SubE(SubE(N, FloorDivE(N, 2)), ConstE(1)), FloorDivE(N, 2), 1)
+@example(CeilDivE(MulE(7, AddE(N, ConstE(1))), 10), N, 3)
+def test_holds_for_all_n_agrees_with_direct_evaluation(lhs, rhs, lo):
+    period = _period(SubE(rhs, lhs))
+    assert holds_for_all_n(lhs, rhs, lo) == _holds_directly(lhs, rhs, lo, 4 * period + 200)
+
+
+def test_holds_for_all_n_splits_nested_divisions_by_their_product():
+    assert _period(NESTED) == 4
+    assert holds_for_all_n(NESTED, CeilDivE(N, 4)) and holds_for_all_n(CeilDivE(N, 4), NESTED)
+    assert not holds_for_all_n(NESTED, FloorDivE(N, 4))
+    assert holds_for_all_n(FloorDivE(FloorDivE(N, 2), 3), FloorDivE(N, 6), 0)
+    with pytest.raises(NormalizationError):
+        holds_for_all_n(M, N)
 
 
 def test_eval_arg_floor_ceil():

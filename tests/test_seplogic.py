@@ -124,6 +124,28 @@ def test_exists_window_overflow_reported():
         sat(empty_ph(0), ExistsVal(lambda v: Pure(v == 3)), config)
 
 
+def test_existential_candidates_are_built_once_per_sat_call(monkeypatch):
+    import timecredits.assertions as assertions
+
+    built = []
+    candidates = assertions._candidates
+    monkeypatch.setattr(
+        assertions, "_candidates", lambda heap, config: built.append(1) or candidates(heap, config)
+    )
+    h, a = heap_with_array([10, 20])
+    ph = pheap(h, {a}, 0)
+    # the outer witness is tried at every candidate before 20 turns up
+    nested = ExistsVal(lambda x: ExistsVal(lambda y: points_to_array(a, (y, x))))
+    assert sat(ph, nested)
+    assert not sat(ph, ExistsVal(lambda x: ExistsVal(lambda y: points_to_array(a, (x, x)))))
+    assert built == [1, 1]
+    # an oversized domain is still reported at the first existential
+    config = EnumConfig(int_window=(-10_000, 10_000), max_candidates=100)
+    with pytest.raises(UndecidableAssertion):
+        sat(ph, nested, config)
+    assert built == [1, 1, 1]
+
+
 def test_locality_mutation_outside_owned():
     h, a = heap_with_array([1, 2])
     made = run(ref_new(5), h)
