@@ -744,3 +744,27 @@ def test_obligation_totals_restate_their_recurrence(row, spec_of, base_name, cal
                 if total.eval(Assignment({"n": n}, calls)) != eval_recurrence(spec, n)
             ]
             assert mismatches == [], (consts, total.render(), mismatches[:5])
+
+
+HALF_FLOOR = RecTerm(Fraction(1), Fraction(1, 2), "floor")
+HALF_CEIL = RecTerm(Fraction(1), Fraction(1, 2), "ceil")
+# each row's recursive terms as they were typed by hand beside its total
+STATED_TERMS = {
+    "merge_sort": (srt.merge_sort_recurrence, (HALF_FLOOR, HALF_CEIL)),
+    "karatsuba": (kara.karatsuba_recurrence,
+                  (RecTerm(Fraction(2), Fraction(1, 2), "ceil"), HALF_FLOOR)),
+    "select": (sel.select_recurrence, (RecTerm(Fraction(1), Fraction(1, 5), "ceil"),
+                                       RecTerm(Fraction(1), Fraction(7, 10), "ceil"))),
+    "binary_search": (srch.bsearch_recurrence, (HALF_FLOOR,)),
+}
+
+
+@pytest.mark.parametrize("row", sorted(STATED_TERMS))
+def test_recursive_terms_are_the_stated_ones_in_order(row):
+    """Each row's terms, at the defaults and at each constant decremented
+    by one, are the hand-stated ones, in order: the order fixes the float
+    sum that renders p."""
+    spec_of, stated = STATED_TERMS[row]
+    defaults = BUNDLES[row].consts
+    for consts in [defaults] + [dict(defaults, **{k: v - 1}) for k, v in defaults.items()]:
+        assert spec_of(consts).terms == stated, consts
