@@ -8,11 +8,9 @@ upper bound, which the tests assert.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from ..credits import CeilDivE, ConstE, FloorDivE, MulE, SubE, VarE, t_call, t_expr, t_lit, t_var
 from ..heap import adrop, array_len, array_new, array_nth, array_upd, atake, proc, ret
-from ..recurrence import AkraBazziSpec, RecTerm, eval_recurrence, toll_fields
+from ..recurrence import AkraBazziSpec, eval_recurrence, recurrence_of
 
 N = VarE("n")
 
@@ -150,16 +148,8 @@ def _karatsuba_total(consts):
 
 
 def karatsuba_recurrence(consts=KARATSUBA_CONSTS) -> AkraBazziSpec:
-    return AkraBazziSpec(
-        x0=2,
-        terms=(
-            RecTerm(Fraction(2), Fraction(1, 2), "ceil"),
-            RecTerm(Fraction(1), Fraction(1, 2), "floor"),
-        ),
-        **toll_fields(_karatsuba_total, consts, "karatsuba_time"),
-        base={0: consts["base"], 1: consts["base"]},
-        name="karatsuba_time",
-    )
+    base = {0: consts["base"], 1: consts["base"]}
+    return recurrence_of(_karatsuba_total, consts, "karatsuba_time", 2, base)
 
 
 _KARATSUBA_SPEC = karatsuba_recurrence()

@@ -8,8 +8,6 @@ are decided for every n, by induction and by residue classes.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from ..credits import (
     CallAtom,
     ConstE,
@@ -22,9 +20,7 @@ from ..credits import (
     t_lit,
 )
 from ..heap import array_len, array_nth, proc, ret
-from ..recurrence import (
-    AkraBazziSpec, RecTerm, eval_recurrence, monotone_by_induction, toll_fields,
-)
+from ..recurrence import AkraBazziSpec, eval_recurrence, monotone_by_induction, recurrence_of
 
 N = VarE("n")
 HALF = FloorDivE(N, 2)
@@ -72,13 +68,7 @@ def _level_total(consts):
 
 
 def bsearch_recurrence(consts=BINARY_SEARCH_CONSTS) -> AkraBazziSpec:
-    return AkraBazziSpec(
-        x0=1,
-        terms=(RecTerm(Fraction(1), Fraction(1, 2), "floor"),),
-        **toll_fields(_level_total, consts, "bsearch_time"),
-        base={0: consts["base"]},
-        name="bsearch_time",
-    )
+    return recurrence_of(_level_total, consts, "bsearch_time", 1, {0: consts["base"]})
 
 
 _BSEARCH_SPEC = bsearch_recurrence()

@@ -10,8 +10,6 @@ via monotonicity, decided for every n.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from ..credits import (
     AddE,
     CallAtom,
@@ -30,9 +28,7 @@ from ..credits import (
     t_var,
 )
 from ..heap import array_len, array_nth, array_upd, proc, ret
-from ..recurrence import (
-    AkraBazziSpec, RecTerm, eval_recurrence, monotone_by_induction, toll_fields,
-)
+from ..recurrence import AkraBazziSpec, eval_recurrence, monotone_by_induction, recurrence_of
 from .sorting import sort_window
 
 N = VarE("n")
@@ -129,20 +125,12 @@ def _select_total(consts):
 
 
 def select_recurrence(consts=SELECT_CONSTS) -> AkraBazziSpec:
-    return AkraBazziSpec(
-        x0=CUTOFF + 1,
-        terms=(
-            RecTerm(Fraction(1), Fraction(1, 5), "ceil"),
-            RecTerm(Fraction(1), Fraction(7, 10), "ceil"),
-        ),
-        **toll_fields(_select_total, consts, "select_time"),
-        # a small window is insertion-sorted and read once
-        base={
-            n: _ins_range_cost(consts, n) + consts["small_probe"] if n >= 1 else 1
-            for n in range(CUTOFF + 1)
-        },
-        name="select_time",
-    )
+    # a small window is insertion-sorted and read once
+    base = {
+        n: _ins_range_cost(consts, n) + consts["small_probe"] if n >= 1 else 1
+        for n in range(CUTOFF + 1)
+    }
+    return recurrence_of(_select_total, consts, "select_time", CUTOFF + 1, base)
 
 
 _SELECT_SPEC = select_recurrence()

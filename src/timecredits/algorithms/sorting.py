@@ -3,8 +3,6 @@ implementation, and runtime bound built from the same call structure."""
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from ..credits import FloorDivE, SubE, VarE, t_call, t_lit, t_poly, t_var
 from ..heap import (
     adrop,
@@ -16,9 +14,7 @@ from ..heap import (
     ret,
 )
 from ..landau import PolyLog
-from ..recurrence import (
-    AkraBazziSpec, LinearRecSpec, RecTerm, eval_linear, eval_recurrence, toll_fields,
-)
+from ..recurrence import AkraBazziSpec, LinearRecSpec, eval_linear, eval_recurrence, recurrence_of
 
 N = VarE("n")
 
@@ -139,16 +135,8 @@ def _merge_sort_total(consts):
 
 
 def merge_sort_recurrence(consts=MERGE_SORT_CONSTS) -> AkraBazziSpec:
-    return AkraBazziSpec(
-        x0=2,
-        terms=(
-            RecTerm(Fraction(1), Fraction(1, 2), "floor"),
-            RecTerm(Fraction(1), Fraction(1, 2), "ceil"),
-        ),
-        **toll_fields(_merge_sort_total, consts, "merge_sort_time", MERGE_SORT_AUX),
-        base={0: consts["base"], 1: consts["base"]},
-        name="merge_sort_time",
-    )
+    base = {0: consts["base"], 1: consts["base"]}
+    return recurrence_of(_merge_sort_total, consts, "merge_sort_time", 2, base, MERGE_SORT_AUX)
 
 
 _MERGE_SORT_SPEC = merge_sort_recurrence()

@@ -6,17 +6,20 @@ applications of named runtime functions.  They are built in their normal
 form, a `PolyForm` coefficient map; `subtract_match` decides T = T' + T''
 by sequential term subtraction, comparing atoms up to a supplied equality
 set (congruence closure, computed once per set); `apply_hint` replaces a
-term s by a certified smaller t, marking the result as upper-bound-only;
-`holds_for_all_n` decides a floor/ceiling inequality between argument
-expressions at every n, the side facts such certificates rest on.
+term s by a certified smaller t, so a demand matched against the result
+is at most the budget, not equal to it; `holds_for_all_n` decides a
+floor/ceiling inequality between argument expressions at every n, the side
+facts such certificates rest on, and `slope_in_n` reads an argument
+expression's exact slope off the same residue-class form.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from math import lcm
 from operator import itemgetter
-from typing import Callable, Iterable, Mapping, Optional, Union
+from typing import Callable, Iterable, Mapping, Union
 
 
 # ---------------------------------------------------------------------------
@@ -185,6 +188,13 @@ def holds_for_all_n(lhs: ArgExpr, rhs: ArgExpr, lo: int = 0) -> bool:
     return True
 
 
+def slope_in_n(e: ArgExpr) -> Fraction:
+    """The exact slope of e in n: e = a*k + b on each residue class
+    n = L*k + r, so the slope is a / L."""
+    period = _period(e)
+    return Fraction(_on_class(e, period, 0, [])[0], period)
+
+
 # ---------------------------------------------------------------------------
 # atoms
 # ---------------------------------------------------------------------------
@@ -264,15 +274,14 @@ class PolyForm:
     coefficient.  Sums with naturals or other PolyForms and scaling by a
     natural stay in the form, so every expression is built normalized."""
 
-    __slots__ = ("coeffs", "absorbing", "_terms")
+    __slots__ = ("coeffs", "_terms")
 
-    def __init__(self, coeffs: Mapping[TimeAtom, int] = (), absorbing: bool = False):
+    def __init__(self, coeffs: Mapping[TimeAtom, int] = ()):
         # a dict copy keeps the stored hashes; atoms rehash deeply
         self.coeffs: dict[TimeAtom, int] = dict(coeffs)
         if 0 in self.coeffs.values():
             for atom in [a for a, c in self.coeffs.items() if c == 0]:
                 del self.coeffs[atom]
-        self.absorbing = absorbing  # True once credits were discarded by a hint
         self._terms = None  # the atoms' evaluators, resolved on the first eval
 
     def __eq__(self, other):
@@ -288,14 +297,14 @@ class PolyForm:
         out = dict(self.coeffs)
         for a, c in other.coeffs.items():
             out[a] = out.get(a, 0) + c
-        return PolyForm(out, self.absorbing or other.absorbing)
+        return PolyForm(out)
 
     add = __radd__ = __add__
 
     def __rmul__(self, k: int) -> "PolyForm":
         if not isinstance(k, int) or k < 0:
             raise NormalizationError("coefficients must be naturals")
-        return PolyForm({a: k * c for a, c in self.coeffs.items()}, self.absorbing)
+        return PolyForm({a: k * c for a, c in self.coeffs.items()})
 
     def items_canonical(self) -> list[tuple[TimeAtom, int]]:
         return sorted(self.coeffs.items(), key=lambda kv: _atom_key(kv[0]))
@@ -326,9 +335,6 @@ class PolyForm:
             else:
                 total += c * funcs[fn](*[arg(env) for arg in args])
         return total
-
-    def copy(self, absorbing: Optional[bool] = None) -> "PolyForm":
-        return PolyForm(dict(self.coeffs), self.absorbing if absorbing is None else absorbing)
 
 
 def _resolve(coeffs: Mapping[TimeAtom, int]) -> tuple:
@@ -496,7 +502,7 @@ def subtract_match(
         remainder[matched] -= want
         if remainder[matched] == 0:
             del remainder[matched]
-    return PolyForm(remainder, total.absorbing)
+    return PolyForm(remainder)
 
 
 class HintUnprovable(Exception):
@@ -538,7 +544,7 @@ def rewrite_hint(total: PolyForm, hint: Hint) -> PolyForm:
     out[hint.s] -= 1
     if out[hint.s] == 0:
         del out[hint.s]
-    return (PolyForm(out) + hint.t).copy(absorbing=True)
+    return PolyForm(out) + hint.t
 
 
 def apply_hint(total: PolyForm, hint: Hint) -> PolyForm:

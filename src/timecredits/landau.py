@@ -20,8 +20,7 @@ from fractions import Fraction
 from typing import Callable, Iterable, Optional, Sequence, Union
 
 from .credits import (
-    AddE, ArgExpr, CeilDivE, ConstE, ExprAtom, FloorDivE, MulE, PolyForm, SubE, UnitAtom, VarAtom,
-    VarE,
+    ArgExpr, ExprAtom, NormalizationError, PolyForm, UnitAtom, VarAtom, VarE, slope_in_n,
 )
 
 
@@ -212,22 +211,11 @@ class UnknownFunction(KeyError):
 
 
 def arg_slope(e: ArgExpr) -> Fraction:
-    """The exact slope of an argument expression in the size variable n:
-    rounding a division moves the value by less than one, so div and ceil
-    by d divide the slope by d."""
-    if isinstance(e, VarE) and e.name == "n":
-        return Fraction(1)
-    if isinstance(e, ConstE):
-        return Fraction(0)
-    if isinstance(e, AddE):
-        return arg_slope(e.left) + arg_slope(e.right)
-    if isinstance(e, SubE):
-        return arg_slope(e.left) - arg_slope(e.right)
-    if isinstance(e, MulE):
-        return e.factor * arg_slope(e.inner)
-    if isinstance(e, (FloorDivE, CeilDivE)) and e.divisor > 0:
-        return arg_slope(e.inner) / e.divisor
-    raise NonLinearArgument(f"inner function {e!r} is not linear in n")
+    """The exact slope of an argument expression in the size variable n."""
+    try:
+        return slope_in_n(e)
+    except NormalizationError:
+        raise NonLinearArgument(f"inner function {e!r} is not linear in n") from None
 
 
 def compose_linear(g: PolyLog, inner: ArgExpr) -> PolyLog:

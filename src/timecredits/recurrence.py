@@ -6,10 +6,10 @@ its characteristic exponent p, the root of sum a_i * b_i^p = 1.  Whether g
 grows below, at, or above x^p picks a bottom-heavy, balanced, or top-heavy
 solution.  When the recurrence additionally carries a concrete toll
 function and base table, `eval_recurrence` computes exact values, which the
-ratio check uses to keep the symbolic answer honest.  `toll_fields` reads
-the toll function, its class and its time expression off one recursive
-total; `monotone_by_induction` decides from that expression and the base
-table that f is nondecreasing at every n.
+ratio check uses to keep the symbolic answer honest.  `recurrence_of`
+reads the whole spec off one recursive total: its terms, the toll function,
+the toll's class and its time expression; `monotone_by_induction` decides
+from that expression and the base table that f is nondecreasing at every n.
 """
 
 from __future__ import annotations
@@ -27,7 +27,8 @@ from .credits import (
     SubE, UnitAtom, VarAtom, VarE, holds_for_all_n,
 )
 from .landau import (
-    BoundRegistry, PolyLog, PolyLog2, RealPowerClass, analyze_form, geometric_samples,
+    BoundRegistry, NonLinearArgument, PolyLog, PolyLog2, RealPowerClass, analyze_form, arg_slope,
+    geometric_samples,
 )
 
 BOTTOM_HEAVY = "bottom-heavy"
@@ -168,26 +169,34 @@ def _check_eventually_positive(spec: AkraBazziSpec) -> None:
             raise RecurrenceError(f"f({n}) is not positive")
 
 
-def toll_fields(total_of: Callable[[dict], PolyForm], consts: dict, name: str, aux=()) -> dict:
-    """The spec's three toll fields, as keywords, from the recursive total
-    that `total_of` builds for these constants.  The toll is the total less
-    its calls of `name`, kept as `g_form`: `g_concrete` evaluates it at n,
-    each auxiliary call bound to its time function at these constants, and
-    `g_class` is read off its atoms, each auxiliary with its class.  `aux`
-    holds (name, time function, class) triples.  A toll is derived once per
-    `total_of` and constants."""
-    toll = _derived_toll(total_of, tuple(sorted(consts.items())), name, aux)
-    return dict(zip(("g_class", "g_concrete", "g_form"), toll))
+def recurrence_of(
+    total_of: Callable[[dict], PolyForm], consts: dict, name: str, x0: int, base: dict, aux=()
+) -> AkraBazziSpec:
+    """The spec of f = `name`, for n >= x0 above the base table, read off the
+    recursive total that `total_of` builds for these constants.  Each call
+    a * f(h) in the total is a term, in the total's order; the rest is the
+    toll, kept as `g_form`: `g_concrete` evaluates it at n, each auxiliary
+    call bound to its time function at these constants, and `g_class` is
+    read off its atoms, each auxiliary with its class.  `aux` holds (name,
+    time function, class) triples.  A total is read once per `total_of`,
+    constants and x0."""
+    terms, g_class, g_concrete, g_form = _read_total(
+        total_of, tuple(sorted(consts.items())), name, x0, aux
+    )
+    return AkraBazziSpec(
+        x0=x0, terms=terms, g_class=g_class, g_concrete=g_concrete, g_form=g_form, base=base,
+        name=name,
+    )
 
 
 @lru_cache(maxsize=256)
-def _derived_toll(total_of, consts_items: tuple, name: str, aux: tuple):
+def _read_total(total_of, consts_items: tuple, name: str, x0: int, aux: tuple):
     consts = dict(consts_items)
     coeffs = dict(total_of(consts).coeffs)
-    for atom in [a for a in coeffs if isinstance(a, CallAtom) and a.fn == name]:
-        del coeffs[atom]
+    calls = {a: coeffs.pop(a) for a in list(coeffs) if isinstance(a, CallAtom) and a.fn == name}
     if not coeffs:
         raise RecurrenceError(f"the toll of {name} is identically zero")
+    terms = tuple(_rec_term(call, a, x0) for call, a in calls.items())
     toll, registry = PolyForm(coeffs), BoundRegistry()
     for fn, _, cls in aux:
         registry.register(fn, cls)
@@ -197,7 +206,33 @@ def _derived_toll(total_of, consts_items: tuple, name: str, aux: tuple):
         sigma.env["n"] = n  # one assignment serves every point
         return toll.eval(sigma)
 
-    return analyze_form(toll, registry), g_concrete, toll
+    return terms, analyze_form(toll, registry), g_concrete, toll
+
+
+def _rec_term(call: CallAtom, a: int, x0: int) -> RecTerm:
+    """The term a * f(h) of the call: b is h's exact slope, and the
+    rounding is the one under which the rounded b * n equals h at every
+    n >= x0."""
+    refused = RecurrenceError(f"the call {call!r} is not on a rounded b * n with 0 < b < 1")
+    if len(call.args) != 1:
+        raise refused
+    (h,) = call.args
+    try:
+        b = arg_slope(h)
+    except NonLinearArgument:
+        raise refused from None
+    if 0 < b < 1:
+        for rounding in ("floor", "ceil"):
+            rounded = _rounded(b, rounding)
+            if holds_for_all_n(h, rounded, x0) and holds_for_all_n(rounded, h, x0):
+                return RecTerm(Fraction(a), b, rounding)
+    raise refused
+
+
+def _rounded(b: Fraction, rounding: str) -> ArgExpr:
+    """The floor or ceiling of b * n."""
+    div = CeilDivE if rounding == "ceil" else FloorDivE
+    return div(MulE(b.numerator, VarE("n")), b.denominator)
 
 
 def _at_next(e: ArgExpr) -> ArgExpr:
@@ -226,9 +261,7 @@ def monotone_by_induction(spec: AkraBazziSpec) -> bool:
     if spec.g_form is None or any(k not in base for k in range(x0)):
         return False
     for t in spec.terms:
-        rounded = CeilDivE if t.rounding == "ceil" else FloorDivE
-        h = rounded(MulE(t.b.numerator, n), t.b.denominator)
-        if t.a < 0 or not holds_for_all_n(h, SubE(n, ConstE(1)), x0):
+        if t.a < 0 or not holds_for_all_n(_rounded(t.b, t.rounding), SubE(n, ConstE(1)), x0):
             return False
     for atom, c in spec.g_form.coeffs.items():
         if isinstance(atom, UnitAtom):

@@ -5,9 +5,11 @@ import hashlib
 import itertools
 import json
 import random
+import re
 import weakref
 import zlib
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -48,15 +50,17 @@ from timecredits.algorithms.splay_tree import (
     tree_node,
 )
 from timecredits.credits import (
-    UNIT, Assignment, CallAtom, CeilDivE, MulE, PolyForm, VarAtom, VarE, holds_for_all_n, t_call,
+    UNIT, AddE, Assignment, CallAtom, CeilDivE, ConstE, FloorDivE, MulE, PolyForm, SubE, VarAtom,
+    VarE, holds_for_all_n, t_call, t_lit,
 )
 from timecredits.heap import ARRAY, FAILURE, Addr, Heap, empty_heap, run, run_traced
 from timecredits.landau import SOLVED, BoundRegistry, PolyLog, PolyLog2, analyze_form
 from timecredits.recurrence import (
-    LinearRecSpec, RecTerm, RecurrenceError, eval_recurrence, monotone_by_induction, toll_fields,
+    LinearRecSpec, RecTerm, RecurrenceError, eval_recurrence, monotone_by_induction, recurrence_of,
 )
 
 BUNDLES = all_bundles()
+N = VarE("n")
 
 
 @pytest.mark.parametrize("name", sorted(BUNDLES))
@@ -447,7 +451,7 @@ def test_toll_classes_are_derived_from_the_recursive_totals(spec_of, cls):
 def test_an_identically_zero_toll_gets_no_class():
     n = VarE("n")
     with pytest.raises(RecurrenceError, match="identically zero"):
-        toll_fields(lambda consts: 2 * t_call("f", n), {}, "f")
+        recurrence_of(lambda consts: 2 * t_call("f", n), {}, "f", 1, {0: 1})
     with pytest.raises(RecurrenceError, match="identically zero"):
         srch.bsearch_recurrence(dict(srch.BINARY_SEARCH_CONSTS, level=0))
 
@@ -768,3 +772,41 @@ def test_recursive_terms_are_the_stated_ones_in_order(row):
     defaults = BUNDLES[row].consts
     for consts in [defaults] + [dict(defaults, **{k: v - 1}) for k, v in defaults.items()]:
         assert spec_of(consts).terms == stated, consts
+
+
+def test_a_self_call_reads_its_slope_and_rounding_off_its_argument():
+    up = FloorDivE(AddE(N, ConstE(1)), 2)  # (n + 1) div 2 is ceil(n/2)
+    spec = recurrence_of(lambda consts: t_lit(1) + 3 * t_call("f", up), {}, "f", 1, {0: 1})
+    assert spec.terms == (RecTerm(Fraction(3), Fraction(1, 2), "ceil"),)
+    assert spec.name == "f"
+
+
+@pytest.mark.parametrize("args", [
+    (SubE(N, ConstE(1)),),
+    (AddE(FloorDivE(N, 2), ConstE(1)),),
+    (MulE(2, FloorDivE(N, 4)),),
+    (MulE(1, N),),
+    (VarE("m"),),
+    (FloorDivE(N, 0),),
+    (FloorDivE(N, 2), CeilDivE(N, 2)),
+    (),
+])
+def test_a_self_call_off_a_rounded_b_n_is_refused(args):
+    """A self-call must have one argument, equal to the floor or the
+    ceiling of b * n with 0 < b < 1 at every n >= x0; any other is refused
+    with a RecurrenceError naming it, not an error of the argument walk."""
+    call = t_call("f", *args)
+    with pytest.raises(RecurrenceError, match=re.escape(repr(CallAtom("f", args)))):
+        recurrence_of(lambda consts: t_lit(1) + call, {}, "f", 2, {0: 1, 1: 1})
+
+
+def test_no_case_study_states_a_recurrence_by_hand():
+    """Every divide-and-conquer row reads its terms, toll and class off its
+    recursive total; a case-study module that states them again fails."""
+    stated = [
+        f"{path.name}:{i}: {line.strip()}"
+        for path in sorted(Path(srt.__file__).parent.glob("*.py"))
+        for i, line in enumerate(path.read_text().splitlines(), 1)
+        if any(word in line for word in ("RecTerm(", "terms=", "g_class="))
+    ]
+    assert stated == []
