@@ -159,7 +159,8 @@ def _on_class(e: ArgExpr, period: int, r: int, differences: list) -> tuple[int, 
     if isinstance(e, CeilDivE):
         a, b = _on_class(e.inner, period, r, differences)
         return a // e.divisor, -(-b // e.divisor)
-    (a1, b1), (a2, b2) = (_on_class(side, period, r, differences) for side in (e.left, e.right))
+    a1, b1 = _on_class(e.left, period, r, differences)
+    a2, b2 = _on_class(e.right, period, r, differences)
     if isinstance(e, AddE):
         return a1 + a2, b1 + b2
     differences.append((a1 - a2, b1 - b2))

@@ -212,7 +212,7 @@ def _read_total(total_of, consts_items: tuple, name: str, x0: int, aux: tuple):
 def _rec_term(call: CallAtom, a: int, x0: int) -> RecTerm:
     """The term a * f(h) of the call: b is h's exact slope, and the
     rounding is the one under which the rounded b * n equals h at every
-    n >= x0."""
+    n >= x0, by being h or by holding both ways."""
     refused = RecurrenceError(f"the call {call!r} is not on a rounded b * n with 0 < b < 1")
     if len(call.args) != 1:
         raise refused
@@ -224,15 +224,15 @@ def _rec_term(call: CallAtom, a: int, x0: int) -> RecTerm:
     if 0 < b < 1:
         for rounding in ("floor", "ceil"):
             rounded = _rounded(b, rounding)
-            if holds_for_all_n(h, rounded, x0) and holds_for_all_n(rounded, h, x0):
+            if h == rounded or holds_for_all_n(h, rounded, x0) and holds_for_all_n(rounded, h, x0):
                 return RecTerm(Fraction(a), b, rounding)
     raise refused
 
 
 def _rounded(b: Fraction, rounding: str) -> ArgExpr:
-    """The floor or ceiling of b * n."""
-    div = CeilDivE if rounding == "ceil" else FloorDivE
-    return div(MulE(b.numerator, VarE("n")), b.denominator)
+    """The floor or ceiling of b * n, with no factor 1 (n div 2, not 1*n div 2)."""
+    n, div = VarE("n"), CeilDivE if rounding == "ceil" else FloorDivE
+    return div(n if b.numerator == 1 else MulE(b.numerator, n), b.denominator)
 
 
 def _at_next(e: ArgExpr) -> ArgExpr:
