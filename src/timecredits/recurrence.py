@@ -230,7 +230,8 @@ def _rec_term(call: CallAtom, a: int, x0: int) -> RecTerm:
 
 
 def _rounded(b: Fraction, rounding: str) -> ArgExpr:
-    """The floor or ceiling of b * n, with no factor 1 (n div 2, not 1*n div 2)."""
+    """The floor or ceiling of b * n, as a case study writes it: n div 2,
+    not 1*n div 2."""
     n, div = VarE("n"), CeilDivE if rounding == "ceil" else FloorDivE
     return div(n if b.numerator == 1 else MulE(b.numerator, n), b.denominator)
 
