@@ -20,12 +20,15 @@ limited by Python's recursion limit.  The hot opcodes (`array_nth`,
 `array_upd`, PROC, `ret`) are executed inline; the rest through their
 opcode's `impl`.  The driver is the one place that records a charge.  A
 yielded value that is not an instruction raises `TypeError` before anything
-is charged.
+is charged.  Operand checks test the exact type first: the inline cell
+commands check a plain int index i >= 0 by indexing the list (its
+`IndexError` is the failure); any other index (negative, a bool, an int
+subclass or not an int) takes the full test against the length.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError, dataclass
 from functools import partial, wraps
 from typing import Any, Callable, Iterable, Union
 
@@ -33,15 +36,39 @@ REF = "ref"
 ARRAY = "array"
 
 
-@dataclass(frozen=True)
 class Addr:
-    """Opaque heap address.  Programs obtain these from allocation only."""
+    """Opaque heap address.  Programs obtain these from allocation only.
+    Immutable; equal only to an `Addr` of the same index and kind, and hashed
+    as the tuple (index, kind)."""
 
-    index: int
-    kind: str  # REF or ARRAY
+    __slots__ = ("index", "kind")  # kind is REF or ARRAY
+
+    def __init__(self, index: int, kind: str):
+        _SET_INDEX(self, index)
+        _SET_KIND(self, kind)
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.index, self.kind) == (other.index, other.kind)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.index, self.kind))
+
+    def __reduce__(self):
+        return Addr, (self.index, self.kind)
 
     def __repr__(self) -> str:
         return f"{'r' if self.kind == REF else 'a'}{self.index}"
+
+
+_SET_INDEX, _SET_KIND = Addr.index.__set__, Addr.kind.__set__
 
 
 # Heap cells hold ints, bools, unit (None) or addresses.  Whole-array
@@ -126,7 +153,7 @@ class _Op:
 Computation = tuple
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Success:
     value: Any
     heap: Heap
@@ -208,17 +235,19 @@ def _drive(comp: Computation, base: Heap, trace) -> tuple[Any, int, _Overlay]:
     arrays, base_arrays = heap.arrays, base.arrays
     frames: list = []
     push, pop = frames.append, frames.pop
+    tracing = trace is not None
+    NTH, UPD, PROC, RET, Addr_, ARRAY_, tuple_, int_ = _NTH, _UPD, _PROC, _RET, Addr, ARRAY, tuple, int
     send = None
     instr = comp
     cost = 0
     while True:
-        op = instr[0] if type(instr) is tuple and instr else None
-        if op is _NTH:
+        op = instr[0] if type(instr) is tuple_ and instr else None
+        if op is NTH:
             cost += 1
-            if trace is not None:
+            if tracing:
                 trace.append(_NTH_CHARGE)
             _, a, i = instr
-            if not (isinstance(a, Addr) and a.kind == ARRAY):
+            if not ((type(a) is Addr_ or isinstance(a, Addr_)) and a.kind == ARRAY_):
                 raise _Fail()
             cells = arrays.get(a.index)
             if cells is None:
@@ -226,41 +255,48 @@ def _drive(comp: Computation, base: Heap, trace) -> tuple[Any, int, _Overlay]:
                 cells = base_arrays.get(a.index)
                 if cells is None:
                     raise _Fail()
-            if (type(i) is not int and not _is_index(i)) or not 0 <= i < len(cells):
+            # a plain int i >= 0 is checked by the list itself
+            if (type(i) is not int_ or i < 0) and (not _is_index(i) or not 0 <= i < len(cells)):
                 raise _Fail()
-            value = cells[i]
-        elif op is _UPD:
+            try:
+                value = cells[i]
+            except IndexError:
+                raise _Fail() from None
+        elif op is UPD:
             cost += 1
-            if trace is not None:
+            if tracing:
                 trace.append(_UPD_CHARGE)
             _, a, i, v = instr
-            cells = arrays.get(a.index) if isinstance(a, Addr) and a.kind == ARRAY else None
+            cells = arrays.get(a.index) if type(a) is Addr_ and a.kind == ARRAY_ else None
             if cells is None:
                 cells = _as_array(heap, a, write=True)
-            if (type(i) is not int and not _is_index(i)) or not 0 <= i < len(cells):
+            if (type(i) is not int_ or i < 0) and (not _is_index(i) or not 0 <= i < len(cells)):
                 raise _Fail()
-            cells[i] = v
+            try:
+                cells[i] = v
+            except IndexError:
+                raise _Fail() from None
             value = None
-        elif op is _PROC:
+        elif op is PROC:
             push(send)
             send = instr[1](*instr[2]).send
             value = None
-        elif op is _RET:
+        elif op is RET:
             cost += 1
-            if trace is not None:
+            if tracing:
                 trace.append(_RET_CHARGE)
             value = instr[1]
         elif type(op) is not _Op:
             raise TypeError(f"not a computation: {instr!r}")
         elif op.unit:
             cost += 1
-            if trace is not None:
+            if tracing:
                 trace.append((op.name, 1))
             value = op.impl(heap, instr)
         else:
             value, units = op.impl(heap, instr)
             cost += units
-            if trace is not None:
+            if tracing:
                 trace.append((op.name, units))
         # hand the value to the innermost proc; one that returns hands its
         # result on to its caller
@@ -281,7 +317,7 @@ def _is_index(i) -> bool:
 
 def _as_ref(heap: _Overlay, a: Value) -> int:
     """The index of ref `a`, copied into the run's `refs` on first touch."""
-    if not isinstance(a, Addr) or a.kind != REF:
+    if type(a) is not Addr and not isinstance(a, Addr) or a.kind != REF:
         raise _Fail()
     i = a.index
     if i not in heap.refs:
@@ -295,7 +331,7 @@ def _as_ref(heap: _Overlay, a: Value) -> int:
 def _as_array(heap: _Overlay, a: Value, write: bool = False) -> list[Value]:
     """The cells of array `a`.  An unwritten base array is returned in place
     for reading; `write` copies it into the run's `arrays` first."""
-    if not isinstance(a, Addr) or a.kind != ARRAY:
+    if type(a) is not Addr and not isinstance(a, Addr) or a.kind != ARRAY:
         raise _Fail()
     cells = heap.arrays.get(a.index)
     if cells is None:
@@ -308,10 +344,10 @@ def _as_array(heap: _Overlay, a: Value, write: bool = False) -> list[Value]:
 
 
 def _alloc_array(heap: _Overlay, cells: list[Value]) -> Addr:
-    a = Addr(heap.next_addr, ARRAY)
-    heap.arrays[a.index] = cells
-    heap.next_addr += 1
-    return a
+    i = heap.next_addr
+    heap.arrays[i] = cells
+    heap.next_addr = i + 1
+    return Addr(i, ARRAY)
 
 
 # ---------------------------------------------------------------------------
@@ -321,10 +357,10 @@ def _alloc_array(heap: _Overlay, cells: list[Value]) -> Addr:
 # ---------------------------------------------------------------------------
 
 def _ref_new(heap, instr):
-    a = Addr(heap.next_addr, REF)
-    heap.refs[a.index] = instr[1]
-    heap.next_addr += 1
-    return a
+    i = heap.next_addr
+    heap.refs[i] = instr[1]
+    heap.next_addr = i + 1
+    return Addr(i, REF)
 
 
 def _ref_read(heap, instr):
@@ -342,7 +378,7 @@ def _array_len(heap, instr):
 
 def _array_new(heap, instr):
     _, n, x = instr
-    if not _is_index(n) or n < 0:
+    if type(n) is not int and not _is_index(n) or n < 0:
         raise _Fail()
     return _alloc_array(heap, [x] * n), n + 1
 
@@ -360,7 +396,7 @@ def _array_to_list(heap, instr):
 def _atake(heap, instr):
     _, k, a = instr
     cells = _as_array(heap, a)
-    if not _is_index(k) or not 0 <= k <= len(cells):
+    if type(k) is not int and not _is_index(k) or not 0 <= k <= len(cells):
         raise _Fail()
     return _alloc_array(heap, cells[:k]), k + 1
 
@@ -368,7 +404,7 @@ def _atake(heap, instr):
 def _adrop(heap, instr):
     _, k, a = instr
     cells = _as_array(heap, a)
-    if not _is_index(k) or not 0 <= k <= len(cells):
+    if type(k) is not int and not _is_index(k) or not 0 <= k <= len(cells):
         raise _Fail()
     return _alloc_array(heap, cells[k:]), (len(cells) - k) + 1
 

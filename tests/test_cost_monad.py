@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 
 import pytest
@@ -7,6 +9,7 @@ from hypothesis import strategies as st
 from timecredits.heap import (
     FAILURE,
     Addr,
+    Heap,
     Success,
     adrop,
     agrow,
@@ -427,6 +430,249 @@ def test_computations_are_reusable_values():
     prog = _nest(3, array_to_list(made.value))
     first, second = run(prog, made.heap), run(prog, made.heap)
     assert first == second and first.value == (5, 6) and first.cost == 3
+
+
+# ---------------------------------------------------------------------------
+# the driver against a plain reference interpreter
+# ---------------------------------------------------------------------------
+
+class _RefFail(Exception):
+    pass
+
+
+def _reference_run(prog, base):
+    """`run_traced` of a straight-line program, written plainly: `prog` is a
+    list of (constructor name, operands) or nested lists (sub-procs, whose
+    value is their last op's).  `ret`, `array_nth`, `array_upd` and the
+    one-unit ops charge before they validate, the rest validate first.
+    Returns ((value, heap) or None on failure, trace)."""
+    refs = dict(base.refs)
+    arrays = {i: list(cells) for i, cells in base.arrays.items()}
+    next_addr = base.next_addr
+    trace = []
+
+    def is_index(x):
+        return isinstance(x, int) and not isinstance(x, bool)
+
+    def array(a):
+        if not (isinstance(a, Addr) and a.kind == "array" and a.index in arrays):
+            raise _RefFail
+        return arrays[a.index]
+
+    def ref(a):
+        if not (isinstance(a, Addr) and a.kind == "ref" and a.index in refs):
+            raise _RefFail
+        return a.index
+
+    def alloc(table, kind, value):
+        nonlocal next_addr
+        next_addr += 1
+        table[next_addr - 1] = value
+        return Addr(next_addr - 1, kind)
+
+    def step(name, args):
+        if name in ("ret", "array_nth", "array_upd", "ref_new", "ref_read",
+                    "ref_write", "array_len"):
+            trace.append((name, 1))
+            if name == "ret":
+                return args[0]
+            if name == "ref_new":
+                return alloc(refs, "ref", args[0])
+            if name == "ref_read":
+                return refs[ref(args[0])]
+            if name == "ref_write":
+                refs[ref(args[0])] = args[1]
+                return None
+            cells = array(args[0])
+            if name == "array_len":
+                return len(cells)
+            i = args[1]
+            if not (is_index(i) and 0 <= i < len(cells)):
+                raise _RefFail
+            if name == "array_nth":
+                return cells[i]
+            cells[i] = args[2]
+            return None
+        if name == "array_of_list":
+            value, units = alloc(arrays, "array", list(args[0])), len(args[0]) + 1
+        elif name == "array_new":
+            n, x = args
+            if not (is_index(n) and n >= 0):
+                raise _RefFail
+            value, units = alloc(arrays, "array", [x] * n), n + 1
+        else:
+            if name == "array_to_list":
+                cells = array(args[0])
+                value, units = tuple(cells), len(cells) + 1
+            elif name == "agrow":
+                n, a, fill = args
+                cells = array(a)
+                if not (is_index(n) and n >= len(cells)):
+                    raise _RefFail
+                value = alloc(arrays, "array", cells + [fill] * (n - len(cells)))
+                units = len(cells) + 1
+            else:
+                k, a = args
+                cells = array(a)
+                if not (is_index(k) and 0 <= k <= len(cells)):
+                    raise _RefFail
+                part = cells[:k] if name == "atake" else cells[k:]
+                value, units = alloc(arrays, "array", part), len(part) + 1
+        trace.append((name, units))
+        return value
+
+    def block(ops):
+        value = None
+        for op in ops:
+            value = block(op) if isinstance(op, list) else step(*op)
+        return value
+
+    try:
+        value = block(prog)
+    except _RefFail:
+        return None, tuple(trace)
+    return (value, Heap(refs, arrays, next_addr)), tuple(trace)
+
+
+@proc
+def _straight_line(instrs):
+    value = None
+    for instr in instrs:
+        value = yield instr
+    return value
+
+
+_CONSTRUCTORS = {f.__name__: f for f in (ret, array_nth, array_upd, array_len, array_new,
+                                         array_of_list, array_to_list, atake, adrop, agrow,
+                                         ref_new, ref_read, ref_write)}
+
+
+def _build(prog):
+    """The computation a reference program stands for."""
+    return _straight_line(tuple(_build(op) if isinstance(op, list) else _CONSTRUCTORS[op[0]](*op[1])
+                                for op in prog))
+
+
+def _driver_base():
+    """Arrays a0 (3 cells) and a1 (4 cells), ref r2; the next address is 3."""
+    base = run(array_of_list([1, 2, 3]), empty_heap()).heap
+    base = run(array_of_list([4, 5, 6, 7]), base).heap
+    return run(ref_new(8), base).heap
+
+
+# arrays a0 and a1 are in the base, a3 and a4 are made by the run if it allocates;
+# r0 is a ref address on an array's index, a9 and r7 dangle
+_GOOD_ARRAYS = [Addr(0, "array"), Addr(1, "array")] * 3 + [Addr(3, "array"), Addr(4, "array")]
+_BAD_ADDRS = [Addr(0, "ref"), Addr(2, "array"), Addr(9, "array"), Addr(7, "ref"), None, 0, 1]
+_BAD_INDEXES = [-1, -4, 4, 5, 10**20, True, False, _Index(-1), _Index(9), "1", 1.0, None]
+_GOOD_INDEXES = [0, 1, 2, 0, 1, 2, 3, _Index(0), _Index(2)]
+
+
+def _random_reference_program(rng, depth=0):
+    def addr():
+        return rng.choice(_GOOD_ARRAYS if rng.random() < 0.93 else _BAD_ADDRS)
+
+    def index():
+        return rng.choice(_GOOD_INDEXES if rng.random() < 0.9 else _BAD_INDEXES)
+
+    def size():  # kept small: a size is an allocation
+        return rng.choice([0, 1, 2, 3, 5, _Index(2)] if rng.random() < 0.85 else [-1, True, _Index(-2), 2.0])
+
+    def value():
+        return rng.choice([0, 7, -3, None, True, Addr(0, "array")])
+
+    prog = []
+    for _ in range(rng.randrange(1, 8)):
+        kind = rng.randrange(14)
+        if kind == 0 and depth < 2:
+            prog.append(_random_reference_program(rng, depth + 1))
+        elif kind in (1, 2, 3):
+            prog.append(("array_nth", (addr(), index())))
+        elif kind in (4, 5):
+            prog.append(("array_upd", (addr(), index(), value())))
+        elif kind == 6:
+            prog.append(("array_len", (addr(),)))
+        elif kind == 7:
+            prog.append((rng.choice(["atake", "adrop"]), (index(), addr())))
+        elif kind == 8:
+            prog.append(("array_new", (size(), value())))
+        elif kind == 9:
+            prog.append(("agrow", (rng.choice([3, 4, 6, 2, -1, True, _Index(5)]), addr(), value())))
+        elif kind == 10:
+            prog.append(("array_to_list", (addr(),)))
+        elif kind == 11:
+            prog.append(("array_of_list", ([value() for _ in range(rng.randrange(3))],)))
+        elif kind == 12:
+            r = rng.choice([Addr(2, "ref"), Addr(2, "ref"), Addr(5, "ref")] + _BAD_ADDRS)
+            prog.append(rng.choice([("ref_read", (r,)), ("ref_write", (r, value())), ("ref_new", (value(),))]))
+        else:
+            prog.append(("ret", (value(),)))
+    return prog
+
+
+def test_driver_agrees_with_a_plain_reference_interpreter():
+    """Outcome, trace, committed heap (with dict order) and the untouched input
+    of `run_traced` and `run`, on 4000 derandomized random programs."""
+    rng = random.Random(2024)
+    base = _driver_base()
+    snapshot = base.clone()
+    succeeded = 0
+    for _ in range(4000):
+        prog = _random_reference_program(rng)
+        want, want_trace = _reference_run(prog, base)
+        comp = _build(prog)
+        out, trace = run_traced(comp, base)
+        assert trace == want_trace, prog
+        assert run(comp, base) == out
+        if want is None:
+            assert out is FAILURE, prog
+        else:
+            succeeded += 1
+            value, heap = want
+            assert (out.value, out.heap, out.cost) == (value, heap, sum(u for _, u in trace)), prog
+            assert list(out.heap.arrays) == list(heap.arrays)
+            assert list(out.heap.refs) == list(heap.refs)
+        assert base == snapshot
+    assert 800 < succeeded < 3200  # both outcomes are exercised
+
+
+# ---------------------------------------------------------------------------
+# Addr and Success are values
+# ---------------------------------------------------------------------------
+
+def test_addr_is_an_immutable_value():
+    a = Addr(3, "array")
+    assert a == Addr(3, "array") and not a != Addr(3, "array")
+    assert a != Addr(3, "ref") and a != Addr(4, "array")
+    assert a != (3, "array") and (3, "array") != a
+    assert a.__eq__((3, "array")) is NotImplemented
+    assert {a: 1}.get((3, "array")) is None
+    for index, kind in [(3, "array"), (0, "ref"), (2**70, "ref")]:
+        assert hash(Addr(index, kind)) == hash((index, kind))
+    # so sets of addresses iterate in the order of their tuples
+    pairs = [(i * 37 % 101, "array" if i % 3 else "ref") for i in range(60)]
+    assert [(b.index, b.kind) for b in frozenset(Addr(*p) for p in pairs)] == list(frozenset(pairs))
+    for name in ("index", "kind"):
+        with pytest.raises(AttributeError):
+            setattr(a, name, 0)
+        with pytest.raises(AttributeError):
+            delattr(a, name)
+    with pytest.raises(AttributeError):
+        a.other = 1
+    assert (a.index, a.kind) == (3, "array")
+    assert (repr(a), repr(Addr(3, "ref")), repr([Addr(0, "array")])) == ("a3", "r3", "[a0]")
+    for twin in (copy.copy(a), copy.deepcopy(a), pickle.loads(pickle.dumps(a)),
+                 copy.deepcopy([a, Addr(1, "ref")])[0]):
+        assert type(twin) is Addr and twin == a and hash(twin) == hash(a)
+
+
+def test_success_is_an_immutable_value():
+    h = _three_cells()
+    out = run(ret(5), h)
+    assert out == Success(5, h, 1) and out != Success(5, h, 2)
+    assert repr(out) == f"Success(value=5, heap={h!r}, cost=1)"
+    with pytest.raises(AttributeError):
+        out.cost = 0
 
 
 # ---------------------------------------------------------------------------
