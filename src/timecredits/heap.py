@@ -37,9 +37,8 @@ ARRAY = "array"
 
 
 class Addr:
-    """Opaque heap address.  Programs obtain these from allocation only.
-    Immutable; equal only to an `Addr` of the same index and kind, and hashed
-    as the tuple (index, kind)."""
+    """Opaque heap address.  Programs obtain these from allocation only.  An
+    immutable value, hashed as the tuple (index, kind) but never equal to it."""
 
     __slots__ = ("index", "kind")  # kind is REF or ARRAY
 
@@ -68,6 +67,8 @@ class Addr:
         return f"{'r' if self.kind == REF else 'a'}{self.index}"
 
 
+# `Addr.__init__` writes the slots through their descriptors, past the frozen
+# `__setattr__`
 _SET_INDEX, _SET_KIND = Addr.index.__set__, Addr.kind.__set__
 
 
@@ -235,8 +236,9 @@ def _drive(comp: Computation, base: Heap, trace) -> tuple[Any, int, _Overlay]:
     arrays, base_arrays = heap.arrays, base.arrays
     frames: list = []
     push, pop = frames.append, frames.pop
-    tracing = trace is not None
-    NTH, UPD, PROC, RET, Addr_, ARRAY_, tuple_, int_ = _NTH, _UPD, _PROC, _RET, Addr, ARRAY, tuple, int
+    # local names for what the loop tests on every instruction
+    NTH, UPD, PROC, RET = _NTH, _UPD, _PROC, _RET
+    Addr_, ARRAY_, tuple_, int_ = Addr, ARRAY, tuple, int
     send = None
     instr = comp
     cost = 0
@@ -244,7 +246,7 @@ def _drive(comp: Computation, base: Heap, trace) -> tuple[Any, int, _Overlay]:
         op = instr[0] if type(instr) is tuple_ and instr else None
         if op is NTH:
             cost += 1
-            if tracing:
+            if trace is not None:
                 trace.append(_NTH_CHARGE)
             _, a, i = instr
             if not ((type(a) is Addr_ or isinstance(a, Addr_)) and a.kind == ARRAY_):
@@ -264,7 +266,7 @@ def _drive(comp: Computation, base: Heap, trace) -> tuple[Any, int, _Overlay]:
                 raise _Fail() from None
         elif op is UPD:
             cost += 1
-            if tracing:
+            if trace is not None:
                 trace.append(_UPD_CHARGE)
             _, a, i, v = instr
             cells = arrays.get(a.index) if type(a) is Addr_ and a.kind == ARRAY_ else None
@@ -283,20 +285,20 @@ def _drive(comp: Computation, base: Heap, trace) -> tuple[Any, int, _Overlay]:
             value = None
         elif op is RET:
             cost += 1
-            if tracing:
+            if trace is not None:
                 trace.append(_RET_CHARGE)
             value = instr[1]
         elif type(op) is not _Op:
             raise TypeError(f"not a computation: {instr!r}")
         elif op.unit:
             cost += 1
-            if tracing:
+            if trace is not None:
                 trace.append((op.name, 1))
             value = op.impl(heap, instr)
         else:
             value, units = op.impl(heap, instr)
             cost += units
-            if tracing:
+            if trace is not None:
                 trace.append((op.name, units))
         # hand the value to the innermost proc; one that returns hands its
         # result on to its caller

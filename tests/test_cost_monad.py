@@ -576,7 +576,8 @@ def _random_reference_program(rng, depth=0):
         return rng.choice(_GOOD_INDEXES if rng.random() < 0.9 else _BAD_INDEXES)
 
     def size():  # kept small: a size is an allocation
-        return rng.choice([0, 1, 2, 3, 5, _Index(2)] if rng.random() < 0.85 else [-1, True, _Index(-2), 2.0])
+        good = rng.random() < 0.85
+        return rng.choice([0, 1, 2, 3, 5, _Index(2)] if good else [-1, True, _Index(-2), 2.0])
 
     def value():
         return rng.choice([0, 7, -3, None, True, Addr(0, "array")])
@@ -604,7 +605,8 @@ def _random_reference_program(rng, depth=0):
             prog.append(("array_of_list", ([value() for _ in range(rng.randrange(3))],)))
         elif kind == 12:
             r = rng.choice([Addr(2, "ref"), Addr(2, "ref"), Addr(5, "ref")] + _BAD_ADDRS)
-            prog.append(rng.choice([("ref_read", (r,)), ("ref_write", (r, value())), ("ref_new", (value(),))]))
+            prog.append(rng.choice([("ref_read", (r,)), ("ref_write", (r, value())),
+                                    ("ref_new", (value(),))]))
         else:
             prog.append(("ret", (value(),)))
     return prog
