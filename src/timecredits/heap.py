@@ -319,7 +319,7 @@ def _is_index(i) -> bool:
 
 def _as_ref(heap: _Overlay, a: Value) -> int:
     """The index of ref `a`, copied into the run's `refs` on first touch."""
-    if type(a) is not Addr and not isinstance(a, Addr) or a.kind != REF:
+    if (type(a) is not Addr and not isinstance(a, Addr)) or a.kind != REF:
         raise _Fail()
     i = a.index
     if i not in heap.refs:
@@ -333,7 +333,7 @@ def _as_ref(heap: _Overlay, a: Value) -> int:
 def _as_array(heap: _Overlay, a: Value, write: bool = False) -> list[Value]:
     """The cells of array `a`.  An unwritten base array is returned in place
     for reading; `write` copies it into the run's `arrays` first."""
-    if type(a) is not Addr and not isinstance(a, Addr) or a.kind != ARRAY:
+    if (type(a) is not Addr and not isinstance(a, Addr)) or a.kind != ARRAY:
         raise _Fail()
     cells = heap.arrays.get(a.index)
     if cells is None:
@@ -380,7 +380,7 @@ def _array_len(heap, instr):
 
 def _array_new(heap, instr):
     _, n, x = instr
-    if type(n) is not int and not _is_index(n) or n < 0:
+    if (type(n) is not int and not _is_index(n)) or n < 0:
         raise _Fail()
     return _alloc_array(heap, [x] * n), n + 1
 
@@ -398,7 +398,7 @@ def _array_to_list(heap, instr):
 def _atake(heap, instr):
     _, k, a = instr
     cells = _as_array(heap, a)
-    if type(k) is not int and not _is_index(k) or not 0 <= k <= len(cells):
+    if (type(k) is not int and not _is_index(k)) or not 0 <= k <= len(cells):
         raise _Fail()
     return _alloc_array(heap, cells[:k]), k + 1
 
@@ -406,7 +406,7 @@ def _atake(heap, instr):
 def _adrop(heap, instr):
     _, k, a = instr
     cells = _as_array(heap, a)
-    if type(k) is not int and not _is_index(k) or not 0 <= k <= len(cells):
+    if (type(k) is not int and not _is_index(k)) or not 0 <= k <= len(cells):
         raise _Fail()
     return _alloc_array(heap, cells[k:]), (len(cells) - k) + 1
 

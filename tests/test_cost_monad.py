@@ -500,24 +500,23 @@ def _reference_run(prog, base):
             if not (is_index(n) and n >= 0):
                 raise _RefFail
             value, units = alloc(arrays, "array", [x] * n), n + 1
-        else:
-            if name == "array_to_list":
-                cells = array(args[0])
-                value, units = tuple(cells), len(cells) + 1
-            elif name == "agrow":
-                n, a, fill = args
-                cells = array(a)
-                if not (is_index(n) and n >= len(cells)):
-                    raise _RefFail
-                value = alloc(arrays, "array", cells + [fill] * (n - len(cells)))
-                units = len(cells) + 1
-            else:
-                k, a = args
-                cells = array(a)
-                if not (is_index(k) and 0 <= k <= len(cells)):
-                    raise _RefFail
-                part = cells[:k] if name == "atake" else cells[k:]
-                value, units = alloc(arrays, "array", part), len(part) + 1
+        elif name == "array_to_list":
+            cells = array(args[0])
+            value, units = tuple(cells), len(cells) + 1
+        elif name == "agrow":
+            n, a, fill = args
+            cells = array(a)
+            if not (is_index(n) and n >= len(cells)):
+                raise _RefFail
+            value = alloc(arrays, "array", cells + [fill] * (n - len(cells)))
+            units = len(cells) + 1
+        else:  # atake, adrop
+            k, a = args
+            cells = array(a)
+            if not (is_index(k) and 0 <= k <= len(cells)):
+                raise _RefFail
+            part = cells[:k] if name == "atake" else cells[k:]
+            value, units = alloc(arrays, "array", part), len(part) + 1
         trace.append((name, units))
         return value
 
