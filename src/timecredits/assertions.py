@@ -21,7 +21,7 @@ import random
 from dataclasses import dataclass
 from typing import Any, Callable, Optional
 
-from .heap import ARRAY, FAILURE, Addr, Computation, Heap, Success, run_traced
+from .heap import ARRAY, FAILURE, REF, Addr, Computation, Heap, Success, run_traced
 
 PASS = "pass"
 FAIL_EXECUTION = "fail-execution"
@@ -307,7 +307,9 @@ def check_triple(
         return TripleVerdict(
             FAIL_CREDITS, needed=outcome.cost, available=ph.credits, trace=trace
         )
-    fresh = {a for a in outcome.heap.allocated() if a.index >= old_next}
+    # a run only allocates, so its new cells are exactly the new addresses
+    refs = outcome.heap.refs
+    fresh = {Addr(i, REF if i in refs else ARRAY) for i in range(old_next, outcome.heap.next_addr)}
     after = PartialHeap(
         outcome.heap, ph.owned | fresh, ph.credits - outcome.cost
     )

@@ -10,6 +10,15 @@ to it and reads the others in place; on success it commits a new `Heap` that
 shares every array it did not write with its input, and on failure it drops
 the overlay, so a failing run leaves no visible change.
 
+A version keeps its address-to-array map as two dicts: a *base*, shared with
+the versions made from it, and a small *delta* of the arrays written or
+allocated since that base was made.  A commit gives the new version its
+parent's base and a fresh delta, the parent's delta plus what the run wrote.
+It folds the delta into a fresh base only once len(delta)**2 exceeds
+16 * len(base) + 4096, so a commit copies O(sqrt(heap)) entries amortized,
+not the whole map.  A read that misses in the overlay looks in the delta,
+then in the base.
+
 A computation is an immutable instruction, a tuple of a private opcode and
 its operands.  Each primitive constructor builds one; `proc` builds a PROC
 instruction that names a generator function and its arguments, and `bind` is
@@ -28,7 +37,7 @@ subclass or not an int) takes the full test against the length.
 
 from __future__ import annotations
 
-from dataclasses import FrozenInstanceError, dataclass
+from dataclasses import FrozenInstanceError
 from functools import partial, wraps
 from typing import Any, Callable, Iterable, Union
 
@@ -86,27 +95,44 @@ class Heap:
     the arrays of its first operand.  So cells are changed only through
     `run`, which never writes its input, or on a `clone()`, which copies
     every array.
+
+    `refs` is a plain dict.  The arrays sit in a base dict and a delta dict
+    (see the module docstring); `arrays` is the plain dict of both, in the
+    order of the base's keys and then of the allocations after it.  It is
+    built on first use and from then on is this version's map, which later
+    runs read; a dict given to `Heap(...)` is that map from the start.  A
+    commit copies such a dict instead of sharing it with the new version,
+    since its caller may still write it.
     """
 
-    __slots__ = ("refs", "arrays", "next_addr")
+    __slots__ = ("refs", "next_addr", "_base", "_delta", "_arrays")
 
     def __init__(self, refs=None, arrays=None, next_addr=0):
         self.refs: dict[int, Value] = refs if refs is not None else {}
-        self.arrays: dict[int, list[Value]] = arrays if arrays is not None else {}
         self.next_addr: int = next_addr
+        self._arrays = self._base = arrays if arrays is not None else {}
+        self._delta: dict[int, list[Value]] = {}
+
+    @property
+    def arrays(self) -> dict[int, list[Value]]:
+        arrays = self._arrays
+        if arrays is None:
+            arrays = self._arrays = self._base = self._base | self._delta
+            self._delta = {}
+        return arrays
+
+    def _map(self) -> dict[int, list[Value]]:
+        """The arrays for reading, without building `arrays`."""
+        return self._base | self._delta if self._delta else self._base
 
     def clone(self) -> "Heap":
-        return Heap(dict(self.refs), {k: list(v) for k, v in self.arrays.items()}, self.next_addr)
-
-    def allocated(self) -> set[Addr]:
-        out = {Addr(i, REF) for i in self.refs}
-        out.update(Addr(i, ARRAY) for i in self.arrays)
-        return out
+        return Heap(dict(self.refs), {k: list(v) for k, v in self._map().items()}, self.next_addr)
 
     def wellformed(self) -> bool:
-        if set(self.refs) & set(self.arrays):
+        arrays = self._map()
+        if set(self.refs) & set(arrays):
             return False
-        domain = list(self.refs) + list(self.arrays)
+        domain = list(self.refs) + list(arrays)
         return all(i < self.next_addr for i in domain)
 
     def __eq__(self, other) -> bool:
@@ -114,14 +140,22 @@ class Heap:
             return NotImplemented
         return (
             self.refs == other.refs
-            and self.arrays == other.arrays
+            and self._map() == other._map()
             and self.next_addr == other.next_addr
         )
 
     def __repr__(self) -> str:
         cells = [f"r{i}={v!r}" for i, v in sorted(self.refs.items())]
-        cells += [f"a{i}={v!r}" for i, v in sorted(self.arrays.items())]
+        cells += [f"a{i}={v!r}" for i, v in sorted(self._map().items())]
         return "Heap(" + ", ".join(cells) + f", next={self.next_addr})"
+
+
+def _version(refs, base, delta, next_addr) -> Heap:
+    """A committed version whose `arrays` is not built yet."""
+    heap = object.__new__(Heap)
+    heap.refs, heap.next_addr = refs, next_addr
+    heap._base, heap._delta, heap._arrays = base, delta, None
+    return heap
 
 
 def empty_heap() -> Heap:
@@ -154,11 +188,32 @@ class _Op:
 Computation = tuple
 
 
-@dataclass(frozen=True, slots=True)
 class Success:
-    value: Any
-    heap: Heap
-    cost: int
+    """The outcome of a run that did not fail; an immutable value."""
+
+    __slots__ = ("value", "heap", "cost")
+
+    def __init__(self, value: Any, heap: Heap, cost: int):
+        _SET_VALUE(self, value)
+        _SET_HEAP(self, heap)
+        _SET_COST(self, cost)
+
+    __setattr__ = Addr.__setattr__
+    __delattr__ = Addr.__delattr__
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.value, self.heap, self.cost) == (other.value, other.heap, other.cost)
+        return NotImplemented
+
+    def __reduce__(self):
+        return Success, (self.value, self.heap, self.cost)
+
+    def __repr__(self) -> str:
+        return f"Success(value={self.value!r}, heap={self.heap!r}, cost={self.cost!r})"
+
+
+_SET_VALUE, _SET_HEAP, _SET_COST = Success.value.__set__, Success.heap.__set__, Success.cost.__set__
 
 
 class Failure:
@@ -201,8 +256,8 @@ class _Overlay:
 
     `refs` and `arrays` hold what the run allocated or wrote; a base ref is
     copied in when first touched, a base array when first written (reads of
-    an unwritten base array go to the base).  The opcodes use it like a
-    `Heap`."""
+    an unwritten base array go to the base heap's delta, then to its base).
+    The opcodes use it like a `Heap`."""
 
     __slots__ = ("refs", "arrays", "next_addr", "base")
 
@@ -215,8 +270,15 @@ class _Overlay:
     def commit(self) -> Heap:
         """The heap after a successful run: base keys first, then the new
         cells in allocation order; arrays the run did not write are shared."""
-        base = self.base
-        return Heap(base.refs | self.refs, base.arrays | self.arrays, self.next_addr)
+        parent = self.base
+        if parent._arrays is not None:
+            # a dict the caller can reach is copied, never shared
+            arrays, delta = parent._arrays | self.arrays, {}
+        else:
+            arrays, delta = parent._base, parent._delta | self.arrays
+            if len(delta) ** 2 > 16 * len(arrays) + 4096:
+                arrays, delta = arrays | delta, {}
+        return _version(parent.refs | self.refs, arrays, delta, self.next_addr)
 
 
 # ---------------------------------------------------------------------------
@@ -233,7 +295,7 @@ def _drive(comp: Computation, base: Heap, trace) -> tuple[Any, int, _Overlay]:
     appended to `trace` unless it is None; no other code records one.
     """
     heap = _Overlay(base)
-    arrays, base_arrays = heap.arrays, base.arrays
+    arrays, delta, base_arrays = heap.arrays, base._delta, base._base
     frames: list = []
     push, pop = frames.append, frames.pop
     # local names for what the loop tests on every instruction
@@ -254,9 +316,11 @@ def _drive(comp: Computation, base: Heap, trace) -> tuple[Any, int, _Overlay]:
             cells = arrays.get(a.index)
             if cells is None:
                 # an unwritten base array is read in place
-                cells = base_arrays.get(a.index)
+                cells = delta.get(a.index)
                 if cells is None:
-                    raise _Fail()
+                    cells = base_arrays.get(a.index)
+                    if cells is None:
+                        raise _Fail()
             # a plain int i >= 0 is checked by the list itself
             if (type(i) is not int_ or i < 0) and (not _is_index(i) or not 0 <= i < len(cells)):
                 raise _Fail()
@@ -337,9 +401,11 @@ def _as_array(heap: _Overlay, a: Value, write: bool = False) -> list[Value]:
         raise _Fail()
     cells = heap.arrays.get(a.index)
     if cells is None:
-        cells = heap.base.arrays.get(a.index)
+        cells = heap.base._delta.get(a.index)
         if cells is None:
-            raise _Fail()
+            cells = heap.base._base.get(a.index)
+            if cells is None:
+                raise _Fail()
         if write:
             cells = heap.arrays[a.index] = list(cells)
     return cells

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from timecredits.algorithms import skew_heap as skew
 from timecredits.heap import (
     FAILURE,
     Addr,
@@ -750,3 +751,83 @@ def test_versions_stay_as_they_were_made(steps):
             versions.append(out.heap)
             snapshots.append(out.heap.clone())
         assert versions == snapshots
+
+
+@settings(max_examples=12, deadline=None)
+@given(st.integers(0, 2**32), st.integers(300, 360))
+def test_versions_stay_as_they_were_made_across_folds(seed, length):
+    """A chain of hundreds of runs, long enough that each version's delta is
+    folded into a fresh base several times.  Between runs `.arrays` is read
+    on random earlier versions, and the dicts handed out that way or passed
+    to `Heap(...)` are written after runs have started from them.  Every
+    version keeps the cells of its model (a clone of its parent's, with the
+    run's effects and the later writes to its own dict applied), in the
+    model's dict order, and a run shares every array it did not write."""
+    rng = random.Random(seed)
+    versions = [_three_cells()]
+    models = [versions[0].clone()]
+    handed_out = []  # (version, the dict its caller can write)
+    tip = folds = 0
+    for step in range(length):
+        if rng.random() < 0.03:
+            # a new root on a dict its caller keeps
+            arrays = {i: list(cells) for i, cells in models[-1].arrays.items()}
+            versions.append(Heap(dict(models[-1].refs), arrays, models[-1].next_addr))
+            models.append(versions[-1].clone())
+            handed_out.append((len(versions) - 1, arrays))
+        j = rng.randrange(len(versions))
+        if j != tip and rng.random() < 0.05:
+            assert list(versions[j].arrays) == list(models[j].arrays)
+            handed_out.append((j, versions[j].arrays))
+        if handed_out and rng.random() < 0.05:
+            j, arrays = rng.choice(handed_out)
+            i = rng.choice(list(arrays))
+            arrays[i] = [rng.randrange(9)] * rng.randrange(3)
+            models[j].arrays[i] = list(arrays[i])
+        # the chain goes on from its tip; a run from another version branches off
+        pick = tip if rng.random() < 0.8 else rng.randrange(len(versions))
+        parent = versions[pick]
+        # mostly allocations and writes, so the delta grows
+        ops = [(rng.choice((0, 0, 1, 1, 2, 3, 4)), rng.randrange(8), rng.randrange(8),
+                rng.randrange(-9, 10)) for _ in range(rng.randrange(13))]
+        fail_at = rng.randrange(13) if rng.random() < 0.1 else None
+        model, written = models[pick].clone(), set()
+        prog = _version_prog([Addr(i, "array") for i in models[pick].arrays],
+                             [Addr(i, "ref") for i in models[pick].refs],
+                             ops, fail_at, model, written)
+        out = run(prog, parent)
+        if fail_at is not None:
+            assert out is FAILURE
+        else:
+            assert out.heap == model
+            before, after = parent._map(), out.heap._map()
+            for i, cells in before.items():
+                assert (after[i] is cells) == (i not in written)
+            folds += parent._arrays is None and out.heap._base is not parent._base
+            if pick == tip:
+                tip = len(versions)
+            versions.append(out.heap)
+            models.append(model)
+        if step % 50 == 0:
+            assert versions == models
+    assert folds >= 3
+    assert versions == models
+    for version, model in zip(versions, models):
+        assert list(version.arrays) == list(model.arrays)
+        assert list(version.refs) == list(model.refs)
+
+
+def test_a_commit_keeps_the_delta_within_the_fold_bound():
+    """4000 skew-heap inserts: after each, the new version's delta is within
+    the fold bound, so a commit never copies the whole address map."""
+    s = skew.new_skew_heap()
+    folds = 0
+    for k in range(4000):
+        before = s.heap
+        s, _ = skew.skew_push(s, (k * 7919) % 4001)
+        heap = s.heap
+        assert len(heap._delta) ** 2 <= 16 * len(heap._base) + 4096
+        folds += before._arrays is None and heap._base is not before._base
+    assert folds >= 1
+    assert sorted(skew.skew_elements(skew.skew_extract(s.heap, s.root))) == sorted(
+        (k * 7919) % 4001 for k in range(4000))
