@@ -41,6 +41,7 @@ from .landau import (
     compose_linear,
     o_subset,
     o_subset2,
+    sum_class2,
     sum_theta,
     sum_theta2,
 )

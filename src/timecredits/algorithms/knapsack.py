@@ -8,8 +8,6 @@ zero-weight items.
 
 from __future__ import annotations
 
-from itertools import combinations
-
 from ..credits import t_lit, t_poly, t_var
 from ..heap import array_new, array_nth, array_upd, proc
 from ..recurrence import LinearRecSpec, eval_linear
@@ -27,15 +25,6 @@ def knapsack_fun(items: list[tuple[int, int]], capacity: int) -> int:
         for c in range(capacity, weight - 1, -1):
             dp[c] = max(dp[c], dp[c - weight] + value)
     return dp[capacity]
-
-
-def knapsack_brute(items: list[tuple[int, int]], capacity: int) -> int:
-    best = 0
-    for k in range(len(items) + 1):
-        for subset in combinations(items, k):
-            if sum(w for w, _ in subset) <= capacity:
-                best = max(best, sum(v for _, v in subset))
-    return best
 
 
 @proc

@@ -20,7 +20,6 @@ from ..credits import (
     MulE,
     SubE,
     VarE,
-    eval_arg,
     holds_for_all_n,
     t_call,
     t_expr,
@@ -180,12 +179,6 @@ PARTITION_SIDES = (
     # n - (3 * (groups div 2) + r - r div 2)
     AddE(SubE(SubE(N, MulE(3, FloorDivE(_GROUPS, 2))), _R), FloorDivE(_R, 2)),
 )
-
-
-def partition_side_bound(n: int) -> int:
-    """Worst size of the recursive window after partitioning a window of
-    n >= 1 elements."""
-    return max(eval_arg(side, {"n": n}) for side in PARTITION_SIDES)
 
 
 def partition_hint(consts=SELECT_CONSTS) -> Hint:

@@ -208,24 +208,6 @@ def skew_pop(s: SkewHeap) -> tuple[int, SkewHeap, int]:
     return key, SkewHeap(out.heap, rest, fun_rest), out.cost
 
 
-def skew_meld_pair(
-    a: SkewHeap, b: SkewHeap
-) -> tuple[SkewHeap, int]:
-    """Meld two heaps living on disjoint address ranges of one heap value.
-    The merged heap shares a's cell lists, which a run never writes."""
-    offset = a.heap.next_addr
-    arrays = dict(a.heap.arrays)
-    for idx, cells in b.heap.arrays.items():
-        arrays[idx + offset] = [
-            Addr(v.index + offset, v.kind) if isinstance(v, Addr) else v for v in cells
-        ]
-    merged_heap = Heap(a.heap.refs, arrays, offset + b.heap.next_addr)
-    b_root = Addr(b.root.index + offset, b.root.kind) if b.root else None
-    out = run(skew_meld_impl(a.root, b_root), merged_heap)
-    assert isinstance(out, Success)
-    return SkewHeap(out.heap, out.value, skew_meld_fun(a.mirror, b.mirror)), out.cost
-
-
 def skew_potential(s: SkewHeap) -> int:
     return 3 * (s.mirror.heavy if s.mirror else 0)
 

@@ -119,10 +119,6 @@ def _arg_fn(e: ArgExpr) -> Callable[[Mapping[str, int]], int]:
     return sub
 
 
-def eval_arg(e: ArgExpr, env: Mapping[str, int]) -> int:
-    return _arg_fn(e)(env)
-
-
 def _period(e: ArgExpr, above: int = 1) -> int:
     """The lcm over the n in e of the product of the divisors above each."""
     if isinstance(e, VarE):
@@ -248,9 +244,6 @@ class Assignment:
     def __init__(self, env: Mapping[str, int], funcs: Mapping[str, Callable] = ()):
         self.env = dict(env)
         self.funcs = dict(funcs) if funcs else {}
-
-    def atom_value(self, atom: TimeAtom) -> int:
-        return PolyForm({atom: 1}).eval(self)
 
 
 # ---------------------------------------------------------------------------

@@ -128,13 +128,6 @@ class Heap:
     def clone(self) -> "Heap":
         return Heap(dict(self.refs), {k: list(v) for k, v in self._map().items()}, self.next_addr)
 
-    def wellformed(self) -> bool:
-        arrays = self._map()
-        if set(self.refs) & set(arrays):
-            return False
-        domain = list(self.refs) + list(arrays)
-        return all(i < self.next_addr for i in domain)
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, Heap):
             return NotImplemented

@@ -262,47 +262,6 @@ class BoundRegistry:
             raise UnknownFunction(name)
         return self.entries[name]
 
-    def save(self, path) -> None:
-        lines = []
-        for entry in self.entries.values():
-            if isinstance(entry.cls, PolyLog):
-                groups = [(entry.cls.power, entry.cls.log_power)]
-                arity = 1
-            else:
-                members = (
-                    entry.cls.members if isinstance(entry.cls, SumClass2) else (entry.cls,)
-                )
-                groups = [(g.m_power, g.m_log, g.n_power, g.n_log) for g in members]
-                arity = 2
-            for exps in groups:
-                fields = [entry.name, str(arity), *map(str, exps), entry.provenance]
-                lines.append(",".join(fields))
-        with open(path, "w") as fh:
-            fh.write("\n".join(lines) + "\n")
-
-    @classmethod
-    def load(cls, path) -> "BoundRegistry":
-        reg = cls()
-        grouped: dict[str, tuple[str, int, list]] = {}
-        with open(path) as fh:
-            for line in fh:
-                line = line.strip()
-                if not line:
-                    continue
-                fields = line.split(",")
-                name, arity = fields[0], int(fields[1])
-                exps = tuple(int(x) for x in fields[2:-1])
-                provenance = fields[-1]
-                grouped.setdefault(name, (provenance, arity, []))[2].append(exps)
-        for name, (provenance, arity, groups) in grouped.items():
-            if arity == 1:
-                (a, b), = groups
-                reg.register(name, PolyLog(a, b), provenance)
-            else:
-                members = [PolyLog2(*g) for g in groups]
-                reg.register(name, sum_class2(members), provenance)
-        return reg
-
 
 def analyze_form(form: PolyForm, registry: BoundRegistry) -> PolyLog:
     """Class of a time expression in n, by per-atom classification plus

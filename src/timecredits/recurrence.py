@@ -441,19 +441,6 @@ def eval_linear(spec: LinearRecSpec, n: int, W: int = 0) -> int:
 # file format (exact rationals as "p/q" strings)
 # ---------------------------------------------------------------------------
 
-def spec_to_json(spec: AkraBazziSpec) -> dict:
-    return {
-        "name": spec.name,
-        "x0": spec.x0,
-        "terms": [
-            {"a": str(t.a), "b": str(t.b), "round": t.rounding} for t in spec.terms
-        ],
-        "g_class": [spec.g_class.power, spec.g_class.log_power],
-        "g_poly": None,
-        "base": {str(k): v for k, v in spec.base.items()},
-    }
-
-
 # the largest power a spec file may give its toll, polynomial or class
 MAX_POWER = 64
 
@@ -507,7 +494,8 @@ def _check_shape(data) -> None:
         "terms": isinstance(terms, list) and all(
             isinstance(t, dict) and isinstance(t.get("a"), number)
             and isinstance(t.get("b"), number) for t in terms),
-        "g_class": isinstance(g_class, list) and all(isinstance(v, number) for v in g_class),
+        "g_class": isinstance(g_class, list) and len(g_class) == 2 and all(
+            isinstance(v, number) for v in g_class),
         "x0": isinstance(data.get("x0"), number),
         "base": isinstance(base, dict) and all(isinstance(v, number) for v in base.values()),
         "g_poly": isinstance(g_poly, dict) and all(isinstance(v, number) for v in g_poly.values()),
@@ -552,9 +540,3 @@ def spec_from_json(data: dict) -> AkraBazziSpec:
 def load_spec(path) -> AkraBazziSpec:
     with open(path) as fh:
         return spec_from_json(json.load(fh))
-
-
-def save_spec(spec: AkraBazziSpec, path) -> None:
-    with open(path, "w") as fh:
-        json.dump(spec_to_json(spec), fh, indent=2)
-        fh.write("\n")

@@ -32,7 +32,6 @@ from timecredits.algorithms.skew_heap import (
     new_skew_heap,
     skew_elements,
     skew_extract,
-    skew_meld_pair,
     skew_node,
     skew_pop,
     skew_push,
@@ -58,6 +57,8 @@ from timecredits.landau import SOLVED, BoundRegistry, PolyLog, PolyLog2, analyze
 from timecredits.recurrence import (
     LinearRecSpec, RecTerm, RecurrenceError, eval_recurrence, monotone_by_induction, recurrence_of,
 )
+
+from oracles import knapsack_brute, partition_side_bound, skew_meld_pair
 
 BUNDLES = all_bundles()
 N = VarE("n")
@@ -171,7 +172,7 @@ def test_select_time_monotone_and_window_bound():
     values = [sel.select_time(n) for n in range(0, 20001)]
     assert all(a <= b for a, b in zip(values, values[1:]))
     for n in range(21, 20001):
-        assert sel.partition_side_bound(n) <= -(-7 * n // 10)
+        assert partition_side_bound(n) <= -(-7 * n // 10)
 
 
 def test_select_time_variant_freed_without_cycle_collector():
@@ -201,7 +202,7 @@ def test_knapsack_examples():
         items = [(rng.randrange(0, 9), rng.randrange(0, 30)) for _ in range(n)]
         capacity = rng.randrange(0, 31)
         out = run(knap.knapsack_impl(items, capacity), empty_heap())
-        assert out.value == knap.knapsack_brute(items, capacity)
+        assert out.value == knapsack_brute(items, capacity)
         assert out.cost <= knap.knapsack_time(n, capacity)
 
 
@@ -605,7 +606,7 @@ def _old_partition_side_bound(n):
 
 def test_partition_sides_restate_the_counting_formula():
     for n in range(1, 20001):
-        assert sel.partition_side_bound(n) == _old_partition_side_bound(n), n
+        assert partition_side_bound(n) == _old_partition_side_bound(n), n
     for side in sel.PARTITION_SIDES:
         assert holds_for_all_n(side, sel.CAP, sel.CUTOFF + 1)
     # and the facts are not vacuous: neither side fits under ceil(6n/10)

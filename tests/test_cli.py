@@ -15,8 +15,9 @@ from hypothesis import strategies as st
 from timecredits.algorithms import ALGORITHM_NAMES
 from timecredits.algorithms.bundles import LEDGERS
 from timecredits.cli import BUILTIN_SPECS, main, trial_seed
-from timecredits.recurrence import save_spec, spec_to_json
 from timecredits.algorithms.sorting import merge_sort_recurrence
+
+from oracles import spec_to_json
 
 
 def test_run_merge_sort_ok(capsys):
@@ -98,7 +99,7 @@ def test_recurrence_builtin_merge_sort(capsys):
 
 def test_recurrence_spec_file(tmp_path, capsys):
     path = tmp_path / "spec.json"
-    save_spec(merge_sort_recurrence(), path)
+    path.write_text(json.dumps(spec_to_json(merge_sort_recurrence())))
     code = main(["recurrence", str(path)])
     out = capsys.readouterr().out
     assert code == 0
@@ -366,6 +367,17 @@ def test_recurrence_rejects_a_fractional_integer_field(tmp_path, capsys, change,
     path.write_text(json.dumps({**_MERGE_SORT_SPEC, **change}))
     assert main(["recurrence", str(path)]) == 2
     assert capsys.readouterr().err == f"error: cannot load spec: {message}\n"
+
+
+@pytest.mark.parametrize("g_class", [[], [1], [1, 0, 0]], ids=["empty", "one", "three"])
+def test_recurrence_rejects_a_g_class_not_of_two_numbers(tmp_path, capsys, g_class):
+    # these used to fail unpacking, with Python's "not enough values" text
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps({**_MERGE_SORT_SPEC, "g_class": g_class}))
+    assert main(["recurrence", str(path)]) == 2
+    assert capsys.readouterr().err == (
+        "error: cannot load spec: malformed spec: g_class not shaped as documented\n"
+    )
 
 
 def test_recurrence_loads_integral_floats(tmp_path, capsys):

@@ -32,6 +32,8 @@ from timecredits.heap import (
     run_traced,
 )
 
+from oracles import wellformed
+
 
 def test_ret_unit_cost():
     out = run(ret(7), empty_heap())
@@ -206,7 +208,7 @@ def test_heaps_stay_wellformed():
     rng = random.Random(41)
     for _ in range(100):
         out = run(_random_program(rng), empty_heap())
-        assert out.heap.wellformed()
+        assert wellformed(out.heap)
 
 
 def test_determinism_on_random_programs():

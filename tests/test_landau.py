@@ -210,21 +210,6 @@ def test_registry_referential_transparency():
     assert analyze_form(form, reg1) == analyze_form(form, reg2)
 
 
-def test_registry_roundtrip(tmp_path):
-    reg = _example_registry()
-    path = tmp_path / "bounds.txt"
-    reg.save(path)
-    loaded = BoundRegistry.load(path)
-    assert set(loaded.entries) == set(reg.entries)
-    for name in reg.entries:
-        assert loaded.entries[name].cls == reg.entries[name].cls
-        assert loaded.entries[name].provenance == reg.entries[name].provenance
-    # file format: one comma-separated record per line, decimal exponents
-    lines = path.read_text().strip().splitlines()
-    assert any(line.startswith("f1,1,1,0,") for line in lines)
-    assert sum(line.startswith("f4,2,") for line in lines) == 2
-
-
 # ---------------------------------------------------------------------------
 # witnesses
 # ---------------------------------------------------------------------------

@@ -25,8 +25,9 @@ from timecredits.recurrence import (
     linear_rec_class,
     solve_exponent,
     spec_from_json,
-    spec_to_json,
 )
+
+from oracles import spec_to_json
 
 HALF = Fraction(1, 2)
 
