@@ -1,8 +1,7 @@
-"""Reference implementations that only the tests use.
+"""Reference implementations and helpers that only the tests use.
 
-Each is a plain, obviously correct restatement of something the toolkit
-computes another way: a brute-force knapsack, the select window counted
-directly, a meld of two skew heaps on one heap value, the heap's
+A brute-force knapsack, select's worst window read off its partition
+sides, a meld of two skew heaps on one heap value, the heap's
 address-domain invariant, a spec written back as JSON, and an argument
 expression evaluated through a time expression.  pytest does not collect
 this module; tests import it by name.

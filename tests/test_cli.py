@@ -371,7 +371,6 @@ def test_recurrence_rejects_a_fractional_integer_field(tmp_path, capsys, change,
 
 @pytest.mark.parametrize("g_class", [[], [1], [1, 0, 0]], ids=["empty", "one", "three"])
 def test_recurrence_rejects_a_g_class_not_of_two_numbers(tmp_path, capsys, g_class):
-    # these used to fail unpacking, with Python's "not enough values" text
     path = tmp_path / "spec.json"
     path.write_text(json.dumps({**_MERGE_SORT_SPEC, "g_class": g_class}))
     assert main(["recurrence", str(path)]) == 2
