@@ -9,8 +9,22 @@ from .heap import (
     Failure,
     Heap,
     Success,
+    adrop,
+    agrow,
+    array_len,
+    array_new,
+    array_nth,
+    array_of_list,
+    array_to_list,
+    array_upd,
+    atake,
+    bind,
     empty_heap,
     proc,
+    ref_new,
+    ref_read,
+    ref_write,
+    ret,
     run,
     run_traced,
 )

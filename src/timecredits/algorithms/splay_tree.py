@@ -27,7 +27,7 @@ from ..heap import (
     ret,
     run,
 )
-from .skew_heap import ceil_3_log2, extract_tree, same_tree, skew_shape
+from .skew_heap import extract_tree, same_tree, skew_shape
 
 
 class TreeNode(NamedTuple):
@@ -54,24 +54,26 @@ _TREE_LABEL = itemgetter(1, 3, 4, 5, 6, 7)  # every field but the children
 
 
 def tree_node(left, key, right) -> TreeNode:
-    ls = left.size if left else 0
-    rs = right.size if right else 0
-    lp = left.phi if left else 0
-    rp = right.phi if right else 0
-    size = ls + rs + 1
-    ordered = (
-        (left is None or (left.bst and left.max_key < key))
-        and (right is None or (right.bst and right.min_key > key))
-    )
+    # phi adds ceil(3 * log2(size + 1)), which is ((size + 1) ** 3 - 1).bit_length()
+    if left is None:
+        if right is None:
+            return tuple.__new__(TreeNode, (None, key, None, 1, 3, True, key, key))
+        size = right.size + 1
+        return tuple.__new__(TreeNode, (
+            None, key, right, size, right.phi + ((size + 1) ** 3 - 1).bit_length(),
+            right.bst and right.min_key > key, key, right.max_key,
+        ))
+    if right is None:
+        size = left.size + 1
+        return tuple.__new__(TreeNode, (
+            left, key, None, size, left.phi + ((size + 1) ** 3 - 1).bit_length(),
+            left.bst and left.max_key < key, left.min_key, key,
+        ))
+    size = left.size + right.size + 1
     return tuple.__new__(TreeNode, (
-        left,
-        key,
-        right,
-        size,
-        lp + rp + ceil_3_log2(size + 1),
-        ordered,
-        left.min_key if left else key,
-        right.max_key if right else key,
+        left, key, right, size, left.phi + right.phi + ((size + 1) ** 3 - 1).bit_length(),
+        left.bst and left.max_key < key and right.bst and right.min_key > key,
+        left.min_key, right.max_key,
     ))
 
 
@@ -110,17 +112,18 @@ def splay_fun(x: int, t: Optional[TreeNode]) -> Optional[TreeNode]:
     Iterative, so degenerate trees cannot exhaust the interpreter stack: the
     walk down records each two-level step (zig-zig, zig-zag and mirrors),
     stops at the node or at a single zig/zag rotation, and the rotations are
-    then rebuilt bottom-up.
+    then rebuilt bottom-up.  The splayed node is carried as its (left, key,
+    right) and built once, at the root, so each two-level step builds only
+    its two rotated nodes.  An empty path returns the input node itself.
     """
     path = []  # (case, grandparent, parent), outermost first
+    sub = None  # the splayed node's (left, key, right), once a zig or zag made it
     while True:
         if t is None or x == t.key:
-            sub = t
             break
         if x < t.key:
             l = t.left
             if l is None:
-                sub = t
                 break
             if x < l.key and l.left is not None:
                 path.append(("zig-zig", t, l))
@@ -129,12 +132,11 @@ def splay_fun(x: int, t: Optional[TreeNode]) -> Optional[TreeNode]:
                 path.append(("zig-zag", t, l))
                 t = l.right
             else:
-                sub = tree_node(l.left, l.key, tree_node(l.right, t.key, t.right))  # zig
+                sub = l.left, l.key, tree_node(l.right, t.key, t.right)  # zig
                 break
         else:
             r = t.right
             if r is None:
-                sub = t
                 break
             if x > r.key and r.right is not None:
                 path.append(("zag-zag", t, r))
@@ -143,34 +145,23 @@ def splay_fun(x: int, t: Optional[TreeNode]) -> Optional[TreeNode]:
                 path.append(("zag-zig", t, r))
                 t = r.left
             else:
-                sub = tree_node(tree_node(t.left, t.key, r.left), r.key, r.right)  # zag
+                sub = tree_node(t.left, t.key, r.left), r.key, r.right  # zag
                 break
+    if sub is None:
+        if not path:
+            return t
+        sub = t.left, t.key, t.right
+    sl, sk, sr = sub
     for case, t, c in reversed(path):
         if case == "zig-zig":
-            sub = tree_node(
-                sub.left,
-                sub.key,
-                tree_node(sub.right, c.key, tree_node(c.right, t.key, t.right)),
-            )
+            sr = tree_node(sr, c.key, tree_node(c.right, t.key, t.right))
         elif case == "zig-zag":
-            sub = tree_node(
-                tree_node(c.left, c.key, sub.left),
-                sub.key,
-                tree_node(sub.right, t.key, t.right),
-            )
+            sl, sr = tree_node(c.left, c.key, sl), tree_node(sr, t.key, t.right)
         elif case == "zag-zag":
-            sub = tree_node(
-                tree_node(tree_node(t.left, t.key, c.left), c.key, sub.left),
-                sub.key,
-                sub.right,
-            )
+            sl = tree_node(tree_node(t.left, t.key, c.left), c.key, sl)
         else:  # zag-zig
-            sub = tree_node(
-                tree_node(t.left, t.key, sub.left),
-                sub.key,
-                tree_node(sub.right, c.key, c.right),
-            )
-    return sub
+            sl, sr = tree_node(t.left, t.key, sl), tree_node(sr, c.key, c.right)
+    return tree_node(sl, sk, sr)
 
 
 def insert_fun(x: int, t: Optional[TreeNode]) -> Optional[TreeNode]:

@@ -13,11 +13,12 @@ the overlay, so a failing run leaves no visible change.
 A version keeps its address-to-array map as two dicts: a *base*, shared with
 the versions made from it, and a small *delta* of the arrays written or
 allocated since that base was made.  A commit gives the new version its
-parent's base and a fresh delta, the parent's delta plus what the run wrote.
-It folds the delta into a fresh base only once len(delta)**2 exceeds
-16 * len(base) + 4096, so a commit copies O(sqrt(heap)) entries amortized,
-not the whole map.  A read that misses in the overlay looks in the delta,
-then in the base.
+parent's base and a fresh delta, the parent's delta plus what the run wrote
+(or the parent's delta itself, if the run wrote and allocated no array: no
+delta is written after its commit).  It folds the delta into a fresh base
+only once len(delta)**2 exceeds 16 * len(base) + 4096, so a commit copies
+O(sqrt(heap)) entries amortized, not the whole map.  A read that misses in
+the overlay looks in the delta, then in the base.
 
 A computation is an immutable instruction, a tuple of a private opcode and
 its operands.  Each primitive constructor builds one; `proc` builds a PROC
@@ -38,7 +39,7 @@ subclass or not an int) takes the full test against the length.
 from __future__ import annotations
 
 from dataclasses import FrozenInstanceError
-from functools import partial, wraps
+from functools import wraps
 from typing import Any, Callable, Iterable, Union
 
 REF = "ref"
@@ -268,9 +269,11 @@ class _Overlay:
             # a dict the caller can reach is copied, never shared
             arrays, delta = parent._arrays | self.arrays, {}
         else:
-            arrays, delta = parent._base, parent._delta | self.arrays
-            if len(delta) ** 2 > 16 * len(arrays) + 4096:
-                arrays, delta = arrays | delta, {}
+            arrays, delta = parent._base, parent._delta
+            if self.arrays:
+                delta = delta | self.arrays
+                if len(delta) ** 2 > 16 * len(arrays) + 4096:
+                    arrays, delta = arrays | delta, {}
         return _version(parent.refs | self.refs, arrays, delta, self.next_addr)
 
 
@@ -326,8 +329,17 @@ def _drive(comp: Computation, base: Heap, trace) -> tuple[Any, int, _Overlay]:
             if trace is not None:
                 trace.append(_UPD_CHARGE)
             _, a, i, v = instr
-            cells = arrays.get(a.index) if type(a) is Addr_ and a.kind == ARRAY_ else None
-            if cells is None:
+            if type(a) is Addr_ and a.kind == ARRAY_:
+                cells = arrays.get(a.index)
+                if cells is None:
+                    # the first write to an input array copies it
+                    cells = delta.get(a.index)
+                    if cells is None:
+                        cells = base_arrays.get(a.index)
+                        if cells is None:
+                            raise _Fail()
+                    cells = arrays[a.index] = cells[:]
+            else:
                 cells = _as_array(heap, a, write=True)
             if (type(i) is not int_ or i < 0) and (not _is_index(i) or not 0 <= i < len(cells)):
                 raise _Fail()
@@ -507,11 +519,11 @@ def proc(genfn):
     Each `yield comp` runs `comp` and evaluates to its result; the generator
     body itself (control flow, arithmetic) is free, mirroring `bind`.  The
     generator is re-created on every run, so the computation is a reusable
-    value.
+    value.  A proc takes positional arguments only.
     """
     @wraps(genfn)
-    def build(*args, **kwargs):
-        return (_PROC, partial(genfn, **kwargs) if kwargs else genfn, args)
+    def build(*args):
+        return (_PROC, genfn, args)
     return build
 
 

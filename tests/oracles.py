@@ -2,18 +2,20 @@
 
 A brute-force knapsack, select's worst window read off its partition
 sides, a meld of two skew heaps on one heap value, the heap's
-address-domain invariant, a spec written back as JSON, and an argument
-expression evaluated through a time expression.  pytest does not collect
-this module; tests import it by name.
+address-domain invariant, a spec written back as JSON, an argument
+expression evaluated through a time expression, and a splay that builds
+every rotated node, each with its cached fields computed by the generic
+formulas.  pytest does not collect this module; tests import it by name.
 """
 
 from __future__ import annotations
 
 from itertools import combinations
-from typing import Mapping
+from typing import Mapping, Optional
 
 from timecredits.algorithms.select import PARTITION_SIDES
-from timecredits.algorithms.skew_heap import SkewHeap, skew_meld_fun, skew_meld_impl
+from timecredits.algorithms.skew_heap import SkewHeap, ceil_3_log2, skew_meld_fun, skew_meld_impl
+from timecredits.algorithms.splay_tree import TreeNode
 from timecredits.credits import ArgExpr, Assignment, t_expr
 from timecredits.heap import Addr, Heap, Success, run
 from timecredits.recurrence import AkraBazziSpec
@@ -76,3 +78,98 @@ def spec_to_json(spec: AkraBazziSpec) -> dict:
         "g_poly": None,
         "base": {str(k): v for k, v in spec.base.items()},
     }
+
+
+def generic_node(left, key, right) -> TreeNode:
+    """A node whose cached fields are computed by the generic formulas."""
+    ls = left.size if left else 0
+    rs = right.size if right else 0
+    lp = left.phi if left else 0
+    rp = right.phi if right else 0
+    size = ls + rs + 1
+    ordered = (
+        (left is None or (left.bst and left.max_key < key))
+        and (right is None or (right.bst and right.min_key > key))
+    )
+    return tuple.__new__(TreeNode, (
+        left,
+        key,
+        right,
+        size,
+        lp + rp + ceil_3_log2(size + 1),
+        ordered,
+        left.min_key if left else key,
+        right.max_key if right else key,
+    ))
+
+
+def splay_fun_reference(x: int, t: Optional[TreeNode]) -> Optional[TreeNode]:
+    """Bring x (or the last node on its search path) to the root, building
+    every node of every rotation; `splay_fun` builds the splayed node once.
+
+    Iterative, so degenerate trees cannot exhaust the interpreter stack: the
+    walk down records each two-level step (zig-zig, zig-zag and mirrors),
+    stops at the node or at a single zig/zag rotation, and the rotations are
+    then rebuilt bottom-up.
+    """
+    path = []  # (case, grandparent, parent), outermost first
+    while True:
+        if t is None or x == t.key:
+            sub = t
+            break
+        if x < t.key:
+            l = t.left
+            if l is None:
+                sub = t
+                break
+            if x < l.key and l.left is not None:
+                path.append(("zig-zig", t, l))
+                t = l.left
+            elif x > l.key and l.right is not None:
+                path.append(("zig-zag", t, l))
+                t = l.right
+            else:
+                sub = generic_node(
+                    l.left, l.key, generic_node(l.right, t.key, t.right))  # zig
+                break
+        else:
+            r = t.right
+            if r is None:
+                sub = t
+                break
+            if x > r.key and r.right is not None:
+                path.append(("zag-zag", t, r))
+                t = r.right
+            elif x < r.key and r.left is not None:
+                path.append(("zag-zig", t, r))
+                t = r.left
+            else:
+                sub = generic_node(
+                    generic_node(t.left, t.key, r.left), r.key, r.right)  # zag
+                break
+    for case, t, c in reversed(path):
+        if case == "zig-zig":
+            sub = generic_node(
+                sub.left,
+                sub.key,
+                generic_node(sub.right, c.key, generic_node(c.right, t.key, t.right)),
+            )
+        elif case == "zig-zag":
+            sub = generic_node(
+                generic_node(c.left, c.key, sub.left),
+                sub.key,
+                generic_node(sub.right, t.key, t.right),
+            )
+        elif case == "zag-zag":
+            sub = generic_node(
+                generic_node(generic_node(t.left, t.key, c.left), c.key, sub.left),
+                sub.key,
+                sub.right,
+            )
+        else:  # zag-zig
+            sub = generic_node(
+                generic_node(t.left, t.key, sub.left),
+                sub.key,
+                generic_node(sub.right, c.key, c.right),
+            )
+    return sub

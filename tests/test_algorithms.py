@@ -46,6 +46,7 @@ from timecredits.algorithms.splay_tree import (
     splay_impl,
     splay_insert,
     splay_lookup,
+    splay_splay,
     tree_node,
 )
 from timecredits.credits import (
@@ -58,7 +59,7 @@ from timecredits.recurrence import (
     LinearRecSpec, RecTerm, RecurrenceError, eval_recurrence, monotone_by_induction, recurrence_of,
 )
 
-from oracles import knapsack_brute, partition_side_bound, skew_meld_pair
+from oracles import knapsack_brute, partition_side_bound, skew_meld_pair, splay_fun_reference
 
 BUNDLES = all_bundles()
 N = VarE("n")
@@ -421,6 +422,55 @@ def test_splay_rotations_match_the_functional_splay_and_are_pinned():
     assert seen == {"zig", "zag", "zig-zig", "zag-zag", "zig-zag", "zag-zig"}
     digest = hashlib.sha256(json.dumps(entries).encode()).hexdigest()
     assert digest == SPLAY_ROTATIONS_SHA256
+
+
+def _spaced_key_orders(rng):
+    """Insert orders of the keys 0, 2, ..., 2(n - 1) for n up to 300:
+    ascending (a left chain), descending (a right chain) and random."""
+    for n in (1, 2, 3, 17, 300):
+        yield range(0, 2 * n, 2)
+        yield range(2 * n - 2, -1, -2)
+    for _ in range(12):
+        n = rng.randrange(1, 301)
+        yield rng.sample(range(0, 2 * n, 2), n)
+
+
+def test_splay_fun_equals_the_reference_splay_node_for_node():
+    """Probing every key, every gap between keys and both ends, the splay
+    that builds the splayed node once gives the reference splay's tree, with
+    the same cached fields at every node, and returns the input node itself
+    exactly when the reference does."""
+    rng = random.Random(1985)
+    for keys in _spaced_key_orders(rng):
+        t = None
+        for k in keys:
+            t = insert_fun(k, t)
+        for x in range(-1, 2 * len(keys)):
+            s, ref = splay_fun(x, t), splay_fun_reference(x, t)
+            assert s == ref
+            assert (s is t) == (ref is t)
+
+
+def test_the_heap_tree_is_the_mirror_after_every_splay_operation():
+    """A seeded 2000-op script of inserts, lookups of present and absent
+    keys, and splays: after every operation the pointer structure on the
+    heap is the functional mirror, node for node."""
+    rng = random.Random(2000)
+    st, keys = new_splay_tree(), []
+    for _ in range(2000):
+        r = rng.random()
+        if r < 0.4 or not keys:
+            keys.append(2 * rng.randrange(2000))
+            st, _ = splay_insert(st, keys[-1])
+        elif r < 0.6:
+            found, st, _ = splay_lookup(st, rng.choice(keys))
+            assert found
+        elif r < 0.8:
+            found, st, _ = splay_lookup(st, 2 * rng.randrange(-1, 2001) + 1)
+            assert not found
+        else:
+            st, _ = splay_splay(st, rng.randrange(-2, 4002))
+        assert splay_extract(st.heap, st.root) == st.mirror
 
 
 def test_time_function_registration_and_reduction():
