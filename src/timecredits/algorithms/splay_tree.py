@@ -54,27 +54,21 @@ _TREE_LABEL = itemgetter(1, 3, 4, 5, 6, 7)  # every field but the children
 
 
 def tree_node(left, key, right) -> TreeNode:
-    # phi adds ceil(3 * log2(size + 1)), which is ((size + 1) ** 3 - 1).bit_length()
     if left is None:
         if right is None:
             return tuple.__new__(TreeNode, (None, key, None, 1, 3, True, key, key))
-        size = right.size + 1
-        return tuple.__new__(TreeNode, (
-            None, key, right, size, right.phi + ((size + 1) ** 3 - 1).bit_length(),
-            right.bst and right.min_key > key, key, right.max_key,
-        ))
-    if right is None:
-        size = left.size + 1
-        return tuple.__new__(TreeNode, (
-            left, key, None, size, left.phi + ((size + 1) ** 3 - 1).bit_length(),
-            left.bst and left.max_key < key, left.min_key, key,
-        ))
-    size = left.size + right.size + 1
-    return tuple.__new__(TreeNode, (
-        left, key, right, size, left.phi + right.phi + ((size + 1) ** 3 - 1).bit_length(),
-        left.bst and left.max_key < key and right.bst and right.min_key > key,
-        left.min_key, right.max_key,
-    ))
+        size, phi = right.size + 1, right.phi
+        bst, lo, hi = right.bst and right.min_key > key, key, right.max_key
+    elif right is None:
+        size, phi = left.size + 1, left.phi
+        bst, lo, hi = left.bst and left.max_key < key, left.min_key, key
+    else:
+        size, phi = left.size + right.size + 1, left.phi + right.phi
+        bst = left.bst and left.max_key < key and right.bst and right.min_key > key
+        lo, hi = left.min_key, right.max_key
+    # phi adds ceil(3 * log2(size + 1)), which is ((size + 1) ** 3 - 1).bit_length()
+    phi += ((size + 1) ** 3 - 1).bit_length()
+    return tuple.__new__(TreeNode, (left, key, right, size, phi, bst, lo, hi))
 
 
 def tree_size(t: Optional[TreeNode]) -> int:

@@ -13,12 +13,11 @@ the overlay, so a failing run leaves no visible change.
 A version keeps its address-to-array map as two dicts: a *base*, shared with
 the versions made from it, and a small *delta* of the arrays written or
 allocated since that base was made.  A commit gives the new version its
-parent's base and a fresh delta, the parent's delta plus what the run wrote
-(or the parent's delta itself, if the run wrote and allocated no array: no
-delta is written after its commit).  It folds the delta into a fresh base
-only once len(delta)**2 exceeds 16 * len(base) + 4096, so a commit copies
-O(sqrt(heap)) entries amortized, not the whole map.  A read that misses in
-the overlay looks in the delta, then in the base.
+parent's base and a fresh delta, the parent's delta plus what the run wrote.
+It folds the delta into a fresh base only once len(delta)**2 exceeds
+16 * len(base) + 4096, so a commit copies O(sqrt(heap)) entries amortized,
+not the whole map.  A read that misses in the overlay looks in the delta,
+then in the base.
 
 A computation is an immutable instruction, a tuple of a private opcode and
 its operands.  Each primitive constructor builds one; `proc` builds a PROC
@@ -269,11 +268,9 @@ class _Overlay:
             # a dict the caller can reach is copied, never shared
             arrays, delta = parent._arrays | self.arrays, {}
         else:
-            arrays, delta = parent._base, parent._delta
-            if self.arrays:
-                delta = delta | self.arrays
-                if len(delta) ** 2 > 16 * len(arrays) + 4096:
-                    arrays, delta = arrays | delta, {}
+            arrays, delta = parent._base, parent._delta | self.arrays
+            if len(delta) ** 2 > 16 * len(arrays) + 4096:
+                arrays, delta = arrays | delta, {}
         return _version(parent.refs | self.refs, arrays, delta, self.next_addr)
 
 
@@ -329,18 +326,17 @@ def _drive(comp: Computation, base: Heap, trace) -> tuple[Any, int, _Overlay]:
             if trace is not None:
                 trace.append(_UPD_CHARGE)
             _, a, i, v = instr
-            if type(a) is Addr_ and a.kind == ARRAY_:
-                cells = arrays.get(a.index)
+            if not ((type(a) is Addr_ or isinstance(a, Addr_)) and a.kind == ARRAY_):
+                raise _Fail()
+            cells = arrays.get(a.index)
+            if cells is None:
+                # the first write to an input array copies it
+                cells = delta.get(a.index)
                 if cells is None:
-                    # the first write to an input array copies it
-                    cells = delta.get(a.index)
+                    cells = base_arrays.get(a.index)
                     if cells is None:
-                        cells = base_arrays.get(a.index)
-                        if cells is None:
-                            raise _Fail()
-                    cells = arrays[a.index] = cells[:]
-            else:
-                cells = _as_array(heap, a, write=True)
+                        raise _Fail()
+                cells = arrays[a.index] = cells[:]
             if (type(i) is not int_ or i < 0) and (not _is_index(i) or not 0 <= i < len(cells)):
                 raise _Fail()
             try:
@@ -399,9 +395,9 @@ def _as_ref(heap: _Overlay, a: Value) -> int:
     return i
 
 
-def _as_array(heap: _Overlay, a: Value, write: bool = False) -> list[Value]:
-    """The cells of array `a`.  An unwritten base array is returned in place
-    for reading; `write` copies it into the run's `arrays` first."""
+def _as_array(heap: _Overlay, a: Value) -> list[Value]:
+    """The cells of array `a`, for reading: an unwritten base array is
+    returned in place."""
     if (type(a) is not Addr and not isinstance(a, Addr)) or a.kind != ARRAY:
         raise _Fail()
     cells = heap.arrays.get(a.index)
@@ -411,8 +407,6 @@ def _as_array(heap: _Overlay, a: Value, write: bool = False) -> list[Value]:
             cells = heap.base._base.get(a.index)
             if cells is None:
                 raise _Fail()
-        if write:
-            cells = heap.arrays[a.index] = list(cells)
     return cells
 
 

@@ -364,6 +364,22 @@ def test_reading_an_unwritten_base_array_checks_the_address():
         assert run_traced(array_nth(bad, 0), h) == (FAILURE, (("array_nth", 1),)), bad
 
 
+class _SubAddr(Addr):
+    pass
+
+
+def test_an_addr_subclass_is_an_address_for_reads_and_writes():
+    h = _three_cells()
+    a = _SubAddr(0, "array")
+    assert run(array_nth(a, 2), h).value == 3
+    # the first write copies the input array, which stays as it was
+    written = run(bind(array_upd(a, 0, 9), lambda _: array_nth(a, 0)), h)
+    assert written.value == 9 and written.heap == run(array_upd(_A, 0, 9), h).heap
+    assert h == _three_cells()
+    for bad in (_SubAddr(0, "ref"), _SubAddr(7, "array")):
+        assert run_traced(array_upd(bad, 0, 9), h) == (FAILURE, (("array_upd", 1),)), bad
+
+
 class _Index(int):
     pass
 
