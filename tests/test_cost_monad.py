@@ -364,23 +364,11 @@ def test_reading_an_unwritten_base_array_checks_the_address():
         assert run_traced(array_nth(bad, 0), h) == (FAILURE, (("array_nth", 1),)), bad
 
 
-class _SubAddr(Addr):
+class _Index(int):
     pass
 
 
-def test_an_addr_subclass_is_an_address_for_reads_and_writes():
-    h = _three_cells()
-    a = _SubAddr(0, "array")
-    assert run(array_nth(a, 2), h).value == 3
-    # the first write copies the input array, which stays as it was
-    written = run(bind(array_upd(a, 0, 9), lambda _: array_nth(a, 0)), h)
-    assert written.value == 9 and written.heap == run(array_upd(_A, 0, 9), h).heap
-    assert h == _three_cells()
-    for bad in (_SubAddr(0, "ref"), _SubAddr(7, "array")):
-        assert run_traced(array_upd(bad, 0, 9), h) == (FAILURE, (("array_upd", 1),)), bad
-
-
-class _Index(int):
+class _SubAddr(Addr):
     pass
 
 
@@ -579,9 +567,12 @@ def _driver_base():
 
 
 # arrays a0 and a1 are in the base, a3 and a4 are made by the run if it allocates;
-# r0 is a ref address on an array's index, a9 and r7 dangle
-_GOOD_ARRAYS = [Addr(0, "array"), Addr(1, "array")] * 3 + [Addr(3, "array"), Addr(4, "array")]
-_BAD_ADDRS = [Addr(0, "ref"), Addr(2, "array"), Addr(9, "array"), Addr(7, "ref"), None, 0, 1]
+# r0 is a ref address on an array's index, a9 and r7 dangle; an Addr subclass
+# is an address too
+_GOOD_ARRAYS = [Addr(0, "array"), Addr(1, "array")] * 3 + [Addr(3, "array"), Addr(4, "array"),
+                                                         _SubAddr(0, "array")]
+_BAD_ADDRS = [Addr(0, "ref"), Addr(2, "array"), Addr(9, "array"), Addr(7, "ref"), None, 0, 1,
+              _SubAddr(0, "ref"), _SubAddr(9, "array")]
 _BAD_INDEXES = [-1, -4, 4, 5, 10**20, True, False, _Index(-1), _Index(9), "1", 1.0, None]
 _GOOD_INDEXES = [0, 1, 2, 0, 1, 2, 3, _Index(0), _Index(2)]
 
