@@ -176,9 +176,9 @@ def discharge_obligation(entry) -> DischargeReport:
     hint's justification is consulted only once the rewritten total has
     matched the demand: the discharge needs every hint present, the match
     and every justification, and the justifications cost the most."""
-    name, total, demand, equations, hints = entry
+    name, total, demand, hints = entry
     try:
-        subtract_match(total, demand, equations)
+        subtract_match(total, demand)
         return DischargeReport(name, True, 0)
     except MatchFailure as direct_failure:
         if not hints:
@@ -187,7 +187,7 @@ def discharge_obligation(entry) -> DischargeReport:
         working = total
         for hint in hints:
             working = rewrite_hint(working, hint)
-        subtract_match(working, demand, equations)
+        subtract_match(working, demand)
         for hint in hints:
             justify_hint(hint)
         return DischargeReport(name, True, len(hints))
@@ -418,10 +418,7 @@ STUDIES = (
     ),
     CaseStudy(
         "knapsack", _knapsack_input, _knapsack_run,
-        time=lambda c: lambda size: (
-            knap.knapsack_time(size[0], size[1], c) if isinstance(size, tuple)
-            else knap.knapsack_time(size, size, c)
-        ),
+        time=lambda c: lambda size: knap.knapsack_time(*size, c),
         spec=knap.knapsack_linear_rec, cls=PolyLog2(1, 0, 1, 0),
         witness=lambda c: lambda n, w: knap.knapsack_time(n, w, c), grid=True,
         obligations=knap.knapsack_obligations, consts=knap.KNAPSACK_CONSTS,

@@ -163,6 +163,6 @@ def karatsuba_time(n: int, consts=KARATSUBA_CONSTS) -> int:
 
 def karatsuba_obligations(consts=KARATSUBA_CONSTS):
     return [
-        ("base", t_lit(consts["base"]), t_lit(6), [], []),
-        ("recursive", _karatsuba_total(consts), _karatsuba_total(KARATSUBA_CONSTS), [], []),
+        ("base", t_lit(consts["base"]), t_lit(6), []),
+        ("recursive", _karatsuba_total(consts), _karatsuba_total(KARATSUBA_CONSTS), []),
     ]

@@ -68,7 +68,7 @@ def knapsack_obligations(consts=KNAPSACK_CONSTS):
     final_total = t_lit(spec.final)
     final_demand = t_lit(1)
     return [
-        ("table-init", init_total, init_demand, [], []),
-        ("per-item", item_total, item_demand, [], []),
-        ("final-read", final_total, final_demand, [], []),
+        ("table-init", init_total, init_demand, []),
+        ("per-item", item_total, item_demand, []),
+        ("final-read", final_total, final_demand, []),
     ]

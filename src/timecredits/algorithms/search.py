@@ -115,14 +115,8 @@ def upper_window_hint(consts=BINARY_SEARCH_CONSTS) -> Hint:
 def binary_search_obligations(consts=BINARY_SEARCH_CONSTS):
     level_total = _level_total(consts)
     return [
-        ("empty", t_lit(consts["base"]), t_lit(1), [], []),
-        ("hit", level_total, t_lit(2), [], []),
-        ("lower", level_total, t_lit(1) + t_call("bsearch_time", HALF), [], []),
-        (
-            "upper",
-            level_total,
-            t_lit(1) + t_call("bsearch_time", UPPER),
-            [],
-            [upper_window_hint(consts)],
-        ),
+        ("empty", t_lit(consts["base"]), t_lit(1), []),
+        ("hit", level_total, t_lit(2), []),
+        ("lower", level_total, t_lit(1) + t_call("bsearch_time", HALF), []),
+        ("upper", level_total, t_lit(1) + t_call("bsearch_time", UPPER), [upper_window_hint(consts)]),
     ]

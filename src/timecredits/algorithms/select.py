@@ -215,6 +215,6 @@ def select_obligations(consts=SELECT_CONSTS):
     )
     recurse_demand = medians_demand + t_call("select_time", VarE("l"))
     return [
-        ("small-window", small_total, small_demand, [], []),
-        ("recursive", total, recurse_demand, [], [partition_hint(consts)]),
+        ("small-window", small_total, small_demand, []),
+        ("recursive", total, recurse_demand, [partition_hint(consts)]),
     ]

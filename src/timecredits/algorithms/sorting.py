@@ -164,8 +164,8 @@ def merge_sort_obligations(consts=MERGE_SORT_CONSTS):
         + t_call("mergeinto_time", N)
     )
     return [
-        ("base", base_total, base_demand, [], []),
-        ("recursive", rec_total, rec_demand, [], []),
+        ("base", base_total, base_demand, []),
+        ("recursive", rec_total, rec_demand, []),
     ]
 
 
@@ -258,6 +258,6 @@ def insertion_sort_obligations(consts=INSERTION_SORT_CONSTS):
     step_total = t_poly(spec.step, "i")
     step_demand = t_lit(1) + 2 * t_var("i") + t_lit(1)
     return [
-        ("base", base_total, base_demand, [], []),
-        ("outer-step", step_total, step_demand, [], []),
+        ("base", base_total, base_demand, []),
+        ("outer-step", step_total, step_demand, []),
     ]

@@ -4,13 +4,13 @@ Time expressions are sums of natural-coefficient terms over atoms: the
 constant 1, size variables, div/ceil/floor forms of linear expressions, and
 applications of named runtime functions.  They are built in their normal
 form, a `PolyForm` coefficient map; `subtract_match` decides T = T' + T''
-by sequential term subtraction, comparing atoms up to a supplied equality
-set (congruence closure, computed once per set); `apply_hint` replaces a
-term s by a certified smaller t, so a demand matched against the result
-is at most the budget, not equal to it; `holds_for_all_n` decides a
-floor/ceiling inequality between argument expressions at every n, the side
-facts such certificates rest on, and `slope_in_n` reads an argument
-expression's exact slope off the same residue-class form.
+atom by atom, subtracting each demand coefficient from the same atom of the
+total; `apply_hint` replaces a term s by a certified smaller t, so a
+demand matched against the result is at most the budget, not equal to it;
+`holds_for_all_n` decides a floor/ceiling inequality between argument
+expressions at every n, the side facts such certificates rest on, and
+`slope_in_n` reads an argument expression's exact slope off the same
+residue-class form.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 from operator import itemgetter
-from typing import Callable, Iterable, Mapping, Union
+from typing import Callable, Mapping, Union
 
 
 # ---------------------------------------------------------------------------
@@ -386,82 +386,6 @@ def t_call(fn: str, *args: ArgExpr) -> PolyForm:
 
 
 # ---------------------------------------------------------------------------
-# congruence closure over atoms and argument expressions
-# ---------------------------------------------------------------------------
-
-def _term_parts(term) -> tuple[tuple, tuple]:
-    """(label, children) of an argument expression or atom, read off its
-    fields: a field holding an ArgExpr, or a call's tuple of them, gives
-    children; the class and the other fields form the label."""
-    label, children = [type(term)], []
-    for name in term.__match_args__:
-        value = getattr(term, name)
-        if isinstance(value, ArgExpr):
-            children.append(value)
-        elif isinstance(value, tuple):
-            children.extend(value)
-        else:
-            label.append(value)
-    return tuple(label), tuple(children)
-
-
-class _Congruence:
-    """Congruence closure of a finite equation set over the terms it mentions,
-    computed once (Nelson and Oppen).  A query compares class keys read
-    bottom-up: a mentioned term keys as its root, any other as the root of
-    the mentioned term with its signature, or else as that signature."""
-
-    def __init__(self, equations: Iterable[tuple] = ()):
-        self.parent: dict = {}
-        for lhs, rhs in equations:
-            self._register(lhs)
-            self._register(rhs)
-            self._union(lhs, rhs)
-        # propagate congruence: equal children force equal parents.  The
-        # last pass merges nothing, so its signature table is the closed one.
-        changed = True
-        while changed:
-            changed, self.by_sig = False, {}
-            for term in self.parent:
-                first = self.by_sig.setdefault(self._signature(term), term)
-                if self.find(first) != self.find(term):
-                    self._union(first, term)
-                    changed = True
-
-    def _register(self, term):
-        if term not in self.parent:
-            self.parent[term] = term
-            for child in _term_parts(term)[1]:
-                self._register(child)
-
-    def find(self, term):
-        root = term
-        while self.parent[root] != root:
-            root = self.parent[root]
-        while self.parent[term] != root:
-            self.parent[term], term = root, self.parent[term]
-        return root
-
-    def _union(self, a, b):
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            self.parent[ra] = rb
-
-    def _signature(self, term):
-        label, children = _term_parts(term)
-        return label, tuple(self._key(c) for c in children)
-
-    def _key(self, term):
-        if term in self.parent:
-            return self.find(term)
-        sig = self._signature(term)
-        return self.find(self.by_sig[sig]) if sig in self.by_sig else sig
-
-    def equal(self, a, b) -> bool:
-        return a == b or self._key(a) == self._key(b)
-
-
-# ---------------------------------------------------------------------------
 # matching and hints
 # ---------------------------------------------------------------------------
 
@@ -474,28 +398,19 @@ class MatchFailure(Exception):
         super().__init__(f"no match for {coeff}*{term!r}; remainder holds {shown}")
 
 
-def subtract_match(
-    total: PolyForm, demand: PolyForm, equations: Iterable[tuple] = ()
-) -> PolyForm:
+def subtract_match(total: PolyForm, demand: PolyForm) -> PolyForm:
     """Decide total = demand + remainder; returns the remainder.
 
-    Demand terms are processed in canonical order; each must find a
-    congruent atom in the running remainder with a coefficient at least as
-    large, by the supplied equality set.
+    Demand terms are taken in canonical order; each subtracts its
+    coefficient from the same atom in the running remainder, which must
+    hold at least as much.
     """
-    congruence = _Congruence(equations)
     remainder = dict(total.coeffs)
     for atom, want in demand.items_canonical():
-        matched = None
-        for cand, have in sorted(remainder.items(), key=lambda kv: _atom_key(kv[0])):
-            if have >= want and congruence.equal(cand, atom):
-                matched = cand
-                break
-        if matched is None:
-            raise MatchFailure(atom, want, sorted(remainder.items(), key=lambda kv: _atom_key(kv[0])))
-        remainder[matched] -= want
-        if remainder[matched] == 0:
-            del remainder[matched]
+        if remainder.get(atom, 0) < want:
+            # PolyForm drops the atoms already used up
+            raise MatchFailure(atom, want, PolyForm(remainder).items_canonical())
+        remainder[atom] -= want
     return PolyForm(remainder)
 
 

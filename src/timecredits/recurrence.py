@@ -487,18 +487,21 @@ def _check_shape(data) -> None:
     fields fails only with a RecurrenceError, ValueError or KeyError."""
     if not isinstance(data, dict):
         raise RecurrenceError(f"a spec must be a JSON object, got {type(data).__name__}")
-    number = (int, float, str)
+
+    def number(value) -> bool:  # JSON true and false are not numbers
+        return isinstance(value, (int, float, str)) and not isinstance(value, bool)
+
     terms, g_class = data.get("terms"), data.get("g_class")
     base, g_poly = data.get("base", {}), data.get("g_poly") or {}
     fits = {
         "terms": isinstance(terms, list) and all(
-            isinstance(t, dict) and isinstance(t.get("a"), number)
-            and isinstance(t.get("b"), number) for t in terms),
+            isinstance(t, dict) and number(t.get("a"))
+            and number(t.get("b")) for t in terms),
         "g_class": isinstance(g_class, list) and len(g_class) == 2 and all(
-            isinstance(v, number) for v in g_class),
-        "x0": isinstance(data.get("x0"), number),
-        "base": isinstance(base, dict) and all(isinstance(v, number) for v in base.values()),
-        "g_poly": isinstance(g_poly, dict) and all(isinstance(v, number) for v in g_poly.values()),
+            number(v) for v in g_class),
+        "x0": number(data.get("x0")),
+        "base": isinstance(base, dict) and all(number(v) for v in base.values()),
+        "g_poly": isinstance(g_poly, dict) and all(number(v) for v in g_poly.values()),
     }
     bad = [key for key, ok in fits.items() if not ok]
     if bad:

@@ -406,8 +406,8 @@ def test_criterion_10_credit_matcher():
             + BUNDLES["insertion_sort"].obligations()
             + BUNDLES["knapsack"].obligations()
         )
-        _, total, demand, eqs, _hints = entry
-        remainder = subtract_match(total, demand, eqs)
+        _, total, demand, _hints = entry
+        remainder = subtract_match(total, demand)
         sigma = Assignment(
             {v: rng.randrange(0, 64) for v in ("n", "m", "i", "W", "l")}, funcs
         )

@@ -50,8 +50,8 @@ from timecredits.algorithms.splay_tree import (
     tree_node,
 )
 from timecredits.credits import (
-    UNIT, AddE, Assignment, CallAtom, CeilDivE, ConstE, FloorDivE, MulE, PolyForm, SubE, VarAtom,
-    VarE, holds_for_all_n, t_call, t_lit,
+    UNIT, AddE, Assignment, CallAtom, CeilDivE, ConstE, FloorDivE, Hint, MulE, PolyForm, SubE,
+    VarAtom, VarE, holds_for_all_n, t_call, t_lit,
 )
 from timecredits.heap import ARRAY, FAILURE, Addr, Heap, empty_heap, run, run_traced
 from timecredits.landau import SOLVED, BoundRegistry, PolyLog, PolyLog2, analyze_form
@@ -560,7 +560,7 @@ def test_hints_are_necessary_where_declared():
     for name in ("binary_search", "select"):
         bundle = BUNDLES[name]
         stripped = [
-            (n, total, demand, eqs, []) for (n, total, demand, eqs, hints) in bundle.obligations()
+            (n, total, demand, []) for (n, total, demand, hints) in bundle.obligations()
         ]
         from timecredits.algorithms.bundles import discharge_obligation
 
@@ -585,15 +585,31 @@ def _faulted(bundle, key):
     return bundle.with_consts(consts)
 
 
+def test_obligation_entries_are_name_total_demand_hints():
+    """Every row's entries, at the defaults and at each constant lowered by
+    one, are (name, total, demand, hints), and carry the declared hints."""
+    for name, bundle in BUNDLES.items():
+        for variant in [bundle] + [_faulted(bundle, key) for key in bundle.consts]:
+            entries = variant.obligations()
+            for entry in entries:
+                assert isinstance(entry, tuple) and len(entry) == 4, (name, entry)
+                label, total, demand, hints = entry
+                assert isinstance(label, str), (name, entry)
+                assert isinstance(total, PolyForm) and isinstance(demand, PolyForm), (name, label)
+                assert isinstance(hints, list), (name, label)
+                assert all(isinstance(h, Hint) for h in hints), (name, label)
+            assert sum(len(entry[3]) for entry in entries) == bundle.declared_hints, name
+
+
 def test_a_failing_hinted_match_never_consults_the_justification():
     failed = 0
     for bundle in BUNDLES.values():
         for key in bundle.consts:
-            for name, total, demand, eqs, hints in _faulted(bundle, key).obligations():
+            for name, total, demand, hints in _faulted(bundle, key).obligations():
                 if not hints:
                     continue
                 calls = []
-                report = discharge_obligation((name, total, demand, eqs, _counted(hints, calls)))
+                report = discharge_obligation((name, total, demand, _counted(hints, calls)))
                 if report.detail.startswith("no match for"):
                     assert calls == []
                     failed += 1

@@ -303,17 +303,30 @@ def test_out_to_a_missing_directory_exits_2(tmp_path, capsys, argv):
     assert not target.parent.exists()
 
 
-@pytest.mark.parametrize("text", [
-    "[1, 2]",
-    '{"x0": 2, "terms": null, "g_class": [0, 0]}',
-    '{"x0": 2, "terms": "abc", "g_class": [0, 0]}',
-    '{"x0": 2, "terms": [{"a": "1", "b": "1/2"}], "g_class": [0, 0], "base": null}',
-], ids=["top-level-list", "terms-null", "terms-string", "base-null"])
-def test_recurrence_malformed_spec_exits_2(tmp_path, capsys, text):
+# spec files whose shape is wrong, each with the reason it is refused;
+# a JSON true or false is not a number even where Python reads it as 1 or 0
+MALFORMED_SPECS = {
+    "top-level-list": ("[1, 2]", "a spec must be a JSON object, got list"),
+    "terms-null": ('{"x0": 2, "terms": null, "g_class": [0, 0]}', "terms not shaped"),
+    "terms-string": ('{"x0": 2, "terms": "abc", "g_class": [0, 0]}', "terms not shaped"),
+    "base-null": ('{"x0": 2, "terms": [{"a": "1", "b": "1/2"}], "g_class": [0, 0], "base": null}',
+                  "base not shaped"),
+    "x0-bool": ('{"x0": true, "terms": [{"a": "1", "b": "1/2"}], "g_class": [0, 0]}',
+                "x0 not shaped"),
+    "g_class-bool": ('{"x0": 2, "terms": [{"a": "1", "b": "1/2"}], "g_class": [true, 0]}',
+                     "g_class not shaped"),
+    "a-bool": ('{"x0": 2, "terms": [{"a": true, "b": "1/2"}], "g_class": [0, 0]}',
+               "terms not shaped"),
+}
+
+
+@pytest.mark.parametrize("text,reason", MALFORMED_SPECS.values(), ids=MALFORMED_SPECS)
+def test_recurrence_malformed_spec_exits_2(tmp_path, capsys, text, reason):
     path = tmp_path / "spec.json"
     path.write_text(text)
     assert main(["recurrence", str(path)]) == 2
-    assert capsys.readouterr().err.startswith("error: cannot load spec:")
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot load spec:") and reason in err
 
 
 def test_recurrence_missing_base_in_the_empirical_check_exits_2(tmp_path, capsys):
