@@ -116,30 +116,30 @@ class AlgorithmBundle:
         return self.study.tight_inputs()
 
     def _solve(self):
-        """(spec, case, exponent, class) by the Akra-Bazzi or loop rule; a
-        ledger has no spec and its class is read off its per-operation shape."""
+        """(case, exponent, class) by the Akra-Bazzi or loop rule; a ledger
+        has no spec and its class is read off its per-operation shape."""
         spec = self.study.spec(self.consts) if self.study.spec else None
         if isinstance(spec, AkraBazziSpec):
             result = akra_bazzi_class(spec)
-            return spec, result.case, result.p, result.result_class
+            return result.case, result.p, result.result_class
         if spec is not None:
-            return spec, None, None, linear_rec_class(spec)
+            return None, None, linear_rec_class(spec)
         shape = self.study.witness(self.consts)
-        return None, None, None, PolyLog(0, 1) if shape(4) > shape(2) else PolyLog(0, 0)
+        return None, None, PolyLog(0, 1) if shape(4) > shape(2) else PolyLog(0, 0)
 
     def claim(self):
-        return self._solve()[3]
+        return self._solve()[2]
 
     def class_check(self) -> bool:
         """The solver yields the expected outcome, and the class survives the
         row's empirical checks."""
         s = self.study
-        spec, case, p, cls = self._solve()
+        case, p, cls = self._solve()
         if case != s.case or (s.cls is not None and cls != s.cls):
             return False
         if s.p is not None and abs(p - s.p[0]) > s.p[1]:
             return False
-        if s.ratio_hi and not self._ratio_ok(cls, spec):
+        if s.ratio_hi and not self._ratio_ok(cls):
             return False
         return s.witness is None or self._witness_ok(cls)
 
@@ -147,9 +147,8 @@ class AlgorithmBundle:
         """Whether cls survives the row's decisive empirical check."""
         return self._witness_ok(cls) if self.study.witness else self._ratio_ok(cls)
 
-    def _ratio_ok(self, cls, spec=None) -> bool:
-        if spec is None:
-            spec = self.study.spec(self.consts)
+    def _ratio_ok(self, cls) -> bool:
+        spec = self.study.spec(self.consts)
         return empirical_ratio_check(spec, cls, 2 ** 8, self.study.ratio_hi).passed
 
     def _witness_ok(self, cls) -> bool:
@@ -375,13 +374,15 @@ def _ledger_study(name, gen_script) -> CaseStudy:
     )
 
 
-# Time functions are looked up on their modules at call time, so a wrapper
-# installed on a module attribute (a profiler or tracer) sees every call.
+# Time functions and specs are looked up on their modules at call time, so
+# a wrapper installed on a module attribute (a profiler or tracer) sees
+# every call.
 STUDIES = (
     CaseStudy(
         "merge_sort", _ints, _sort_run(srt.merge_sort_impl),
         time=lambda c: lambda n: srt.merge_sort_time(n, c),
-        spec=srt.merge_sort_recurrence, case=BALANCED, cls=PolyLog(1, 1), ratio_hi=2 ** 20,
+        spec=lambda c: srt.merge_sort_recurrence(c), case=BALANCED, cls=PolyLog(1, 1),
+        ratio_hi=2 ** 20,
         witness=lambda c: lambda n: srt.merge_sort_time(n, c),
         obligations=srt.merge_sort_obligations, consts=srt.MERGE_SORT_CONSTS,
         tight_inputs=lambda: [srt.merge_sort_worst_input(n) for n in (0, 1, 2, 3, 8, 21)],
@@ -389,7 +390,7 @@ STUDIES = (
     CaseStudy(
         "insertion_sort", _ints, _sort_run(srt.insertion_sort_impl),
         time=lambda c: lambda n: srt.insertion_sort_time(n, c),
-        spec=srt.insertion_sort_linear_rec, cls=PolyLog(2, 0),
+        spec=lambda c: srt.insertion_sort_linear_rec(c), cls=PolyLog(2, 0),
         witness=lambda c: lambda n: srt.insertion_sort_time(n, c),
         obligations=srt.insertion_sort_obligations, consts=srt.INSERTION_SORT_CONSTS,
         tight_inputs=lambda: [list(range(n, 0, -1)) for n in (0, 1, 2, 3, 8, 16)],
@@ -397,7 +398,7 @@ STUDIES = (
     CaseStudy(
         "binary_search", _search_input, _search_run,
         time=lambda c: lambda n: srch.binary_search_time(n, c),
-        spec=srch.bsearch_recurrence, case=BALANCED, cls=PolyLog(0, 1),
+        spec=lambda c: srch.bsearch_recurrence(c), case=BALANCED, cls=PolyLog(0, 1),
         witness=lambda c: lambda n: srch.binary_search_time(n, c),
         obligations=srch.binary_search_obligations, declared_hints=1,
         consts=srch.BINARY_SEARCH_CONSTS, tight_inputs=lambda: [([], 0), ([5], 3), ([1, 3], 0)],
@@ -405,13 +406,15 @@ STUDIES = (
     CaseStudy(
         "karatsuba", _karatsuba_input, _karatsuba_run,
         time=lambda c: lambda n: kara.karatsuba_time(n, c),
-        spec=kara.karatsuba_recurrence, case=BOTTOM_HEAVY, p=(1.5849625007, 1e-6),
+        spec=lambda c: kara.karatsuba_recurrence(c), case=BOTTOM_HEAVY, p=(1.5849625007, 1e-6),
         ratio_hi=2 ** 18, obligations=kara.karatsuba_obligations, consts=kara.KARATSUBA_CONSTS,
         tight_inputs=lambda: [([1], [1]), ([1, 1], [1, 1]), ([2, 0, 1], [1, 1, 1])],
     ),
     CaseStudy(
-        "select", _select_input, _select_run, time=sel.make_select_bound,
-        spec=sel.select_recurrence, case=TOP_HEAVY, cls=PolyLog(1, 0), p=(0.8398, 1e-4),
+        "select", _select_input, _select_run,
+        time=lambda c: lambda n: sel.select_run_time(n, c),
+        spec=lambda c: sel.select_recurrence(c), case=TOP_HEAVY, cls=PolyLog(1, 0),
+        p=(0.8398, 1e-4),
         ratio_hi=2 ** 18, obligations=sel.select_obligations, declared_hints=1,
         consts=sel.SELECT_CONSTS,
         tight_inputs=lambda: [(list(range(n, 0, -1)), 0) for n in (1, 5, 20)],
@@ -419,7 +422,7 @@ STUDIES = (
     CaseStudy(
         "knapsack", _knapsack_input, _knapsack_run,
         time=lambda c: lambda size: knap.knapsack_time(*size, c),
-        spec=knap.knapsack_linear_rec, cls=PolyLog2(1, 0, 1, 0),
+        spec=lambda c: knap.knapsack_linear_rec(c), cls=PolyLog2(1, 0, 1, 0),
         witness=lambda c: lambda n, w: knap.knapsack_time(n, w, c), grid=True,
         obligations=knap.knapsack_obligations, consts=knap.KNAPSACK_CONSTS,
         tight_inputs=lambda: [([(0, 5)] * 4, 9)],

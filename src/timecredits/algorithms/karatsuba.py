@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from ..credits import CeilDivE, ConstE, FloorDivE, MulE, SubE, VarE, t_call, t_expr, t_lit, t_var
 from ..heap import adrop, array_len, array_new, array_nth, array_upd, atake, proc, ret
-from ..recurrence import AkraBazziSpec, eval_recurrence, recurrence_of
+from ..recurrence import AkraBazziSpec, eval_recurrence, one_spec_per_consts, recurrence_of
 
 N = VarE("n")
 
@@ -147,18 +147,14 @@ def _karatsuba_total(consts):
     return _toll_expr(consts) + recursion
 
 
+@one_spec_per_consts
 def karatsuba_recurrence(consts=KARATSUBA_CONSTS) -> AkraBazziSpec:
     base = {0: consts["base"], 1: consts["base"]}
     return recurrence_of(_karatsuba_total, consts, "karatsuba_time", 2, base)
 
 
-_KARATSUBA_SPEC = karatsuba_recurrence()
-
-
 def karatsuba_time(n: int, consts=KARATSUBA_CONSTS) -> int:
-    """Other constants than the defaults get a spec for this call only."""
-    spec = _KARATSUBA_SPEC if consts == KARATSUBA_CONSTS else karatsuba_recurrence(consts)
-    return eval_recurrence(spec, n)
+    return eval_recurrence(karatsuba_recurrence(consts), n)
 
 
 def karatsuba_obligations(consts=KARATSUBA_CONSTS):

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from ..credits import t_lit, t_poly, t_var
 from ..heap import array_new, array_nth, array_upd, proc
-from ..recurrence import LinearRecSpec, eval_linear
+from ..recurrence import LinearRecSpec, eval_linear, one_spec_per_consts
 
 KNAPSACK_CONSTS = {
     "table_pad": 2,   # dp allocation is W+1 cells plus the command pad
@@ -38,21 +38,14 @@ def knapsack_impl(items: list[tuple[int, int]], capacity: int):
     return (yield array_nth(dp, capacity))
 
 
-def _knapsack_spec(consts) -> LinearRecSpec:
+@one_spec_per_consts
+def knapsack_linear_rec(consts=KNAPSACK_CONSTS) -> LinearRecSpec:
     # the table is W + 1 cells plus the pad, each item pays step per
     # capacity 0..W (linear in W, so the rule gives n*W), the answer one read
     return LinearRecSpec(
         2, init={1: 1, 0: consts["table_pad"]},
         step={1: consts["step"], 0: consts["step"]}, final=consts["final"],
     )
-
-
-_KNAPSACK_SPEC = _knapsack_spec(KNAPSACK_CONSTS)
-
-
-def knapsack_linear_rec(consts=KNAPSACK_CONSTS) -> LinearRecSpec:
-    """Other constants than the defaults get a spec for this call only."""
-    return _KNAPSACK_SPEC if consts == KNAPSACK_CONSTS else _knapsack_spec(consts)
 
 
 def knapsack_time(n: int, capacity: int, consts=KNAPSACK_CONSTS) -> int:

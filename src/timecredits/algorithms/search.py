@@ -20,7 +20,9 @@ from ..credits import (
     t_lit,
 )
 from ..heap import array_len, array_nth, proc, ret
-from ..recurrence import AkraBazziSpec, eval_recurrence, monotone_by_induction, recurrence_of
+from ..recurrence import (
+    AkraBazziSpec, eval_recurrence, monotone_by_induction, one_spec_per_consts, recurrence_of,
+)
 
 N = VarE("n")
 HALF = FloorDivE(N, 2)
@@ -67,25 +69,14 @@ def _level_total(consts):
     return t_lit(consts["level"]) + t_call("bsearch_time", HALF)
 
 
+@one_spec_per_consts
 def bsearch_recurrence(consts=BINARY_SEARCH_CONSTS) -> AkraBazziSpec:
     return recurrence_of(_level_total, consts, "bsearch_time", 1, {0: consts["base"]})
 
 
-_BSEARCH_SPEC = bsearch_recurrence()
-
-
-def _bsearch_spec(consts):
-    """The module's spec and memo for constants that differ from the
-    defaults only in "len", which the probe loop never reads; a spec for
-    this call only otherwise."""
-    if dict(consts, len=BINARY_SEARCH_CONSTS["len"]) == BINARY_SEARCH_CONSTS:
-        return _BSEARCH_SPEC
-    return bsearch_recurrence(consts)
-
-
 def bsearch_time(n: int, consts=BINARY_SEARCH_CONSTS) -> int:
     """Bound for the probe loop on a window of size n."""
-    return eval_recurrence(_bsearch_spec(consts), n)
+    return eval_recurrence(bsearch_recurrence(consts), n)
 
 
 def binary_search_time(n: int, consts=BINARY_SEARCH_CONSTS) -> int:
@@ -101,7 +92,7 @@ def upper_window_hint(consts=BINARY_SEARCH_CONSTS) -> Hint:
     """
 
     def justify() -> bool:
-        spec = _bsearch_spec(consts)
+        spec = bsearch_recurrence(consts)
         return monotone_by_induction(spec) and holds_for_all_n(UPPER, HALF, spec.x0)
 
     return Hint(

@@ -27,7 +27,9 @@ from ..credits import (
     t_var,
 )
 from ..heap import array_len, array_nth, array_upd, proc, ret
-from ..recurrence import AkraBazziSpec, eval_recurrence, monotone_by_induction, recurrence_of
+from ..recurrence import (
+    AkraBazziSpec, eval_recurrence, monotone_by_induction, one_spec_per_consts, recurrence_of,
+)
 from .sorting import sort_window
 
 N = VarE("n")
@@ -123,6 +125,7 @@ def _select_total(consts):
     )
 
 
+@one_spec_per_consts
 def select_recurrence(consts=SELECT_CONSTS) -> AkraBazziSpec:
     # a small window is insertion-sorted and read once
     base = {
@@ -132,36 +135,14 @@ def select_recurrence(consts=SELECT_CONSTS) -> AkraBazziSpec:
     return recurrence_of(_select_total, consts, "select_time", CUTOFF + 1, base)
 
 
-_SELECT_SPEC = select_recurrence()
-
-
-def select_time(n: int) -> int:
+def select_time(n: int, consts=SELECT_CONSTS) -> int:
     """Bound for the selection window of size n: the recurrence evaluated at n."""
-    return eval_recurrence(_SELECT_SPEC, n)
+    return eval_recurrence(select_recurrence(consts), n)
 
 
-def _select_spec(consts):
-    """The module's spec and memo for constants that differ from the
-    defaults only in "len", which the window never reads; a spec for this
-    call only otherwise."""
-    if dict(consts, len=SELECT_CONSTS["len"]) == SELECT_CONSTS:
-        return _SELECT_SPEC
-    return select_recurrence(consts)
-
-
-def make_select_time(consts=SELECT_CONSTS):
-    """The window bound for these constants: select_time with the module's
-    memo, or one whose spec lives as long as the returned function."""
-    spec = _select_spec(consts)
-    if spec is _SELECT_SPEC:
-        return select_time
-    return lambda n: eval_recurrence(spec, n)
-
-
-def make_select_bound(consts=SELECT_CONSTS):
+def select_run_time(n: int, consts=SELECT_CONSTS) -> int:
     """Bound on a whole run of select_impl: the length read plus the window."""
-    window = make_select_time(consts)
-    return lambda n: consts["len"] + window(n)
+    return consts["len"] + select_time(n, consts)
 
 
 # The worst recursive window after partitioning, from the group-median
@@ -190,7 +171,7 @@ def partition_hint(consts=SELECT_CONSTS) -> Hint:
     """
 
     def justify() -> bool:
-        return monotone_by_induction(_select_spec(consts)) and all(
+        return monotone_by_induction(select_recurrence(consts)) and all(
             holds_for_all_n(side, CAP, CUTOFF + 1) for side in PARTITION_SIDES
         )
 

@@ -14,7 +14,9 @@ from ..heap import (
     ret,
 )
 from ..landau import PolyLog
-from ..recurrence import AkraBazziSpec, LinearRecSpec, eval_linear, eval_recurrence, recurrence_of
+from ..recurrence import (
+    AkraBazziSpec, LinearRecSpec, eval_linear, eval_recurrence, one_spec_per_consts, recurrence_of,
+)
 
 N = VarE("n")
 
@@ -134,18 +136,14 @@ def _merge_sort_total(consts):
     )
 
 
+@one_spec_per_consts
 def merge_sort_recurrence(consts=MERGE_SORT_CONSTS) -> AkraBazziSpec:
     base = {0: consts["base"], 1: consts["base"]}
     return recurrence_of(_merge_sort_total, consts, "merge_sort_time", 2, base, MERGE_SORT_AUX)
 
 
-_MERGE_SORT_SPEC = merge_sort_recurrence()
-
-
 def merge_sort_time(n: int, consts=MERGE_SORT_CONSTS) -> int:
-    """Other constants than the defaults get a spec for this call only."""
-    spec = _MERGE_SORT_SPEC if consts == MERGE_SORT_CONSTS else merge_sort_recurrence(consts)
-    return eval_recurrence(spec, n)
+    return eval_recurrence(merge_sort_recurrence(consts), n)
 
 
 def merge_sort_obligations(consts=MERGE_SORT_CONSTS):
@@ -228,23 +226,14 @@ def insertion_sort_impl(x):
     return (yield ret(None))
 
 
-def _insertion_sort_spec(consts) -> LinearRecSpec:
+@one_spec_per_consts
+def insertion_sort_linear_rec(consts=INSERTION_SORT_CONSTS) -> LinearRecSpec:
     # iteration i reads the inserted value, shifts up to i elements and
     # writes the value back: a step linear in i, so the loop rule gives n^2
     return LinearRecSpec(
         1, init={0: consts["base"]},
         step={1: consts["shift_coeff"], 0: consts["outer_pad"]},
     )
-
-
-_INSERTION_SORT_SPEC = _insertion_sort_spec(INSERTION_SORT_CONSTS)
-
-
-def insertion_sort_linear_rec(consts=INSERTION_SORT_CONSTS) -> LinearRecSpec:
-    """Other constants than the defaults get a spec for this call only."""
-    if consts == INSERTION_SORT_CONSTS:
-        return _INSERTION_SORT_SPEC
-    return _insertion_sort_spec(consts)
 
 
 def insertion_sort_time(n: int, consts=INSERTION_SORT_CONSTS) -> int:

@@ -10,6 +10,7 @@ import argparse
 import json
 import random
 import sys
+from functools import partial
 from typing import Optional
 
 from .amortized import K_MAX, NoMultiplier, minimal_multiplier, run_sequence
@@ -22,7 +23,7 @@ EXIT_CHECK_FAILED = 1
 EXIT_BAD_INPUT = 2
 
 # the case studies whose spec is an Akra-Bazzi recurrence
-BUILTIN_SPECS = {s.name: s.spec for s in STUDIES if s.case}
+BUILTIN_SPECS = {s.name: partial(s.spec, s.consts) for s in STUDIES if s.case}
 
 _MASK64 = (1 << 64) - 1
 _XXPRIME_1 = 11400714785074694791

@@ -10,6 +10,8 @@ ratio check uses to keep the symbolic answer honest.  `recurrence_of`
 reads the whole spec off one recursive total: its terms, the toll function,
 the toll's class and its time expression; `monotone_by_induction` decides
 from that expression and the base table that f is nondecreasing at every n.
+`one_spec_per_consts` builds each case study's spec once per constants, so
+its bound, claim and hints share one spec and one memo.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from functools import lru_cache, partial
+from functools import lru_cache, partial, wraps
 from itertools import accumulate
 from math import comb
 from typing import Callable, Optional, Union
@@ -169,6 +171,31 @@ def _check_eventually_positive(spec: AkraBazziSpec) -> None:
             raise RecurrenceError(f"f({n}) is not positive")
 
 
+# the most specs, with their memos, that the cache keeps alive
+SPEC_CACHE_SIZE = 256
+
+
+@lru_cache(maxsize=SPEC_CACHE_SIZE)
+def _built_spec(build, consts_items: tuple):
+    return build(dict(consts_items))
+
+
+def one_spec_per_consts(build):
+    """A row's spec builder, made to build one spec per constants: every
+    caller with equal constants gets the same spec, and with it the memo
+    that earlier evaluations filled.  `build` takes the constants, with the
+    row's defaults as its default.  The key is the sorted constants, and
+    the builder gets a copy of them, so no caller's dict is kept.  One
+    cache serves every row and keeps the SPEC_CACHE_SIZE specs used last."""
+    (defaults,) = build.__defaults__
+
+    @wraps(build)
+    def spec(consts=defaults):
+        return _built_spec(build, tuple(sorted(consts.items())))
+
+    return spec
+
+
 def recurrence_of(
     total_of: Callable[[dict], PolyForm], consts: dict, name: str, x0: int, base: dict, aux=()
 ) -> AkraBazziSpec:
@@ -178,20 +205,7 @@ def recurrence_of(
     toll, kept as `g_form`: `g_concrete` evaluates it at n, each auxiliary
     call bound to its time function at these constants, and `g_class` is
     read off its atoms, each auxiliary with its class.  `aux` holds (name,
-    time function, class) triples.  A total is read once per `total_of`,
-    constants and x0."""
-    terms, g_class, g_concrete, g_form = _read_total(
-        total_of, tuple(sorted(consts.items())), name, x0, aux
-    )
-    return AkraBazziSpec(
-        x0=x0, terms=terms, g_class=g_class, g_concrete=g_concrete, g_form=g_form, base=base,
-        name=name,
-    )
-
-
-@lru_cache(maxsize=256)
-def _read_total(total_of, consts_items: tuple, name: str, x0: int, aux: tuple):
-    consts = dict(consts_items)
+    time function, class) triples."""
     coeffs = dict(total_of(consts).coeffs)
     calls = {a: coeffs.pop(a) for a in list(coeffs) if isinstance(a, CallAtom) and a.fn == name}
     if not coeffs:
@@ -206,7 +220,10 @@ def _read_total(total_of, consts_items: tuple, name: str, x0: int, aux: tuple):
         sigma.env["n"] = n  # one assignment serves every point
         return toll.eval(sigma)
 
-    return terms, analyze_form(toll, registry), g_concrete, toll
+    return AkraBazziSpec(
+        x0=x0, terms=terms, g_class=analyze_form(toll, registry), g_concrete=g_concrete,
+        g_form=toll, base=base, name=name,
+    )
 
 
 def _rec_term(call: CallAtom, a: int, x0: int) -> RecTerm:
@@ -324,10 +341,11 @@ class RatioReport:
 
     def render(self) -> str:
         verdict = "pass" if self.passed else "fail"
-        return (
-            f"ratio in [{self.min_ratio:.4g}, {self.max_ratio:.4g}], "
-            f"spread {self.max_ratio / self.min_ratio:.3g} vs slack {self.slack:g}: {verdict}"
+        spread = (
+            f"spread {self.max_ratio / self.min_ratio:.3g} vs slack {self.slack:g}"
+            if self.min_ratio > 0 else "f is not positive"
         )
+        return f"ratio in [{self.min_ratio:.4g}, {self.max_ratio:.4g}], {spread}: {verdict}"
 
 
 def empirical_ratio_check(

@@ -2,8 +2,11 @@ import dataclasses
 import functools
 import gc
 import hashlib
+import importlib
+import inspect
 import itertools
 import json
+import pkgutil
 import random
 import re
 import weakref
@@ -13,7 +16,7 @@ from pathlib import Path
 
 import pytest
 
-from timecredits.algorithms import all_bundles, build_registry, discharge_all
+from timecredits.algorithms import all_bundles, build_registry, bundles, discharge_all
 from timecredits.algorithms.bundles import (
     AlgorithmBundle,
     BoundCheckFailed,
@@ -56,7 +59,8 @@ from timecredits.credits import (
 from timecredits.heap import ARRAY, FAILURE, Addr, Heap, empty_heap, run, run_traced
 from timecredits.landau import SOLVED, BoundRegistry, PolyLog, PolyLog2, analyze_form
 from timecredits.recurrence import (
-    LinearRecSpec, RecTerm, RecurrenceError, eval_recurrence, monotone_by_induction, recurrence_of,
+    SPEC_CACHE_SIZE, AkraBazziSpec, LinearRecSpec, RecTerm, RecurrenceError, _built_spec,
+    eval_recurrence, monotone_by_induction, recurrence_of,
 )
 
 from oracles import knapsack_brute, partition_side_bound, skew_meld_pair, splay_fun_reference
@@ -176,21 +180,33 @@ def test_select_time_monotone_and_window_bound():
         assert partition_side_bound(n) <= -(-7 * n // 10)
 
 
-def test_select_time_variant_freed_without_cycle_collector():
-    # a fault variant's memo must go with its bound, not wait for a full GC
-    fn = sel.make_select_time(dict(sel.SELECT_CONSTS, part_coeff=3))
-    assert fn(5000) > 0
+def test_one_spec_per_constants_in_a_bounded_cache():
+    # equal constants get the same spec, and its memo, whatever dict holds them
+    consts = dict(sel.SELECT_CONSTS, part_coeff=3)
+    spec = sel.select_recurrence(consts)
+    assert sel.select_recurrence(dict(reversed(consts.items()))) is spec
+    assert sel.select_time(5000, dict(consts)) > 0 and 5000 in spec._memo
+    # a variant's hint and bound hold no spec, so they go without a full GC
     hint = srch.upper_window_hint(dict(srch.BINARY_SEARCH_CONSTS, level=1))
     assert hint.justification()
     bound = BUNDLES["merge_sort"].with_consts(dict(srt.MERGE_SORT_CONSTS, merge_coeff=2)).bound
     assert bound(5000) > 0
-    refs = [weakref.ref(obj) for obj in (fn, hint, bound)]
+    refs = [weakref.ref(obj) for obj in (hint, bound)]
+    spec_ref = weakref.ref(spec)
     gc.disable()
     try:
-        del fn, hint, bound
-        assert [ref() for ref in refs] == [None, None, None]
+        del hint, bound, spec
+        assert [ref() for ref in refs] == [None, None]
+        # the cache keeps the specs used last: SPEC_CACHE_SIZE newer ones
+        # evict the select variant, and its memo goes without a full GC too
+        assert spec_ref() is not None
+        for step in range(SPEC_CACHE_SIZE):
+            knap.knapsack_linear_rec(dict(knap.KNAPSACK_CONSTS, step=1000 + step))
+        assert spec_ref() is None
     finally:
         gc.enable()
+    info = _built_spec.cache_info()
+    assert info.currsize == info.maxsize == SPEC_CACHE_SIZE
 
 
 def test_knapsack_examples():
@@ -684,13 +700,13 @@ def _refused(spec, **change):
     return dataclasses.replace(spec, _memo={}, **change)
 
 
-_SELECT_TOLL = sel._SELECT_SPEC.g_form
 REFUSED_SPECS = {
-    "negative-toll-coefficient": (sel, "_select_spec", lambda: _refused(
-        sel._SELECT_SPEC, g_form=PolyForm({**_SELECT_TOLL.coeffs, VarAtom("n"): -1}))),
-    "decreasing-base": (srch, "_bsearch_spec", lambda: _refused(
-        srch._BSEARCH_SPEC, x0=3, base={0: 1, 1: 5, 2: 4})),
-    "term-not-below-x": (sel, "_select_spec", lambda: _refused(sel._SELECT_SPEC, terms=(
+    "negative-toll-coefficient": (sel, "select_recurrence", lambda: _refused(
+        sel.select_recurrence(),
+        g_form=PolyForm({**sel.select_recurrence().g_form.coeffs, VarAtom("n"): -1}))),
+    "decreasing-base": (srch, "bsearch_recurrence", lambda: _refused(
+        srch.bsearch_recurrence(), x0=3, base={0: 1, 1: 5, 2: 4})),
+    "term-not-below-x": (sel, "select_recurrence", lambda: _refused(sel.select_recurrence(), terms=(
         RecTerm(Fraction(1), Fraction(1, 5), "ceil"),
         RecTerm(Fraction(1), Fraction(99, 100), "ceil")))),
 }
@@ -710,7 +726,7 @@ def test_refused_specs_make_their_hinted_discharge_fail(monkeypatch, kind):
 
 
 def test_default_and_probed_specs_are_monotone_by_induction():
-    for spec in (srch._BSEARCH_SPEC, sel._SELECT_SPEC):
+    for spec in (srch.bsearch_recurrence(), sel.select_recurrence()):
         assert monotone_by_induction(spec)
         assert all(eval_recurrence(spec, n) <= eval_recurrence(spec, n + 1) for n in range(3000))
     # select's small_probe fault makes the base table decrease at 0
@@ -746,9 +762,8 @@ def test_insertion_sort_class_and_bound_share_one_spec(monkeypatch):
     """Patching the loop spec's step changes both the claim and the bound:
     neither is typed next to the other."""
     step = {2: 1, 1: 2, 0: 2}
-    monkeypatch.setattr(
-        srt, "_INSERTION_SORT_SPEC", LinearRecSpec(1, init={0: 2}, step=step),
-    )
+    spec = LinearRecSpec(1, init={0: 2}, step=step)
+    monkeypatch.setattr(srt, "insertion_sort_linear_rec", lambda consts: spec)
     assert BUNDLES["insertion_sort"].claim() == PolyLog(3, 0)
     for n in range(200):
         loop = 2 + sum(i * i + 2 * i + 2 for i in range(1, n))
@@ -758,42 +773,70 @@ def test_insertion_sort_class_and_bound_share_one_spec(monkeypatch):
 def test_knapsack_class_comes_from_its_capacity_step(monkeypatch):
     assert knap.knapsack_linear_rec().g_class == PolyLog(1, 0)
     assert BUNDLES["knapsack"].claim() == PolyLog2(1, 0, 1, 0)
-    monkeypatch.setattr(
-        knap, "_KNAPSACK_SPEC", LinearRecSpec(2, init={1: 1, 0: 2}, step={2: 1}, final=1),
-    )
+    spec = LinearRecSpec(2, init={1: 1, 0: 2}, step={2: 1}, final=1)
+    monkeypatch.setattr(knap, "knapsack_linear_rec", lambda consts: spec)
     assert knap.knapsack_time(3, 4) == (4 + 2) + 3 * 16 + 1
     with pytest.raises(RecurrenceError, match="linear step"):
         BUNDLES["knapsack"].claim()
 
 
-def test_len_faults_reuse_the_default_recurrences(monkeypatch):
-    # "len" is read only by the whole-run bound, never by a recurrence, so
-    # its fault probes must not build a spec (and a memo) of their own
-    built = []
-    for module, name in ((sel, "select_recurrence"), (srch, "bsearch_recurrence")):
-        real = getattr(module, name)
-        monkeypatch.setattr(
-            module, name, lambda *a, real=real, name=name: built.append(name) or real(*a)
-        )
-    for row in ("select", "binary_search"):
-        assert constant_fault_detected(BUNDLES[row], "len")
-    assert built == []
+def test_a_repeated_fault_probe_builds_no_spec():
+    # the first probe of a fault builds its variant's spec; every later one
+    # gets that spec, and its memo, from the cache
+    probes = [(bundle, key) for bundle in BUNDLES.values() for key in bundle.consts]
+    for bundle, key in probes:
+        constant_fault_detected(bundle, key)
+    misses = _built_spec.cache_info().misses
+    for bundle, key in probes:
+        assert constant_fault_detected(bundle, key), (bundle.name, key)
+    assert _built_spec.cache_info().misses == misses
+
+
+@pytest.mark.parametrize("row, module, spec_of, readers", [
+    ("select", sel, sel.select_recurrence,
+     {"eval_recurrence", "monotone_by_induction", "akra_bazzi_class", "empirical_ratio_check"}),
+    ("binary_search", srch, srch.bsearch_recurrence,
+     {"eval_recurrence", "monotone_by_induction", "akra_bazzi_class"}),
+])
+def test_every_reader_at_the_defaults_reads_the_one_spec(
+    monkeypatch, row, module, spec_of, readers,
+):
+    """The bound, the claim, the class check and the hint's justification
+    read the very spec the row's builder returns."""
+    read = []
+    for owner in (module, bundles):
+        for name in readers & set(vars(owner)):
+            fn = getattr(owner, name)
+            monkeypatch.setattr(owner, name, lambda spec, *args, fn=fn, name=name: (
+                read.append((name, spec)) or fn(spec, *args)))
+    bundle = AlgorithmBundle(BUNDLES[row].study)
+    assert bundle.bound(1000) > 0 and bundle.claim() and bundle.class_check()
+    assert all(report.success for report in discharge_all(bundle))
+    assert {name for name, _ in read} == readers
+    assert all(spec is spec_of() for _, spec in read)
+
+
+def test_no_module_level_specs_and_every_time_function_takes_its_constants():
+    import timecredits.algorithms as pkg
+
+    for info in pkgutil.iter_modules(pkg.__path__):
+        module = importlib.import_module(f"{pkg.__name__}.{info.name}")
+        for name, value in vars(module).items():
+            assert not isinstance(value, (AkraBazziSpec, LinearRecSpec)), (info.name, name)
+            if name.endswith("_time") and getattr(value, "__module__", None) == module.__name__:
+                assert "consts" in inspect.signature(value).parameters, (info.name, name)
 
 
 def _bound_calls(*fns):
-    """Per constants, the named time functions bound to them (memoised here:
-    off the defaults a time function builds its spec on every call)."""
-    return lambda consts: {
-        fn.__name__: functools.cache(functools.partial(fn, consts=consts)) for fn in fns
-    }
+    """Per constants, the named time functions bound to them."""
+    return lambda consts: {fn.__name__: functools.partial(fn, consts=consts) for fn in fns}
 
 
 @pytest.mark.parametrize("row, spec_of, base_name, calls_of", [
     ("merge_sort", srt.merge_sort_recurrence, "base", _bound_calls(
         srt.atake_time, srt.adrop_time, srt.mergeinto_time, srt.merge_sort_time)),
     ("karatsuba", kara.karatsuba_recurrence, "base", _bound_calls(kara.karatsuba_time)),
-    ("select", sel.select_recurrence, "small-window",
-     lambda consts: {"select_time": sel.make_select_time(consts)}),
+    ("select", sel.select_recurrence, "small-window", _bound_calls(sel.select_time)),
     ("binary_search", srch.bsearch_recurrence, "empty", _bound_calls(srch.bsearch_time)),
 ])
 def test_obligation_totals_restate_their_recurrence(row, spec_of, base_name, calls_of):

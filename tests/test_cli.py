@@ -367,6 +367,21 @@ def test_recurrence_out_of_float_range_exits_2(tmp_path, capsys, change, message
     assert err.startswith(message) and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("base,low", [(-8, "0"), (-80, "-12.98")], ids=["zero", "negative"])
+def test_recurrence_with_f_not_positive_fails_without_a_spread(tmp_path, capsys, base, low):
+    # f(2^k) = base + k, so some sampled ratio is zero or negative
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps({
+        "x0": 2, "terms": [{"a": 1, "b": "1/2"}], "g_class": [0, 0], "g_poly": {"0": 1},
+        "base": {"0": base, "1": base},
+    }))
+    assert main(["recurrence", str(path)]) == 1
+    out, err = capsys.readouterr()
+    last = out.splitlines()[-1]
+    assert err == "" and last.startswith(f"empirical check: ratio in [{low}, ")
+    assert last.endswith("], f is not positive: fail")
+
+
 @pytest.mark.parametrize("change,message", [
     ({"x0": 2.9}, "x0 must be an integer, got 2.9"),
     ({"base": {"0": 2, "1": 2.5}}, "a base value must be an integer, got 2.5"),
