@@ -25,7 +25,7 @@ from ..credits import (
     rewrite_hint,
     subtract_match,
 )
-from ..heap import FAILURE, Success, adrop, array_of_list, atake, empty_heap, run
+from ..heap import FAILURE, adrop, array_of_list, atake, empty_heap, run
 from ..landau import (
     DECLARED,
     BoundRegistry,
@@ -105,6 +105,12 @@ class AlgorithmBundle:
         self.gen_input = study.gen_input
         self.run = study.run
         self.bound = study.time(self.consts)
+
+    def check_run(self, case) -> tuple[RunResult, Any, bool]:
+        """The run of one input, the bound at its size, and whether it is within."""
+        result = self.run(case)
+        bound = self.bound(result.size)
+        return result, bound, result.cost <= bound
 
     def with_consts(self, consts: dict) -> "AlgorithmBundle":
         return AlgorithmBundle(self.study, consts)
@@ -214,11 +220,8 @@ def constant_fault_detected(bundle: AlgorithmBundle, key: str) -> bool:
     variant = bundle.with_consts(faulted)
     if not all(discharge_obligation(entry).success for entry in variant.obligations()):
         return True
-    for inp in variant.tight_inputs():
-        res = variant.run(inp)
-        if res.cost > variant.bound(res.size):
-            return True
-    return False
+    checked = (variant.check_run(inp) for inp in variant.tight_inputs())
+    return any(not within for _, _, within in checked)
 
 
 # ---------------------------------------------------------------------------
@@ -238,7 +241,8 @@ def _sort_run(impl):
     def run_one(xs) -> RunResult:
         addr, heap = _heap_array(xs)
         out = run(impl(addr), heap)
-        assert isinstance(out, Success)
+        if out is FAILURE:
+            return RunResult(None, 0, len(xs), False)
         got = out.heap.arrays[addr.index]
         return RunResult(got, out.cost, len(xs), got == sorted(xs))
 
@@ -255,7 +259,8 @@ def _search_run(case) -> RunResult:
     xs, key = case
     addr, heap = _heap_array(xs)
     out = run(srch.binary_search_impl(addr, key), heap)
-    assert isinstance(out, Success)
+    if out is FAILURE:
+        return RunResult(None, 0, len(xs), False)
     pos = out.value
     ok = (key not in xs) if pos is None else (0 <= pos < len(xs) and xs[pos] == key)
     return RunResult(pos, out.cost, len(xs), ok)
@@ -286,7 +291,8 @@ def _select_run(case) -> RunResult:
     xs, i = case
     addr, heap = _heap_array(xs)
     out = run(sel.select_impl(addr, i), heap)
-    assert isinstance(out, Success)
+    if out is FAILURE:
+        return RunResult(None, 0, len(xs), False)
     return RunResult(out.value, out.cost, len(xs), out.value == sorted(xs)[i])
 
 
@@ -297,7 +303,8 @@ def _knapsack_input(rng, n):
 def _knapsack_run(case) -> RunResult:
     items, capacity = case
     out = run(knap.knapsack_impl(items, capacity), empty_heap())
-    assert isinstance(out, Success)
+    if out is FAILURE:
+        return RunResult(None, 0, (len(items), capacity), False)
     expected = knap.knapsack_fun(items, capacity)
     return RunResult(out.value, out.cost, (len(items), capacity), out.value == expected)
 

@@ -10,12 +10,11 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from ..amortized import AmortizedOp, AmortizedScheme
+from ..amortized import AmortizedOp, AmortizedScheme, succeeded
 from ..heap import (
     FAILURE,
     Addr,
     Heap,
-    Success,
     agrow,
     array_new,
     array_nth,
@@ -35,14 +34,13 @@ class DynArray(NamedTuple):
 
 
 def new_dynarray() -> DynArray:
-    out = run(array_new(0, 0), empty_heap())
+    out = succeeded(run(array_new(0, 0), empty_heap()))
     return DynArray(out.heap, out.value, 0, 0)
 
 
 def push(d: DynArray, value) -> tuple[DynArray, int]:
     if d.length < d.capacity:
-        out = run(array_upd(d.data, d.length, value), d.heap)
-        assert isinstance(out, Success)
+        out = succeeded(run(array_upd(d.data, d.length, value), d.heap))
         return DynArray(out.heap, d.data, d.length + 1, d.capacity), out.cost
 
     new_cap = max(1, 2 * d.capacity)
@@ -53,21 +51,19 @@ def push(d: DynArray, value) -> tuple[DynArray, int]:
         yield array_upd(fresh, d.length, value)
         return fresh
 
-    out = run(grow_and_write(), d.heap)
-    assert isinstance(out, Success)
+    out = succeeded(run(grow_and_write(), d.heap))
     return DynArray(out.heap, out.value, d.length + 1, new_cap), out.cost
 
 
 def get(d: DynArray, index: int) -> tuple[object, int]:
     if not 0 <= index < d.length:
         return FAILURE, 0
-    out = run(array_nth(d.data, index), d.heap)
-    assert isinstance(out, Success)
+    out = succeeded(run(array_nth(d.data, index), d.heap))
     return out.value, out.cost
 
 
 def length(d: DynArray) -> tuple[int, int]:
-    out = run(ret(d.length), d.heap)
+    out = succeeded(run(ret(d.length), d.heap))
     return out.value, out.cost
 
 

@@ -12,11 +12,10 @@ from __future__ import annotations
 from operator import itemgetter
 from typing import Callable, NamedTuple, Optional
 
-from ..amortized import AmortizedOp, AmortizedScheme
+from ..amortized import AmortizedOp, AmortizedScheme, HarnessError, succeeded
 from ..heap import (
     Addr,
     Heap,
-    Success,
     array_nth,
     array_of_list,
     array_upd,
@@ -170,9 +169,10 @@ def extract_tree(heap: Heap, root: Optional[Addr], node: Callable):
     built: dict = {None: None}
     building = set()  # addresses whose subtrees are under construction
     work = [(root, False)] if root is not None else []
+    arrays = heap.arrays
     while work:
         addr, expanded = work.pop()
-        key, left, right = heap.arrays[addr.index]
+        key, left, right = arrays[addr.index]
         if expanded:
             built[addr] = node(built[left], key, built[right])
             building.discard(addr)
@@ -192,19 +192,18 @@ def skew_extract(heap: Heap, root: Optional[Addr]) -> Optional[SkewNode]:
 
 
 def skew_push(s: SkewHeap, key: int) -> tuple[SkewHeap, int]:
-    out = run(skew_insert_impl(key, s.root), s.heap)
-    assert isinstance(out, Success)
+    out = succeeded(run(skew_insert_impl(key, s.root), s.heap))
     return SkewHeap(out.heap, out.value, skew_insert_fun(key, s.mirror)), out.cost
 
 
 def skew_pop(s: SkewHeap) -> tuple[int, SkewHeap, int]:
     if s.root is None:
         raise ValueError("del_min on empty heap")
-    out = run(skew_del_min_impl(s.root), s.heap)
-    assert isinstance(out, Success)
+    out = succeeded(run(skew_del_min_impl(s.root), s.heap))
     key, rest = out.value
     fun_key, fun_rest = skew_del_min_fun(s.mirror)
-    assert key == fun_key
+    if key != fun_key:
+        raise HarnessError(f"del_min: the heap gave {key!r}, its mirror {fun_key!r}")
     return key, SkewHeap(out.heap, rest, fun_rest), out.cost
 
 

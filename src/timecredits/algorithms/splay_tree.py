@@ -14,11 +14,10 @@ from __future__ import annotations
 from operator import itemgetter
 from typing import NamedTuple, Optional
 
-from ..amortized import AmortizedOp, AmortizedScheme
+from ..amortized import AmortizedOp, AmortizedScheme, HarnessError, succeeded
 from ..heap import (
     Addr,
     Heap,
-    Success,
     array_nth,
     array_of_list,
     array_upd,
@@ -264,23 +263,21 @@ def splay_extract(heap: Heap, root: Optional[Addr]) -> Optional[TreeNode]:
 
 
 def splay_insert(s: SplayTree, key: int) -> tuple[SplayTree, int]:
-    out = run(insert_impl(key, s.root), s.heap)
-    assert isinstance(out, Success)
+    out = succeeded(run(insert_impl(key, s.root), s.heap))
     return SplayTree(out.heap, out.value, insert_fun(key, s.mirror)), out.cost
 
 
 def splay_lookup(s: SplayTree, key: int) -> tuple[bool, SplayTree, int]:
-    out = run(lookup_impl(key, s.root), s.heap)
-    assert isinstance(out, Success)
+    out = succeeded(run(lookup_impl(key, s.root), s.heap))
     found, new_root = out.value
     fun_found, fun_tree = lookup_fun(key, s.mirror)
-    assert found == fun_found
+    if found != fun_found:
+        raise HarnessError(f"lookup: the heap gave {found!r}, its mirror {fun_found!r}")
     return found, SplayTree(out.heap, new_root, fun_tree), out.cost
 
 
 def splay_splay(s: SplayTree, key: int) -> tuple[SplayTree, int]:
-    out = run(splay_impl(key, s.root), s.heap)
-    assert isinstance(out, Success)
+    out = succeeded(run(splay_impl(key, s.root), s.heap))
     return SplayTree(out.heap, out.value, splay_fun(key, s.mirror)), out.cost
 
 

@@ -14,13 +14,22 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Callable, NamedTuple, Optional, Sequence
 
+from .heap import FAILURE, Outcome, Success
+
 
 class PreconditionViolated(Exception):
     pass
 
 
 class HarnessError(Exception):
-    """An instrumented operation failed at the interpreter level."""
+    """An instrumented operation failed, or its heap parted from its mirror."""
+
+
+def succeeded(out: Outcome) -> Success:
+    """The outcome of an instrumented operation, which must not fail."""
+    if out is FAILURE:
+        raise HarnessError("an instrumented operation failed in the interpreter")
+    return out
 
 
 class NoMultiplier(Exception):

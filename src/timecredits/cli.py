@@ -13,7 +13,7 @@ import sys
 from functools import partial
 from typing import Optional
 
-from .amortized import K_MAX, NoMultiplier, minimal_multiplier, run_sequence
+from .amortized import K_MAX, HarnessError, NoMultiplier, minimal_multiplier, run_sequence
 from .algorithms import ALGORITHM_NAMES, all_bundles, get_bundle
 from .algorithms.bundles import LEDGERS, STUDIES
 from .recurrence import RecurrenceError, akra_bazzi_class, empirical_ratio_check, load_spec
@@ -115,12 +115,8 @@ def cmd_run(args) -> int:
     for size in sizes:
         for trial in range(args.trials):
             rng = random.Random(trial_seed(args.seed, size, trial) & 0x7FFFFFFF)
-            case = bundle.gen_input(rng, size)
-            result = bundle.run(case)
-            bound = bundle.bound(result.size)
-            within = result.cost <= bound
-            if not (within and result.ok):
-                failed = True
+            result, bound, within = bundle.check_run(bundle.gen_input(rng, size))
+            failed = failed or not (within and result.ok)
             ratio = result.cost / bound if bound else 0.0
             # label the row with the size that ran (a generator may clamp
             # the request); knapsack's (items, capacity) keeps the request
@@ -221,11 +217,9 @@ def cmd_report(args) -> int:
         worst_ratio = 0.0
         ok = True
         for _ in range(args.trials):
-            case = bundle.gen_input(rng, size)
-            result = bundle.run(case)
-            bound = bundle.bound(result.size)
+            result, bound, within = bundle.check_run(bundle.gen_input(rng, size))
             worst_ratio = max(worst_ratio, result.cost / bound if bound else 0.0)
-            ok = ok and result.ok and result.cost <= bound
+            ok = ok and result.ok and within
         class_ok = bundle.class_check()
         if not (ok and class_ok):
             failed = True
@@ -289,9 +283,9 @@ def main(argv: Optional[list[str]] = None) -> int:
         return EXIT_BAD_INPUT if exc.code not in (0,) else 0
     try:
         return args.fn(args)
-    except OutputError as exc:
+    except (OutputError, HarnessError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BAD_INPUT
+        return EXIT_BAD_INPUT if isinstance(exc, OutputError) else EXIT_CHECK_FAILED
 
 
 if __name__ == "__main__":

@@ -37,6 +37,7 @@ subclass or not an int) takes the full test against the length.
 
 from __future__ import annotations
 
+from collections import ChainMap
 from dataclasses import FrozenInstanceError
 from functools import wraps
 from typing import Any, Callable, Iterable, Union
@@ -86,6 +87,31 @@ _SET_INDEX, _SET_KIND = Addr.index.__set__, Addr.kind.__set__
 Value = Union[int, bool, None, Addr]
 
 
+class _Arrays(ChainMap):
+    """A version's arrays as one map: its delta over its base.  A key is
+    looked up in the delta, then the base; a write goes to the delta, which
+    no other version shares.  A walk merges the two once, in the order of
+    the base's keys and then of the allocations after it."""
+
+    def __getitem__(self, key):
+        delta, base = self.maps
+        return delta[key] if key in delta else base[key]
+
+    def get(self, key, default=None):
+        delta, base = self.maps
+        return delta[key] if key in delta else base.get(key, default)
+
+    def _merged(self) -> dict:
+        delta, base = self.maps
+        return base | delta if delta else base
+
+    def items(self):
+        return self._merged().items()
+
+    def values(self):
+        return self._merged().values()
+
+
 class Heap:
     """Finite maps for reference cells and arrays plus an allocation counter.
 
@@ -96,58 +122,44 @@ class Heap:
     `run`, which never writes its input, or on a `clone()`, which copies
     every array.
 
-    `refs` is a plain dict.  The arrays sit in a base dict and a delta dict
-    (see the module docstring); `arrays` is the plain dict of both, in the
-    order of the base's keys and then of the allocations after it.  It is
-    built on first use and from then on is this version's map, which later
-    runs read; a dict given to `Heap(...)` is that map from the start.  A
-    commit copies such a dict instead of sharing it with the new version,
-    since its caller may still write it.
+    `refs` is a plain dict.  The arrays sit in a base dict, shared with
+    other versions, and a delta dict of this version's own (see the module
+    docstring); `arrays` is a live view of both.  A dict given to
+    `Heap(...)` is the delta of a version with an empty base, so a caller
+    who keeps it still writes this heap, and no commit shares it.
     """
 
-    __slots__ = ("refs", "next_addr", "_base", "_delta", "_arrays")
+    __slots__ = ("refs", "next_addr", "_base", "_delta")
 
     def __init__(self, refs=None, arrays=None, next_addr=0):
         self.refs: dict[int, Value] = refs if refs is not None else {}
         self.next_addr: int = next_addr
-        self._arrays = self._base = arrays if arrays is not None else {}
-        self._delta: dict[int, list[Value]] = {}
+        self._base: dict[int, list[Value]] = {}
+        self._delta: dict[int, list[Value]] = arrays if arrays is not None else {}
 
     @property
-    def arrays(self) -> dict[int, list[Value]]:
-        arrays = self._arrays
-        if arrays is None:
-            arrays = self._arrays = self._base = self._base | self._delta
-            self._delta = {}
-        return arrays
-
-    def _map(self) -> dict[int, list[Value]]:
-        """The arrays for reading, without building `arrays`."""
-        return self._base | self._delta if self._delta else self._base
+    def arrays(self) -> _Arrays:
+        return _Arrays(self._delta, self._base)
 
     def clone(self) -> "Heap":
-        return Heap(dict(self.refs), {k: list(v) for k, v in self._map().items()}, self.next_addr)
+        return Heap(dict(self.refs), {k: list(v) for k, v in self.arrays.items()}, self.next_addr)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Heap):
             return NotImplemented
-        return (
-            self.refs == other.refs
-            and self._map() == other._map()
-            and self.next_addr == other.next_addr
-        )
+        return (self.refs, self.next_addr, self.arrays) == (other.refs, other.next_addr, other.arrays)
 
     def __repr__(self) -> str:
         cells = [f"r{i}={v!r}" for i, v in sorted(self.refs.items())]
-        cells += [f"a{i}={v!r}" for i, v in sorted(self._map().items())]
+        cells += [f"a{i}={v!r}" for i, v in sorted(self.arrays.items())]
         return "Heap(" + ", ".join(cells) + f", next={self.next_addr})"
 
 
 def _version(refs, base, delta, next_addr) -> Heap:
-    """A committed version whose `arrays` is not built yet."""
+    """A committed version: `base` is shared with its parent unless the
+    commit folded, and `delta` is its own."""
     heap = object.__new__(Heap)
-    heap.refs, heap.next_addr = refs, next_addr
-    heap._base, heap._delta, heap._arrays = base, delta, None
+    heap.refs, heap.next_addr, heap._base, heap._delta = refs, next_addr, base, delta
     return heap
 
 
@@ -264,14 +276,10 @@ class _Overlay:
         """The heap after a successful run: base keys first, then the new
         cells in allocation order; arrays the run did not write are shared."""
         parent = self.base
-        if parent._arrays is not None:
-            # a dict the caller can reach is copied, never shared
-            arrays, delta = parent._arrays | self.arrays, {}
-        else:
-            arrays, delta = parent._base, parent._delta | self.arrays
-            if len(delta) ** 2 > 16 * len(arrays) + 4096:
-                arrays, delta = arrays | delta, {}
-        return _version(parent.refs | self.refs, arrays, delta, self.next_addr)
+        base, delta = parent._base, parent._delta | self.arrays
+        if len(delta) ** 2 > 16 * len(base) + 4096:
+            base, delta = base | delta, {}
+        return _version(parent.refs | self.refs, base, delta, self.next_addr)
 
 
 # ---------------------------------------------------------------------------

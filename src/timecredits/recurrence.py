@@ -379,31 +379,22 @@ class LinearRecSpec:
     """A loop's cost: f(n) = init + step(1) + ... + step(n - 1) + final in
     one variable, f(n, W) = init(W) + n * step(W) + final in two.  ``init``
     and ``step`` are integer polynomials {power: coeff} (``init`` constant
-    in one variable); the step's class is read off its leading power.  A
-    spec given only that class cannot be evaluated."""
+    in one variable); the step's class, ``g_class``, is read off its
+    leading power."""
 
     arity: int
-    g_class: Optional[PolyLog] = None
+    step: dict = field(hash=False)
     init: dict = field(default_factory=dict, hash=False)
-    step: Optional[dict] = field(default=None, hash=False)
     final: int = 0
+    g_class: PolyLog = field(init=False)
     # one variable: a step of degree d sums to a polynomial of degree d + 1
     # (Faulhaber), fixed by the forward differences of f(1), ..., f(d + 2)
     _diffs: tuple = field(default=(), init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.step is None:
-            if self.g_class is None:
-                raise RecurrenceError("a loop spec needs a step or the class of one")
-            return
         lead = _degree(self.step)
         if lead < 0 or self.step[lead] < 0:
             raise RecurrenceError("the step needs a positive leading coefficient")
-        if self.g_class not in (None, PolyLog(lead, 0)):
-            raise RecurrenceError(
-                f"g_class Theta({self.g_class.render()}) contradicts the step, "
-                f"whose leading power is {lead}"
-            )
         if _degree(self.init) > (lead if self.arity == 2 else 0):
             raise RecurrenceError("init grows faster than the loop it starts")
         object.__setattr__(self, "g_class", PolyLog(lead, 0))
@@ -417,9 +408,9 @@ class LinearRecSpec:
 
 
 def linear_rec_class(spec: LinearRecSpec) -> Union[PolyLog, PolyLog2]:
-    """n steps of class n^d log^l n sum to n^(d+1) log^l n; n of W^d to n W^d."""
+    """n steps of class n^d sum to n^(d+1); n of W^d to n W^d."""
     if spec.arity == 1:
-        return PolyLog(spec.g_class.power + 1, spec.g_class.log_power)
+        return PolyLog(spec.g_class.power + 1, 0)
     if spec.arity == 2:
         if spec.g_class != PolyLog(1, 0):
             raise RecurrenceError(
@@ -445,8 +436,6 @@ def _poly_at(poly: dict, x: int) -> int:
 def eval_linear(spec: LinearRecSpec, n: int, W: int = 0) -> int:
     """Exact cost of the loop in integer arithmetic, in time independent of
     n; in one variable by Newton's form f(n) = sum_j diffs[j] * C(n - 1, j)."""
-    if spec.step is None:
-        raise RecurrenceError("spec has no concrete step")
     if spec.arity == 1:
         m, total = n - 1 if n > 1 else 0, 0
         for j, c in enumerate(spec._diffs):

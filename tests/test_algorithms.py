@@ -56,7 +56,7 @@ from timecredits.credits import (
     UNIT, AddE, Assignment, CallAtom, CeilDivE, ConstE, FloorDivE, Hint, MulE, PolyForm, SubE,
     VarAtom, VarE, holds_for_all_n, t_call, t_lit,
 )
-from timecredits.heap import ARRAY, FAILURE, Addr, Heap, empty_heap, run, run_traced
+from timecredits.heap import ARRAY, FAILURE, Addr, Heap, array_of_list, empty_heap, run, run_traced
 from timecredits.landau import SOLVED, BoundRegistry, PolyLog, PolyLog2, analyze_form
 from timecredits.recurrence import (
     SPEC_CACHE_SIZE, AkraBazziSpec, LinearRecSpec, RecTerm, RecurrenceError, _built_spec,
@@ -920,3 +920,26 @@ def test_no_case_study_states_a_recurrence_by_hand():
         if any(word in line for word in ("RecTerm(", "terms=", "g_class="))
     ]
     assert stated == []
+
+
+_RUN_ROWS = ("merge_sort", "insertion_sort", "binary_search", "karatsuba", "select", "knapsack")
+_MAKE_INPUT = array_of_list(())[0]  # the opcode of the runs that build an input
+
+
+def _program_run_fails(comp, heap):
+    return run(comp, heap) if comp[0] is _MAKE_INPUT else FAILURE
+
+
+@pytest.mark.parametrize("name", _RUN_ROWS)
+def test_a_failing_program_run_is_a_wrong_run(monkeypatch, capsys, name):
+    """Every run row yields ok=False for a program run that fails, and
+    `timecredits run` prints NO and exits 1, without a traceback."""
+    from timecredits.cli import main
+
+    monkeypatch.setattr(bundles, "run", _program_run_fails)
+    bundle = BUNDLES[name]
+    result = bundle.run(bundle.gen_input(random.Random(0), 5))
+    assert (result.ok, result.cost, result.output) == (False, 0, None)
+    assert main(["run", name, "--sizes", "5", "--trials", "1"]) == 1
+    row = capsys.readouterr().out.splitlines()[-1].split(",")
+    assert row[-2:] == ["NO", "yes"]

@@ -286,3 +286,24 @@ def test_ledger_csv_bytes_are_pinned_at_scale(name, ops):
     script = get_bundle(name).gen_input(random.Random(0), ops)
     csv = run_sequence(factory(), script, fresh(), seed=0).to_csv()
     assert hashlib.sha256(csv.encode()).hexdigest() == LEDGER_CSV_SHA256[name, ops]
+
+
+@pytest.mark.parametrize("scheme", ["skew_heap", "splay_tree"])
+def test_a_mirror_that_parts_from_its_heap_is_a_harness_error(monkeypatch, capsys, scheme):
+    """A ledger operation whose heap result and functional mirror disagree
+    raises HarnessError, not an assert that `python -O` would drop, and
+    `timecredits amortized` reports it and exits 1."""
+    from timecredits.algorithms import skew_heap as skew, splay_tree as spl
+    from timecredits.amortized import HarnessError
+    from timecredits.cli import main
+
+    del_min, lookup = skew.skew_del_min_fun, spl.lookup_fun
+    monkeypatch.setattr(skew, "skew_del_min_fun", lambda t: (del_min(t)[0] + 1, del_min(t)[1]))
+    monkeypatch.setattr(spl, "lookup_fun", lambda x, t: (not lookup(x, t)[0], lookup(x, t)[1]))
+    factory, fresh, _, _ = LEDGERS[scheme]
+    op = {"skew_heap": "del_min", "splay_tree": "lookup"}[scheme]
+    with pytest.raises(HarnessError, match=f"^{op}: the heap gave"):
+        run_sequence(factory(), [("insert", 3), ("insert", 1), (op, 1)], fresh())
+    assert main(["amortized", scheme, "--ops", "50"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith(f"error: {op}: the heap gave")

@@ -278,6 +278,24 @@ def test_report_bytes_do_not_depend_on_the_string_hash_seed():
     assert outputs[0] and outputs[0] == outputs[1]
 
 
+@pytest.mark.parametrize("argv", [
+    ["report", "--trials", "1", "--seed", "5", "--format", "csv"],
+    ["amortized", "splay_tree", "--ops", "200", "--seed", "1", "--multiplier", "1"],
+], ids=lambda argv: argv[0])
+def test_verdicts_do_not_depend_on_asserts(argv):
+    """Under `python -O`, which drops every assert, the output and exit
+    code are the pinned ones."""
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [os.path.join(root, "src"),
+                                                      env.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-O", "-m", "timecredits.cli", *argv],
+                          env=env, capture_output=True, text=True)
+    with open(os.path.join(root, "tests", "cli_golden.json")) as fh:
+        pinned = json.load(fh)[" ".join(argv)]
+    assert (done.returncode, done.stdout) == (pinned["code"], pinned["stdout"])
+
+
 def test_recurrence_with_b_near_one_gives_a_verdict(tmp_path, capsys):
     # thousands of levels from 2^16 down to the base case
     path = tmp_path / "near_one.json"

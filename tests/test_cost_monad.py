@@ -767,11 +767,12 @@ def test_versions_stay_as_they_were_made(steps):
 def test_versions_stay_as_they_were_made_across_folds(seed, length):
     """A chain of hundreds of runs, long enough that each version's delta is
     folded into a fresh base several times.  Between runs `.arrays` is read
-    on random earlier versions, and the dicts handed out that way or passed
-    to `Heap(...)` are written after runs have started from them.  Every
-    version keeps the cells of its model (a clone of its parent's, with the
-    run's effects and the later writes to its own dict applied), in the
-    model's dict order, and a run shares every array it did not write."""
+    on random earlier versions, and the views handed out that way and the
+    dicts passed to `Heap(...)` are written after runs have started from
+    them.  Every version keeps the cells of its model (a clone of its
+    parent's, with the run's effects and the later writes to its own arrays
+    applied), in the model's dict order, and a run shares every array it did
+    not write."""
     rng = random.Random(seed)
     versions = [_three_cells()]
     models = [versions[0].clone()]
@@ -809,10 +810,10 @@ def test_versions_stay_as_they_were_made_across_folds(seed, length):
             assert out is FAILURE
         else:
             assert out.heap == model
-            before, after = parent._map(), out.heap._map()
+            before, after = parent.arrays, out.heap.arrays
             for i, cells in before.items():
                 assert (after[i] is cells) == (i not in written)
-            folds += parent._arrays is None and out.heap._base is not parent._base
+            folds += out.heap._base is not parent._base
             if pick == tip:
                 tip = len(versions)
             versions.append(out.heap)
@@ -836,7 +837,31 @@ def test_a_commit_keeps_the_delta_within_the_fold_bound():
         s, _ = skew.skew_push(s, (k * 7919) % 4001)
         heap = s.heap
         assert len(heap._delta) ** 2 <= 16 * len(heap._base) + 4096
-        folds += before._arrays is None and heap._base is not before._base
+        folds += heap._base is not before._base
     assert folds >= 1
     assert sorted(skew.skew_elements(skew.skew_extract(s.heap, s.root))) == sorted(
         (k * 7919) % 4001 for k in range(4000))
+
+
+def test_a_run_from_a_version_read_through_arrays_still_shares_its_base():
+    """600 skew-heap inserts, each from a version whose `.arrays` was just
+    read by key, by `get` and by a walk.  Reading leaves the version as it
+    was: the run's result shares the version's base, and gets a fresh one
+    exactly when the version's delta plus the run's writes pass the fold
+    bound."""
+    s = skew.new_skew_heap()
+    folds = 0
+    for k in range(600):
+        heap = s.heap
+        arrays = heap.arrays
+        if s.root is not None:
+            assert arrays[s.root.index] is arrays.get(s.root.index) is not None
+        assert len(list(arrays.values())) == len(list(arrays)) == len(heap._base | heap._delta)
+        s, _ = skew.skew_push(s, (k * 7919) % 601)
+        out = s.heap
+        written = {i for i, cells in out.arrays.items() if arrays.get(i) is not cells}
+        fold = len(heap._delta.keys() | written) ** 2 > 16 * len(heap._base) + 4096
+        assert (out._base is not heap._base) == fold
+        assert out._delta == ({} if fold else heap._delta | {i: out.arrays[i] for i in written})
+        folds += fold
+    assert 1 <= folds <= 10
