@@ -16,7 +16,7 @@ import random
 from dataclasses import dataclass, field
 from typing import Any, Callable, Optional
 
-from ..amortized import run_sequence
+from ..amortized import HarnessError, run_sequence
 from ..credits import (
     HintAbsent,
     HintUnprovable,
@@ -32,6 +32,7 @@ from ..landau import (
     PolyLog,
     PolyLog2,
     SOLVED,
+    SumClass2,
     calibrate_witness,
     check_theta_witness,
     geometric_samples,
@@ -87,7 +88,6 @@ class CaseStudy:
     p: Optional[tuple[float, float]] = None  # expected exponent and tolerance
     ratio_hi: Optional[int] = None  # empirical ratio check on [2^8, ratio_hi]
     witness: Optional[Callable[[dict], Callable]] = None  # Theta-witness target
-    grid: bool = False  # two-variable witness samples
     obligations: Callable[[dict], list] = lambda consts: []
     declared_hints: int = 0
     consts: dict = field(default_factory=dict)
@@ -158,13 +158,14 @@ class AlgorithmBundle:
         return empirical_ratio_check(spec, cls, 2 ** 8, self.study.ratio_hi).passed
 
     def _witness_ok(self, cls) -> bool:
-        return _witness_holds(self.study.witness(self.consts), cls, self.study.grid)
+        return _witness_holds(self.study.witness(self.consts), cls)
 
 
-def _witness_holds(fn, cls, grid: bool = False) -> bool:
+def _witness_holds(fn, cls) -> bool:
     """Whether a Theta witness for `fn` in `cls`, calibrated on small
-    samples, holds on a disjoint larger range."""
-    if grid:
+    samples, holds on a disjoint larger range; a two-variable class is
+    sampled on a grid."""
+    if isinstance(cls, (PolyLog2, SumClass2)):
         train, test = grid_samples(2 ** 4, 2 ** 7), grid_samples(2 ** 7, 2 ** 10)
     else:
         train, test = geometric_samples(2 ** 8, 2 ** 12), geometric_samples(2 ** 13, 2 ** 20)
@@ -351,7 +352,10 @@ def _ledger_run(scheme, fresh):
     actual cost and the run is correct when the ledger checks pass."""
 
     def run_one(script) -> RunResult:
-        report = run_sequence(scheme, script, fresh(), seed=None)
+        try:
+            report = run_sequence(scheme, script, fresh(), seed=None)
+        except HarnessError:
+            return RunResult(None, 0, len(script), False)
         return RunResult(None, report.total_actual, len(script), report.passed)
 
     return run_one
@@ -430,7 +434,7 @@ STUDIES = (
         "knapsack", _knapsack_input, _knapsack_run,
         time=lambda c: lambda size: knap.knapsack_time(*size, c),
         spec=lambda c: knap.knapsack_linear_rec(c), cls=PolyLog2(1, 0, 1, 0),
-        witness=lambda c: lambda n, w: knap.knapsack_time(n, w, c), grid=True,
+        witness=lambda c: lambda n, w: knap.knapsack_time(n, w, c),
         obligations=knap.knapsack_obligations, consts=knap.KNAPSACK_CONSTS,
         tight_inputs=lambda: [([(0, 5)] * 4, 9)],
     ),

@@ -1,13 +1,16 @@
 """Separation-logic assertions with time credits over concrete partial heaps.
 
 A partial heap is a heap, a set of owned addresses, and a credit count.
-Satisfaction is decidable here because heaps are concrete: separating
-conjunction enumerates splits of the owned set, while credit splits are
-computed from each side's exact demand whenever the side is Top-free.
-`a * Top` is the same recursion with the leftover cells and credits absorbed.
+Satisfaction is decidable here because heaps are concrete and every leaf
+but Top and an existential is precise: a points-to holds of exactly its
+one cell, `Credits(k)` of exactly k credits, Emp and Pure of nothing.  So
+no separating conjunction has a split to guess: one walk over the leaves
+takes each one's cells and credits from what is left, and the assertion
+holds when nothing is left, or when a Top was met to absorb the leftover.
 Existential quantifiers range over a finite candidate set drawn from the
-heap plus a configurable integer window; overflowing that set raises
-rather than guessing.
+heap plus a configurable integer window, and each witness continues the
+walk on its own copy of what is left; overflowing that set raises rather
+than guessing.
 
 The triple checker runs the program on the model's heap and checks that
 the cost is covered by the credits and that the leftover partial heap
@@ -39,9 +42,6 @@ class EnumConfig:
     max_candidates: int = 4096
 
 
-MAX_OWNED = 16  # owned sets enumerated by subsets, 2^16 splits at most
-
-
 def _check_credits(amount) -> None:
     if not isinstance(amount, int) or isinstance(amount, bool) or amount < 0:
         raise ValueError(f"time credits are naturals, not {amount!r}")
@@ -58,11 +58,9 @@ class PartialHeap:
 
     def describe(self) -> str:
         cells = []
+        refs, arrays = self.heap.refs, self.heap.arrays
         for a in sorted(self.owned, key=lambda x: x.index):
-            if a.kind == ARRAY:
-                cells.append(f"{a!r} -> {self.heap.arrays.get(a.index)!r}")
-            else:
-                cells.append(f"{a!r} -> {self.heap.refs.get(a.index)!r}")
+            cells.append(f"{a!r} -> {(arrays if a.kind == ARRAY else refs).get(a.index)!r}")
         return f"owned={{{', '.join(cells)}}} credits={self.credits}"
 
 
@@ -143,26 +141,6 @@ def points_to_array(addr: Addr, values) -> PointsToArray:
     return PointsToArray(addr, tuple(values))
 
 
-def exact_need(assn: Assertion) -> Optional[tuple[frozenset, int]]:
-    """The exact owned set and credits a Top-free, quantifier-free assertion
-    requires, else None (Top absorbs anything; an existential's need depends
-    on the witness).  When known, the satisfying split of a separating
-    conjunction is forced, so no subset or credit enumeration is needed."""
-    if isinstance(assn, (Emp, Pure)):
-        return frozenset(), 0
-    if isinstance(assn, Credits):
-        return frozenset(), assn.amount
-    if isinstance(assn, (PointsToRef, PointsToArray)):
-        return frozenset((assn.addr,)), 0
-    if isinstance(assn, SepConj):
-        left = exact_need(assn.left)
-        right = exact_need(assn.right)
-        if left is None or right is None:
-            return None
-        return left[0] | right[0], left[1] + right[1]
-    return None
-
-
 def _candidates(heap: Heap, config: EnumConfig) -> list:
     lo, hi = config.int_window
     out: list = [None, True, False]
@@ -184,67 +162,55 @@ def _candidates(heap: Heap, config: EnumConfig) -> list:
     return out
 
 
-def _subsets(items: tuple):
-    n = len(items)
-    for mask in range(1 << n):
-        yield frozenset(items[i] for i in range(n) if mask >> i & 1)
-
-
 def sat(ph: PartialHeap, assn: Assertion, config: EnumConfig = EnumConfig()) -> bool:
     """Decide the satisfaction relation on a concrete partial heap."""
     heap = ph.heap
+    refs, arrays = heap.refs, heap.arrays
     candidates: list = []  # the heap is fixed: built on the first existential
 
-    def go(owned: frozenset[Addr], credits: int, a: Assertion, rest: bool) -> bool:
-        """owned, credits |= a, or a * Top when `rest` absorbs the leftover."""
-        if isinstance(a, Top):
-            return True
-        if isinstance(a, ExistsVal):
+    def walk(owned: set, credits: int, todo: list, exists: list, top: bool) -> bool:
+        """owned, credits |= the * of todo and exists, or that * Top once a
+        Top is met.  Each precise leaf takes its own cells and credits from
+        what is left; the existentials wait until every such leaf has."""
+        while todo:
+            a = todo.pop()
+            if isinstance(a, SepConj):
+                todo += (a.right, a.left)
+            elif isinstance(a, PointsToRef):
+                held = a.addr.kind == REF and refs.get(a.addr.index, _MISSING) == a.value
+                if not held or a.addr not in owned:
+                    return False
+                owned.remove(a.addr)
+            elif isinstance(a, PointsToArray):
+                cells = arrays.get(a.addr.index) if a.addr.kind == ARRAY else None
+                if cells is None or tuple(cells) != a.values or a.addr not in owned:
+                    return False
+                owned.remove(a.addr)
+            elif isinstance(a, Credits):
+                if a.amount > credits:
+                    return False
+                credits -= a.amount
+            elif isinstance(a, Pure):
+                if not a.truth:
+                    return False
+            elif isinstance(a, Top):
+                top = True
+            elif isinstance(a, ExistsVal):
+                exists.append(a)
+            elif not isinstance(a, Emp):
+                raise TypeError(f"unknown assertion node: {a!r}")
+        if exists:
+            # the one branch: each witness walks its own copy of what is left
+            a = exists.pop()
             if not candidates:
                 candidates.extend(_candidates(heap, config))
             for witness in candidates:
-                if go(owned, credits, a.body(witness), rest):
+                if walk(set(owned), credits, [a.body(witness)], exists[:], top):
                     return True
             return False
-        if isinstance(a, SepConj):
-            if isinstance(a.right, Top) or isinstance(a.left, Top):
-                other = a.left if isinstance(a.right, Top) else a.right
-                return go(owned, credits, other, True)
-            left = exact_need(a.left)
-            need = left if left is not None else exact_need(a.right)
-            if need is not None:
-                # a known side takes exactly its need, the other side the rest
-                known, other = (a.left, a.right) if left is not None else (a.right, a.left)
-                fp, demand = need
-                return (
-                    fp <= owned
-                    and demand <= credits
-                    and go(fp, demand, known, False)
-                    and go(owned - fp, credits - demand, other, rest)
-                )
-            if len(owned) > MAX_OWNED:
-                raise UndecidableAssertion(
-                    f"owned set has {len(owned)} addresses, enumeration bound is {MAX_OWNED}"
-                )
-            return any(
-                go(part, cl, a.left, False) and go(owned - part, credits - cl, a.right, rest)
-                for part in _subsets(tuple(owned))
-                for cl in range(credits + 1)
-            )
-        need = exact_need(a)
-        if need is None:
-            raise TypeError(f"unknown assertion node: {a!r}")
-        fp, demand = need
-        if not (fp <= owned and demand <= credits if rest else fp == owned and demand == credits):
-            return False
-        if isinstance(a, PointsToRef):
-            return a.addr.kind == "ref" and heap.refs.get(a.addr.index, _MISSING) == a.value
-        if isinstance(a, PointsToArray):
-            cells = heap.arrays.get(a.addr.index) if a.addr.kind == ARRAY else None
-            return cells is not None and tuple(cells) == a.values
-        return not isinstance(a, Pure) or bool(a.truth)
+        return top or (not owned and credits == 0)
 
-    return go(ph.owned, ph.credits, assn, False)
+    return walk(set(ph.owned), ph.credits, [assn], [], False)
 
 
 _MISSING = object()

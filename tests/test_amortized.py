@@ -307,3 +307,30 @@ def test_a_mirror_that_parts_from_its_heap_is_a_harness_error(monkeypatch, capsy
     assert main(["amortized", scheme, "--ops", "50"]) == 1
     captured = capsys.readouterr()
     assert captured.out == "" and captured.err.startswith(f"error: {op}: the heap gave")
+
+
+@pytest.mark.parametrize("scheme", ["skew_heap", "splay_tree"])
+def test_a_mirror_that_parts_from_its_heap_fails_only_its_row(monkeypatch, capsys, scheme):
+    """A HarnessError in one ledger row is a failing run of that row:
+    `report` prints FAIL in its runs column beside every other row's
+    verdicts, and `run` prints NO; both exit 1."""
+    from timecredits.algorithms import ALGORITHM_NAMES
+    from timecredits.algorithms import skew_heap as skew, splay_tree as spl
+    from timecredits.cli import main
+
+    if scheme == "skew_heap":
+        del_min = skew.skew_del_min_fun
+        monkeypatch.setattr(skew, "skew_del_min_fun", lambda t: (del_min(t)[0] + 1, del_min(t)[1]))
+    else:
+        lookup = spl.lookup_fun
+        monkeypatch.setattr(spl, "lookup_fun", lambda x, t: (not lookup(x, t)[0], lookup(x, t)[1]))
+    assert main(["report", "--trials", "1", "--format", "csv"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    rows = [line.split(",") for line in captured.out.splitlines()[2:]]
+    assert [row[0] for row in rows] == list(ALGORITHM_NAMES)
+    assert [row[-1] for row in rows] == ["FAIL" if row[0] == scheme else "pass" for row in rows]
+    assert main(["run", scheme, "--sizes", "64", "--trials", "1"]) == 1
+    captured = capsys.readouterr()
+    header, row = (line.split(",") for line in captured.out.splitlines()[1:])
+    assert captured.err == "" and row[header.index("correct")] == "NO"

@@ -1,7 +1,7 @@
 import itertools
 import random
 from fractions import Fraction
-from functools import cache
+from functools import cache, reduce
 
 import pytest
 from hypothesis import example, given, settings
@@ -25,7 +25,6 @@ from timecredits.assertions import (
     _candidates,
     check_triple,
     check_triple_sampled,
-    exact_need,
     pheap,
     points_to_array,
     sat,
@@ -146,6 +145,121 @@ def test_existential_candidates_are_built_once_per_sat_call(monkeypatch):
     assert built == [1, 1, 1]
 
 
+def _refs_heap(n):
+    """A heap of n refs, ref i holding 3*i, and the addresses of its refs."""
+    addrs = [Addr(i, "ref") for i in range(n)]
+    return Heap(refs={i: 3 * i for i in range(n)}, next_addr=n), addrs
+
+
+def _chain(leaves, right):
+    """The * of leaves, nested to the right or to the left."""
+    if right:
+        return reduce(lambda rest, leaf: SepConj(leaf, rest), reversed(leaves))
+    return reduce(SepConj, leaves)
+
+
+@pytest.mark.parametrize("right", [True, False], ids=["right-nested", "left-nested"])
+def test_chains_of_ten_thousand_leaves_are_decided(right):
+    n = 10_000
+    h, addrs = _refs_heap(n)
+    cells = [PointsToRef(a, 3 * a.index) for a in addrs]
+    ph = pheap(h, addrs, n)
+    assert sat(ph, _chain(cells + [Credits(1)] * n, right))
+    assert sat(ph, _chain([Credits(1)] * n + cells, right))
+    assert not sat(ph, _chain(cells + [Credits(1)] * (n + 1), right))
+    assert not sat(ph, _chain(cells[:-1] + [PointsToRef(addrs[-1], 0)] + [Credits(1)] * n, right))
+    assert not sat(ph, _chain(cells[1:] + [Credits(1)] * n, right))
+    assert sat(ph, _chain(cells[1:] + [TOP], right))
+
+
+def test_existentials_beside_top_over_twenty_cells():
+    h, addrs = _refs_heap(20)
+    ph = pheap(h, addrs, 0)
+    some = [ExistsVal(lambda v, a=a: PointsToRef(a, v)) for a in addrs]
+    assert sat(ph, (some[0] * some[1]) * TOP)
+    assert not sat(ph, (some[0] * some[1]) * PointsToRef(addrs[2], 7) * TOP)
+    assert not sat(ph, (some[0] * some[1]) * Credits(1) * TOP)
+
+
+def _random_shape(rng, leaves):
+    """A random bracketing of leaves in their given order."""
+    items = list(leaves)
+    while len(items) > 1:
+        i = rng.randrange(len(items) - 1)
+        items[i:i + 2] = [SepConj(items[i], items[i + 1])]
+    return items[0]
+
+
+_WIDE_HEAP, _WIDE_ADDRS = _refs_heap(20)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(
+    st.lists(st.booleans(), min_size=20, max_size=20),
+    st.lists(st.tuples(st.sampled_from(["credits", "emp", "pure"]), st.integers(0, 3)),
+             min_size=6, max_size=12),
+    st.sets(st.integers(0, 19), max_size=2),
+    st.sets(st.integers(0, 19), max_size=2),
+    st.booleans(),
+    st.integers(-1, 1),
+    st.randoms(use_true_random=False),
+)
+def test_sat_ignores_how_a_wide_conjunction_is_bracketed_or_ordered(
+    quantified, extras, wrong, gone, top, spare, rng
+):
+    """About 30 leaves over 20 owned cells, beyond the brute-force oracle's
+    reach: each cell has a points-to, quantified or not, unless it is gone
+    or states a wrong value.  The answer is the one the leaves force, and
+    it stays the same when the leaves are reordered and rebracketed."""
+    leaves = []
+    for i, a in enumerate(_WIDE_ADDRS):
+        if i in gone:
+            continue
+        value = 3 * i + (i in wrong)
+        leaves.append(ExistsVal(lambda v, a=a, value=value: PointsToRef(a, v) * Pure(v == value))
+                      if quantified[i] else PointsToRef(a, value))
+    need = 0
+    for kind, k in extras:
+        leaves.append(Credits(k) if kind == "credits" else Pure(True) if kind == "pure" else EMP)
+        need += k if kind == "credits" else 0
+    if top:
+        leaves.append(TOP)
+    credits = max(0, need + spare)
+    ph = pheap(_WIDE_HEAP, _WIDE_ADDRS, credits)
+    expected = wrong <= gone and (top or not gone) and (credits == need or top and credits > need)
+    assert sat(ph, _random_shape(rng, leaves)) == expected
+    for _ in range(3):
+        shuffled = list(leaves)
+        rng.shuffle(shuffled)
+        assert sat(ph, _random_shape(rng, shuffled)) == expected
+    assert sat(ph, _random_shape(rng, leaves[::-1])) == expected
+
+
+def test_sat_reads_the_heap_arrays_once_per_call(monkeypatch):
+    """However many array leaves an assertion has, `sat` takes the arrays
+    view once, and an existential's candidate set once more; `describe`
+    takes it once however many cells it prints."""
+    h, addrs = empty_heap(), []
+    for i in range(50):
+        out = run(array_of_list([i, i + 1]), h)
+        addrs.append(out.value)
+        h = out.heap
+    reads = []
+    view = Heap.arrays
+    monkeypatch.setattr(Heap, "arrays", property(lambda heap: reads.append(1) or view.fget(heap)))
+    cells = [points_to_array(a, [i, i + 1]) for i, a in enumerate(addrs)]
+    ph = pheap(h, addrs, 2)
+    assert sat(ph, _chain(cells + [Credits(2)], True))
+    assert len(reads) == 1
+    assert not sat(ph, _chain(cells + [Credits(3)], True))
+    assert len(reads) == 2
+    some = ExistsVal(lambda xs: points_to_array(addrs[0], xs) if isinstance(xs, tuple) else Pure(False))
+    assert sat(ph, _chain([some] + cells[1:] + [Credits(2)], True))
+    assert len(reads) == 4
+    assert ph.describe().startswith(f"owned={{{addrs[0]!r} -> [0, 1], {addrs[1]!r} -> [1, 2], ")
+    assert len(reads) == 5
+
+
 def test_locality_mutation_outside_owned():
     h, a = heap_with_array([1, 2])
     made = run(ref_new(5), h)
@@ -156,12 +270,6 @@ def test_locality_mutation_outside_owned():
     h3 = h2.clone()
     h3.refs[b.index] = 999  # mutate outside the owned set
     assert sat(pheap(h3, {a}, 2), assn) == before
-
-
-def test_credit_demand_structural():
-    assert exact_need(Credits(4) * Credits(2))[1] == 6
-    assert exact_need(EMP)[1] == 0
-    assert exact_need(Credits(1) * TOP) is None
 
 
 def test_negative_credits_are_rejected_when_built():
