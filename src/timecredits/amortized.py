@@ -17,10 +17,6 @@ from typing import Any, Callable, NamedTuple, Optional, Sequence
 from .heap import FAILURE, Outcome, Success
 
 
-class PreconditionViolated(Exception):
-    pass
-
-
 class HarnessError(Exception):
     """An instrumented operation failed, or its heap parted from its mirror."""
 
@@ -91,7 +87,7 @@ def check_op_inequality(
     Also returns the output structure so that callers can chain checks.
     """
     if not scheme.precondition(structure):
-        raise PreconditionViolated(f"{scheme.name}: structural precondition failed")
+        raise HarnessError(f"{scheme.name}: structural precondition failed")
     op = scheme.ops[op_name]
     p_before = scheme.potential(structure)
     if p_before < 0:

@@ -7,10 +7,10 @@ one cell, `Credits(k)` of exactly k credits, Emp and Pure of nothing.  So
 no separating conjunction has a split to guess: one walk over the leaves
 takes each one's cells and credits from what is left, and the assertion
 holds when nothing is left, or when a Top was met to absorb the leftover.
-Existential quantifiers range over a finite candidate set drawn from the
-heap plus a configurable integer window, and each witness continues the
-walk on its own copy of what is left; overflowing that set raises rather
-than guessing.
+Existentials range over None, the booleans, the integers -8..8 and the
+cells' addresses and contents.  Once no precise leaf is left, one opens a
+choice point that tries each witness in turn and gives back the cells a
+failed try took, so the walk needs no recursion on a heap of any size.
 
 The triple checker runs the program on the model's heap and checks that
 the cost is covered by the credits and that the leftover partial heap
@@ -30,16 +30,6 @@ PASS = "pass"
 FAIL_EXECUTION = "fail-execution"
 FAIL_CREDITS = "fail-credits"
 FAIL_POST = "fail-post"
-
-
-class UndecidableAssertion(Exception):
-    """An existential domain exceeded the configured enumeration bound."""
-
-
-@dataclass(frozen=True)
-class EnumConfig:
-    int_window: tuple[int, int] = (-8, 8)
-    max_candidates: int = 4096
 
 
 def _check_credits(amount) -> None:
@@ -141,37 +131,43 @@ def points_to_array(addr: Addr, values) -> PointsToArray:
     return PointsToArray(addr, tuple(values))
 
 
-def _candidates(heap: Heap, config: EnumConfig) -> list:
-    lo, hi = config.int_window
-    out: list = [None, True, False]
-    out.extend(range(lo, hi + 1))
-    for i, v in heap.refs.items():
-        out.append(Addr(i, "ref"))
-        if v not in out:
+def _candidates(heap: Heap) -> list:
+    """None, the booleans, -8..8, then each cell's address and contents."""
+    out: list = [None, True, False, *range(-8, 9)]
+    seen = set(out)
+
+    def add(v, always: bool = False) -> None:
+        try:
+            new = always or v not in seen
+            seen.add(v)
+        except TypeError:  # an unhashable value is looked for in the list
+            new = always or v not in out
+        if new:
             out.append(v)
+
+    for i, v in heap.refs.items():
+        add(Addr(i, REF), True)
+        add(v)
     for i, cells in heap.arrays.items():
-        out.append(Addr(i, ARRAY))
-        out.append(tuple(cells))
+        add(Addr(i, ARRAY), True)
+        add(tuple(cells), True)
         for v in cells:
-            if v not in out:
-                out.append(v)
-    if len(out) > config.max_candidates:
-        raise UndecidableAssertion(
-            f"existential domain has {len(out)} candidates, bound is {config.max_candidates}"
-        )
+            add(v)
     return out
 
 
-def sat(ph: PartialHeap, assn: Assertion, config: EnumConfig = EnumConfig()) -> bool:
-    """Decide the satisfaction relation on a concrete partial heap."""
-    heap = ph.heap
-    refs, arrays = heap.refs, heap.arrays
-    candidates: list = []  # the heap is fixed: built on the first existential
-
-    def walk(owned: set, credits: int, todo: list, exists: list, top: bool) -> bool:
-        """owned, credits |= the * of todo and exists, or that * Top once a
-        Top is met.  Each precise leaf takes its own cells and credits from
-        what is left; the existentials wait until every such leaf has."""
+def sat(ph: PartialHeap, assn: Assertion) -> bool:
+    """Decide the satisfaction relation on a concrete partial heap: one
+    loop over the leaves, and a stack of choice points whose failed
+    witnesses give back the cells they took from a trail, not a copy."""
+    refs, arrays = ph.heap.refs, ph.heap.arrays
+    owned, credits, top = set(ph.owned), ph.credits, False
+    todo: list = [assn]
+    exists = None  # the waiting existentials, innermost first: (a, rest) or None
+    trail: list = []  # every cell a leaf took, in order
+    choices: list = []  # [existential, next witness, credits, exists, top, len(trail)]
+    candidates: list = []  # the heap is fixed: built at the first choice point
+    while True:
         while todo:
             a = todo.pop()
             if isinstance(a, SepConj):
@@ -179,38 +175,45 @@ def sat(ph: PartialHeap, assn: Assertion, config: EnumConfig = EnumConfig()) -> 
             elif isinstance(a, PointsToRef):
                 held = a.addr.kind == REF and refs.get(a.addr.index, _MISSING) == a.value
                 if not held or a.addr not in owned:
-                    return False
+                    break
                 owned.remove(a.addr)
+                trail.append(a.addr)
             elif isinstance(a, PointsToArray):
                 cells = arrays.get(a.addr.index) if a.addr.kind == ARRAY else None
                 if cells is None or tuple(cells) != a.values or a.addr not in owned:
-                    return False
+                    break
                 owned.remove(a.addr)
+                trail.append(a.addr)
             elif isinstance(a, Credits):
                 if a.amount > credits:
-                    return False
+                    break
                 credits -= a.amount
             elif isinstance(a, Pure):
                 if not a.truth:
-                    return False
+                    break
             elif isinstance(a, Top):
                 top = True
             elif isinstance(a, ExistsVal):
-                exists.append(a)
+                exists = (a, exists)
             elif not isinstance(a, Emp):
                 raise TypeError(f"unknown assertion node: {a!r}")
-        if exists:
-            # the one branch: each witness walks its own copy of what is left
-            a = exists.pop()
-            if not candidates:
-                candidates.extend(_candidates(heap, config))
-            for witness in candidates:
-                if walk(set(owned), credits, [a.body(witness)], exists[:], top):
-                    return True
+        else:  # every leaf held
+            if exists is not None:
+                candidates = candidates or _candidates(ph.heap)
+                a, exists = exists
+                choices.append([a, 0, credits, exists, top, len(trail)])
+            elif top or (not owned and credits == 0):
+                return True
+        # try the next witness of the innermost choice point that has one left
+        while choices and choices[-1][1] == len(candidates):
+            choices.pop()
+        if not choices:
             return False
-        return top or (not owned and credits == 0)
-
-    return walk(set(ph.owned), ph.credits, [assn], [], False)
+        a, i, credits, exists, top, mark = choices[-1]
+        choices[-1][1] += 1
+        while len(trail) > mark:
+            owned.add(trail.pop())
+        todo = [a.body(candidates[i])]
 
 
 _MISSING = object()
@@ -259,10 +262,8 @@ class TripleVerdict:
         return "fail: execution failed"
 
 
-def check_triple(
-    t: HoareTriple, ph: PartialHeap, config: EnumConfig = EnumConfig()
-) -> TripleVerdict:
-    if not sat(ph, t.pre, config):
+def check_triple(t: HoareTriple, ph: PartialHeap) -> TripleVerdict:
+    if not sat(ph, t.pre):
         return TripleVerdict(PASS, vacuous=True)
     old_next = ph.heap.next_addr
     outcome, trace = run_traced(t.prog(ph), ph.heap)
@@ -282,7 +283,7 @@ def check_triple(
     post = t.post(outcome.value)
     if t.top_absorbing:
         post = SepConj(post, TOP)
-    if sat(after, post, config):
+    if sat(after, post):
         return TripleVerdict(PASS, trace=trace)
     return TripleVerdict(FAIL_POST, witness=after, trace=trace)
 
@@ -323,7 +324,6 @@ def check_triple_sampled(
     gen: Callable[[random.Random], PartialHeap],
     trials: int,
     seed: int = 0,
-    config: EnumConfig = EnumConfig(),
 ) -> SampleReport:
     """Aggregate check_triple over generated pre-models.
 
@@ -334,7 +334,7 @@ def check_triple_sampled(
     for trial in range(trials):
         trial_seed = seed * 1_000_003 + trial
         ph = gen(random.Random(trial_seed))
-        verdict = check_triple(t, ph, config)
+        verdict = check_triple(t, ph)
         if verdict.vacuous:
             # the generator promised a model of the precondition
             report.generator_invalid += 1

@@ -733,7 +733,7 @@ def _version_prog(arrays, refs, ops, fail_at, model, written):
         yield array_nth(Addr(10**6, "array"), 0)
 
 
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=150, deadline=None, derandomize=True)
 @given(st.lists(_VERSION_STEP, min_size=1, max_size=12))
 def test_versions_stay_as_they_were_made(steps):
     """A random tree of runs, some failing part-way: every version keeps the
@@ -762,7 +762,7 @@ def test_versions_stay_as_they_were_made(steps):
         assert versions == snapshots
 
 
-@settings(max_examples=12, deadline=None)
+@settings(max_examples=12, deadline=None, derandomize=True)
 @given(st.integers(0, 2**32), st.integers(300, 360))
 def test_versions_stay_as_they_were_made_across_folds(seed, length):
     """A chain of hundreds of runs, long enough that each version's delta is

@@ -12,7 +12,6 @@ from timecredits.assertions import (
     TOP,
     Credits,
     Emp,
-    EnumConfig,
     ExistsVal,
     HoareTriple,
     PartialHeap,
@@ -21,7 +20,6 @@ from timecredits.assertions import (
     Pure,
     SepConj,
     Top,
-    UndecidableAssertion,
     _candidates,
     check_triple,
     check_triple_sampled,
@@ -117,20 +115,12 @@ def test_exists_enumerates_heap_values():
     assert not sat(ph, absent)
 
 
-def test_exists_window_overflow_reported():
-    config = EnumConfig(int_window=(-10_000, 10_000), max_candidates=100)
-    with pytest.raises(UndecidableAssertion):
-        sat(empty_ph(0), ExistsVal(lambda v: Pure(v == 3)), config)
-
-
 def test_existential_candidates_are_built_once_per_sat_call(monkeypatch):
     import timecredits.assertions as assertions
 
     built = []
     candidates = assertions._candidates
-    monkeypatch.setattr(
-        assertions, "_candidates", lambda heap, config: built.append(1) or candidates(heap, config)
-    )
+    monkeypatch.setattr(assertions, "_candidates", lambda heap: built.append(1) or candidates(heap))
     h, a = heap_with_array([10, 20])
     ph = pheap(h, {a}, 0)
     # the outer witness is tried at every candidate before 20 turns up
@@ -138,11 +128,6 @@ def test_existential_candidates_are_built_once_per_sat_call(monkeypatch):
     assert sat(ph, nested)
     assert not sat(ph, ExistsVal(lambda x: ExistsVal(lambda y: points_to_array(a, (x, x)))))
     assert built == [1, 1]
-    # an oversized domain is still reported at the first existential
-    config = EnumConfig(int_window=(-10_000, 10_000), max_candidates=100)
-    with pytest.raises(UndecidableAssertion):
-        sat(ph, nested, config)
-    assert built == [1, 1, 1]
 
 
 def _refs_heap(n):
@@ -179,6 +164,74 @@ def test_existentials_beside_top_over_twenty_cells():
     assert sat(ph, (some[0] * some[1]) * TOP)
     assert not sat(ph, (some[0] * some[1]) * PointsToRef(addrs[2], 7) * TOP)
     assert not sat(ph, (some[0] * some[1]) * Credits(1) * TOP)
+
+
+@pytest.mark.parametrize("nested", [False, True], ids=["side-by-side", "in-bodies"])
+def test_ten_thousand_existentials_are_decided(nested):
+    """10,000 existentials, side by side in a right-nested * or each in the
+    last one's body, open 10,000 choice points at once.  Only the first
+    witness holds, so a leftover credit backtracks through every one."""
+    n = 10_000
+    if nested:
+        chain = EMP
+        for _ in range(n):
+            chain = ExistsVal(lambda v, rest=chain: Pure(v is None) * rest)
+    else:
+        chain = _chain([ExistsVal(lambda v: Pure(v is None)) for _ in range(n)], True)
+    assert sat(empty_ph(0), chain)
+    assert not sat(empty_ph(1), chain)
+
+
+def test_an_existential_over_three_thousand_refs():
+    """The candidates of a heap of 3,000 refs are all tried."""
+    n = 3_000
+    h, addrs = _refs_heap(n)
+    r = addrs[-1]
+    ph = pheap(h, [r], 0)
+    assert sat(ph, ExistsVal(lambda v: PointsToRef(r, v)))
+    assert sat(ph, ExistsVal(lambda v: PointsToRef(r, v) * Pure(v == 3 * (n - 1))))
+    assert not sat(ph, ExistsVal(lambda v: PointsToRef(r, v) * Pure(v == 3 * n - 2)))
+
+
+def test_a_failed_witness_gives_back_the_cells_it_took():
+    """Every witness but 42 takes r0 and then fails at r1; 42 still finds r0."""
+    h = Heap(refs={0: 5, 1: 42}, next_addr=2)
+    r0, r1 = Addr(0, "ref"), Addr(1, "ref")
+    ph = pheap(h, [r0, r1], 0)
+    assert sat(ph, ExistsVal(lambda v: PointsToRef(r0, 5) * PointsToRef(r1, v)))
+    assert not sat(ph, ExistsVal(lambda v: PointsToRef(r0, 5) * PointsToRef(r1, v) * Pure(v != 42)))
+
+
+def _candidates_by_scan(heap):
+    """The candidate list as a scan of the list built so far gives it."""
+    out = [None, True, False, *range(-8, 9)]
+    for i, v in heap.refs.items():
+        out.append(Addr(i, "ref"))
+        if v not in out:
+            out.append(v)
+    for i, cells in heap.arrays.items():
+        out += (Addr(i, "array"), tuple(cells))
+        for v in cells:
+            if v not in out:
+                out.append(v)
+    return out
+
+
+def test_candidates_are_each_value_once_in_scan_order():
+    """Unhashable cell values are candidates once and can be witnesses;
+    equal hashable values (1 and True, an address and a pointer to it)
+    are deduplicated as the scan would."""
+    r0, r2 = Addr(0, "ref"), Addr(2, "ref")
+    refs = {0: [1, 2], 1: [1, 2], 2: Addr(3, "ref"), 3: 1.0, 4: 99, 5: (1, [2])}
+    h = Heap(refs=refs, arrays={6: [99, [1, 2], True, 100, (1, [2]), 100]}, next_addr=7)
+    found = _candidates(h)
+    assert found == _candidates_by_scan(h)
+    assert [v for v in found if v == [1, 2]] == [[1, 2]]
+    assert found.count(100) == 1
+    ph = pheap(h, [r0], 0)
+    assert sat(ph, ExistsVal(lambda v: PointsToRef(r0, v) * Pure(type(v) is list)))
+    assert not sat(ph, ExistsVal(lambda v: PointsToRef(r0, v) * Pure(type(v) is tuple)))
+    assert sat(pheap(h, [r2], 0), ExistsVal(lambda v: PointsToRef(r2, v)))
 
 
 def _random_shape(rng, leaves):
@@ -649,7 +702,7 @@ _QUANTIFIED = st.recursive(
     max_leaves=5,
 )
 # the domain sat ranges its existentials over on this heap
-_BRUTE_DOMAIN = tuple(_candidates(_BRUTE_HEAP, EnumConfig()))
+_BRUTE_DOMAIN = tuple(_candidates(_BRUTE_HEAP))
 
 
 @cache
