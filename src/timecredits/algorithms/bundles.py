@@ -13,7 +13,6 @@ always recomputed from the runtime function; nothing is asserted by hand.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
 from typing import Any, Callable, Optional
 
 from ..amortized import HarnessError, run_sequence
@@ -47,6 +46,7 @@ from ..recurrence import (
     empirical_ratio_check,
     linear_rec_class,
 )
+from ..records import field, record
 from . import dynarray as dyn
 from . import karatsuba as kara
 from . import knapsack as knap
@@ -57,7 +57,7 @@ from . import sorting as srt
 from . import splay_tree as spl
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class RunResult:
     output: Any
     cost: int
@@ -65,7 +65,7 @@ class RunResult:
     ok: bool
 
 
-@dataclass
+@record
 class DischargeReport:
     obligation: str
     success: bool
@@ -73,7 +73,7 @@ class DischargeReport:
     detail: str = ""
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class CaseStudy:
     """One row of the table.  ``time``, ``spec``, ``witness`` and
     ``obligations`` take the constants, so one row serves every variant."""

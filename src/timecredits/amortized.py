@@ -11,10 +11,10 @@ of recorded ledger entries is computed in closed form, entry by entry.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Any, Callable, NamedTuple, Optional, Sequence
 
 from .heap import FAILURE, Outcome, Success
+from .records import record
 
 
 class HarnessError(Exception):
@@ -35,7 +35,7 @@ class NoMultiplier(Exception):
 K_MAX = 1024
 
 
-@dataclass
+@record
 class AmortizedOp:
     name: str
     # (structure, argument) -> (new structure, actual interpreter cost)
@@ -44,7 +44,7 @@ class AmortizedOp:
     amortized_bound: Callable[[int], int]
 
 
-@dataclass
+@record
 class AmortizedScheme:
     name: str
     potential: Callable[[Any], int]
@@ -101,7 +101,7 @@ def check_op_inequality(
     return entry, new_structure
 
 
-@dataclass
+@record
 class SequenceReport:
     scheme: str
     entries: list[OpLedgerEntry]
@@ -188,7 +188,7 @@ def collect_corpus(
     return run_sequence(scheme, ops, initial).entries
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class MultiplierResult:
     multiplier: int
     binding: OpLedgerEntry  # tightest-slack instance at the returned K

@@ -21,10 +21,10 @@ checks come with replayable witnesses, passing samples are only evidence.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from typing import Any, Callable, Optional
 
 from .heap import ARRAY, FAILURE, REF, Addr, Computation, Heap, Success, run_traced
+from .records import record
 
 PASS = "pass"
 FAIL_EXECUTION = "fail-execution"
@@ -37,7 +37,7 @@ def _check_credits(amount) -> None:
         raise ValueError(f"time credits are naturals, not {amount!r}")
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class PartialHeap:
     heap: Heap
     owned: frozenset[Addr]
@@ -69,12 +69,12 @@ class Assertion:
         return SepConj(self, other)
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Emp(Assertion):
     pass
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Credits(Assertion):
     amount: int
 
@@ -82,30 +82,30 @@ class Credits(Assertion):
         _check_credits(self.amount)
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class PointsToRef(Assertion):
     addr: Addr
     value: Any
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class PointsToArray(Assertion):
     addr: Addr
     values: tuple
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Pure(Assertion):
     truth: bool
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class SepConj(Assertion):
     left: Assertion
     right: Assertion
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Top(Assertion):
     pass
 
@@ -223,7 +223,7 @@ _MISSING = object()
 # Hoare triples
 # ---------------------------------------------------------------------------
 
-@dataclass
+@record
 class HoareTriple:
     """Pre-assertion, program builder, and value-indexed postcondition.
 
@@ -239,7 +239,7 @@ class HoareTriple:
     top_absorbing: bool = True
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class TripleVerdict:
     kind: str
     vacuous: bool = False
@@ -288,7 +288,7 @@ def check_triple(t: HoareTriple, ph: PartialHeap) -> TripleVerdict:
     return TripleVerdict(FAIL_POST, witness=after, trace=trace)
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Counterexample:
     seed: int
     trial: int
@@ -306,7 +306,7 @@ class Counterexample:
         return "\n".join(lines)
 
 
-@dataclass
+@record
 class SampleReport:
     trials: int
     passes: int = 0

@@ -15,11 +15,12 @@ residue-class form.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 from operator import itemgetter
 from typing import Callable, Mapping, Union
+
+from .records import record
 
 
 # ---------------------------------------------------------------------------
@@ -30,7 +31,7 @@ class ArgExpr:
     __slots__ = ()
 
 
-@dataclass(frozen=True)
+@record(frozen=True, cache_hash=True)
 class VarE(ArgExpr):
     name: str
 
@@ -38,7 +39,7 @@ class VarE(ArgExpr):
         return self.name
 
 
-@dataclass(frozen=True)
+@record(frozen=True, cache_hash=True)
 class ConstE(ArgExpr):
     value: int
 
@@ -46,7 +47,7 @@ class ConstE(ArgExpr):
         return str(self.value)
 
 
-@dataclass(frozen=True)
+@record(frozen=True, cache_hash=True)
 class AddE(ArgExpr):
     left: ArgExpr
     right: ArgExpr
@@ -55,7 +56,7 @@ class AddE(ArgExpr):
         return f"({self.left} + {self.right})"
 
 
-@dataclass(frozen=True)
+@record(frozen=True, cache_hash=True)
 class SubE(ArgExpr):
     left: ArgExpr
     right: ArgExpr
@@ -64,7 +65,7 @@ class SubE(ArgExpr):
         return f"({self.left} - {self.right})"
 
 
-@dataclass(frozen=True)
+@record(frozen=True, cache_hash=True)
 class MulE(ArgExpr):
     factor: int
     inner: ArgExpr
@@ -73,7 +74,7 @@ class MulE(ArgExpr):
         return f"{self.factor}*{self.inner}"
 
 
-@dataclass(frozen=True)
+@record(frozen=True, cache_hash=True)
 class FloorDivE(ArgExpr):
     inner: ArgExpr
     divisor: int
@@ -82,7 +83,7 @@ class FloorDivE(ArgExpr):
         return f"({self.inner} div {self.divisor})"
 
 
-@dataclass(frozen=True)
+@record(frozen=True, cache_hash=True)
 class CeilDivE(ArgExpr):
     inner: ArgExpr
     divisor: int
@@ -136,30 +137,31 @@ def _period(e: ArgExpr, above: int = 1) -> int:
     return lcm(_period(e.left, above), _period(e.right, above))
 
 
-def _on_class(e: ArgExpr, period: int, r: int, differences: list) -> tuple[int, int]:
-    """(a, b) with e = a*k + b at every n = period*k + r, exactly: each
-    divisor divides the slope of what it divides.  The (a, b) of every
-    difference in e is appended to `differences`."""
+def _on_classes(e: ArgExpr, period: int, differences: list) -> tuple[int, list[int]]:
+    """(a, bs) with e = a*k + bs[r] at every n = period*k + r, for each
+    r < period, exactly: each divisor divides the slope of what it divides.
+    The slope does not depend on r, so one walk serves every class.  The
+    (a, bs) of every difference in e is appended to `differences`."""
     if isinstance(e, VarE):
         if e.name != "n":
             raise NormalizationError(f"{e!r} is not the size variable n")
-        return period, r
+        return period, list(range(period))
     if isinstance(e, ConstE):
-        return 0, e.value
+        return 0, [e.value] * period
     if isinstance(e, MulE):
-        a, b = _on_class(e.inner, period, r, differences)
-        return e.factor * a, e.factor * b
+        a, bs = _on_classes(e.inner, period, differences)
+        return e.factor * a, [e.factor * b for b in bs]
     if isinstance(e, FloorDivE):
-        a, b = _on_class(e.inner, period, r, differences)
-        return a // e.divisor, b // e.divisor
+        a, bs = _on_classes(e.inner, period, differences)
+        return a // e.divisor, [b // e.divisor for b in bs]
     if isinstance(e, CeilDivE):
-        a, b = _on_class(e.inner, period, r, differences)
-        return a // e.divisor, -(-b // e.divisor)
-    a1, b1 = _on_class(e.left, period, r, differences)
-    a2, b2 = _on_class(e.right, period, r, differences)
+        a, bs = _on_classes(e.inner, period, differences)
+        return a // e.divisor, [-(-b // e.divisor) for b in bs]
+    a1, bs1 = _on_classes(e.left, period, differences)
+    a2, bs2 = _on_classes(e.right, period, differences)
     if isinstance(e, AddE):
-        return a1 + a2, b1 + b2
-    differences.append((a1 - a2, b1 - b2))
+        return a1 + a2, [b1 + b2 for b1, b2 in zip(bs1, bs2)]
+    differences.append((a1 - a2, [b1 - b2 for b1, b2 in zip(bs1, bs2)]))
     return differences[-1]
 
 
@@ -176,20 +178,19 @@ def holds_for_all_n(lhs: ArgExpr, rhs: ArgExpr, lo: int = 0) -> bool:
     """
     fact = SubE(rhs, lhs)  # lhs <= rhs is rhs - lhs >= 0
     period = _period(fact)
-    for r in range(period):
-        k0 = max(0, -(-(lo - r) // period))
-        differences: list = []
-        _on_class(fact, period, r, differences)
-        if not all(a >= 0 and a * k0 + b >= 0 for a, b in differences):
-            return False
-    return True
+    differences: list = []
+    _on_classes(fact, period, differences)
+    least_k = [max(0, -(-(lo - r) // period)) for r in range(period)]
+    return all(
+        a >= 0 and all(a * k + b >= 0 for k, b in zip(least_k, bs)) for a, bs in differences
+    )
 
 
 def slope_in_n(e: ArgExpr) -> Fraction:
     """The exact slope of e in n: e = a*k + b on each residue class
     n = L*k + r, so the slope is a / L."""
     period = _period(e)
-    return Fraction(_on_class(e, period, 0, [])[0], period)
+    return Fraction(_on_classes(e, period, [])[0], period)
 
 
 # ---------------------------------------------------------------------------
@@ -200,7 +201,7 @@ class TimeAtom:
     __slots__ = ()
 
 
-@dataclass(frozen=True)
+@record(frozen=True, cache_hash=True)
 class UnitAtom(TimeAtom):
     """The constant term 1."""
 
@@ -208,7 +209,7 @@ class UnitAtom(TimeAtom):
         return "1"
 
 
-@dataclass(frozen=True)
+@record(frozen=True, cache_hash=True)
 class VarAtom(TimeAtom):
     name: str
 
@@ -216,7 +217,7 @@ class VarAtom(TimeAtom):
         return self.name
 
 
-@dataclass(frozen=True)
+@record(frozen=True, cache_hash=True)
 class ExprAtom(TimeAtom):
     """A div/ceil/floor linear form used directly as a term (e.g. n div 2)."""
 
@@ -226,7 +227,7 @@ class ExprAtom(TimeAtom):
         return repr(self.expr)
 
 
-@dataclass(frozen=True)
+@record(frozen=True, cache_hash=True)
 class CallAtom(TimeAtom):
     fn: str
     args: tuple[ArgExpr, ...]
@@ -271,7 +272,7 @@ class PolyForm:
     __slots__ = ("coeffs", "_terms")
 
     def __init__(self, coeffs: Mapping[TimeAtom, int] = ()):
-        # a dict copy keeps the stored hashes; atoms rehash deeply
+        # a dict copy keeps the stored hashes
         self.coeffs: dict[TimeAtom, int] = dict(coeffs)
         if 0 in self.coeffs.values():
             for atom in [a for a, c in self.coeffs.items() if c == 0]:
@@ -422,7 +423,7 @@ class HintAbsent(Exception):
     pass
 
 
-@dataclass
+@record
 class Hint:
     """Replace the term `s` by the certified-smaller `t` in a credit budget.
 

@@ -38,9 +38,10 @@ subclass or not an int) takes the full test against the length.
 from __future__ import annotations
 
 from collections import ChainMap
-from dataclasses import FrozenInstanceError
 from functools import wraps
 from typing import Any, Callable, Iterable, Union
+
+from .records import frozen_error
 
 REF = "ref"
 ARRAY = "array"
@@ -57,10 +58,10 @@ class Addr:
         _SET_KIND(self, kind)
 
     def __setattr__(self, name, value):
-        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+        frozen_error(f"cannot assign to field {name!r}")
 
     def __delattr__(self, name):
-        raise FrozenInstanceError(f"cannot delete field {name!r}")
+        frozen_error(f"cannot delete field {name!r}")
 
     def __eq__(self, other):
         if other.__class__ is self.__class__:

@@ -14,7 +14,6 @@ claimed class cannot be overfitted to its own samples.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from typing import Callable, Iterable, Optional, Sequence, Union
@@ -22,6 +21,7 @@ from typing import Callable, Iterable, Optional, Sequence, Union
 from .credits import (
     ArgExpr, ExprAtom, NormalizationError, PolyForm, UnitAtom, VarAtom, VarE, slope_in_n,
 )
+from .records import record
 
 
 def _factors(var: str, power: int, log_power: int) -> list[str]:
@@ -34,7 +34,7 @@ def _factors(var: str, power: int, log_power: int) -> list[str]:
     return parts
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class PolyLog:
     """The function class n^power (ln n)^log_power; (0, 0) is the constants."""
 
@@ -48,7 +48,7 @@ class PolyLog:
         return " ".join(_factors("n", self.power, self.log_power)) or "1"
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class PolyLog2:
     """m^a (ln m)^b * n^c (ln n)^d under the product filter."""
 
@@ -70,7 +70,7 @@ class PolyLog2:
         return " ".join(parts) or "1"
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class SumClass2:
     """A sum of two-variable classes, e.g. m + n or m^2 n + m n^2."""
 
@@ -83,7 +83,7 @@ class SumClass2:
         return " + ".join(g.render() for g in self.members)
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class RealPowerClass:
     """n^p with a real exponent; display and witness checking only.
 
@@ -234,7 +234,7 @@ DECLARED = "declared"
 SOLVED = "solved-by-recurrence"
 
 
-@dataclass
+@record
 class RegistryEntry:
     name: str
     arity: int
@@ -288,7 +288,7 @@ def analyze_form(form: PolyForm, registry: BoundRegistry) -> PolyLog:
 # numeric witnesses
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class ThetaWitness:
     """Constants certifying c_lower * g <= f <= c_upper * g from N on."""
 
@@ -301,7 +301,7 @@ class ThetaWitness:
             raise ValueError("witness constants must be positive")
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class WitnessReport:
     passed: bool
     violation: Optional[tuple] = None  # (sample, ratio, side)

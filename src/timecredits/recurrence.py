@@ -17,7 +17,6 @@ its bound, claim and hints share one spec and one memo.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import lru_cache, partial, wraps
 from itertools import accumulate
@@ -32,6 +31,7 @@ from .landau import (
     BoundRegistry, NonLinearArgument, PolyLog, PolyLog2, RealPowerClass, analyze_form, arg_slope,
     geometric_samples,
 )
+from .records import field, record, replace
 
 BOTTOM_HEAVY = "bottom-heavy"
 BALANCED = "balanced"
@@ -53,7 +53,7 @@ class MissingBase(RecurrenceError):
     pass
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class RecTerm:
     a: Fraction
     b: Fraction
@@ -68,7 +68,7 @@ class RecTerm:
             raise RecurrenceError(f"unknown rounding {self.rounding!r}")
 
 
-@dataclass
+@record
 class AkraBazziSpec:
     """Recurrence description: threshold, recursive terms, toll class, and
     (optionally) a concrete toll plus base table for exact evaluation, and
@@ -99,7 +99,7 @@ class AkraBazziSpec:
         )
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class AkraBazziResult:
     p: float
     case: str
@@ -332,7 +332,7 @@ def eval_recurrence(spec: AkraBazziSpec, n: int):
     return memo[n]
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class RatioReport:
     min_ratio: float
     max_ratio: float
@@ -374,7 +374,7 @@ def empirical_ratio_check(
 # linear recurrences (for-loops written as recursions)
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class LinearRecSpec:
     """A loop's cost: f(n) = init + step(1) + ... + step(n - 1) + final in
     one variable, f(n, W) = init(W) + n * step(W) + final in two.  ``init``

@@ -1,4 +1,3 @@
-import dataclasses
 import functools
 import gc
 import hashlib
@@ -62,6 +61,7 @@ from timecredits.recurrence import (
     SPEC_CACHE_SIZE, AkraBazziSpec, LinearRecSpec, RecTerm, RecurrenceError, _built_spec,
     eval_recurrence, monotone_by_induction, recurrence_of,
 )
+from timecredits.records import replace
 
 from oracles import knapsack_brute, partition_side_bound, skew_meld_pair, splay_fun_reference
 
@@ -591,7 +591,7 @@ def _counted(hints, calls, verdict=None):
         def justification():
             calls.append(hint.note)
             return hint.justification() if verdict is None else verdict
-        return dataclasses.replace(hint, justification=justification)
+        return replace(hint, justification=justification)
     return [wrap(h) for h in hints]
 
 
@@ -697,7 +697,7 @@ def test_partition_sides_restate_the_counting_formula():
 
 
 def _refused(spec, **change):
-    return dataclasses.replace(spec, _memo={}, **change)
+    return replace(spec, _memo={}, **change)
 
 
 REFUSED_SPECS = {
