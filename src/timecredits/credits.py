@@ -31,7 +31,7 @@ class ArgExpr:
     __slots__ = ()
 
 
-@record(frozen=True, cache_hash=True)
+@record(frozen=True)
 class VarE(ArgExpr):
     name: str
 
@@ -39,7 +39,7 @@ class VarE(ArgExpr):
         return self.name
 
 
-@record(frozen=True, cache_hash=True)
+@record(frozen=True)
 class ConstE(ArgExpr):
     value: int
 
@@ -47,7 +47,7 @@ class ConstE(ArgExpr):
         return str(self.value)
 
 
-@record(frozen=True, cache_hash=True)
+@record(frozen=True)
 class AddE(ArgExpr):
     left: ArgExpr
     right: ArgExpr
@@ -56,7 +56,7 @@ class AddE(ArgExpr):
         return f"({self.left} + {self.right})"
 
 
-@record(frozen=True, cache_hash=True)
+@record(frozen=True)
 class SubE(ArgExpr):
     left: ArgExpr
     right: ArgExpr
@@ -65,7 +65,7 @@ class SubE(ArgExpr):
         return f"({self.left} - {self.right})"
 
 
-@record(frozen=True, cache_hash=True)
+@record(frozen=True)
 class MulE(ArgExpr):
     factor: int
     inner: ArgExpr
@@ -74,7 +74,7 @@ class MulE(ArgExpr):
         return f"{self.factor}*{self.inner}"
 
 
-@record(frozen=True, cache_hash=True)
+@record(frozen=True)
 class FloorDivE(ArgExpr):
     inner: ArgExpr
     divisor: int
@@ -83,7 +83,7 @@ class FloorDivE(ArgExpr):
         return f"({self.inner} div {self.divisor})"
 
 
-@record(frozen=True, cache_hash=True)
+@record(frozen=True)
 class CeilDivE(ArgExpr):
     inner: ArgExpr
     divisor: int
@@ -137,28 +137,30 @@ def _period(e: ArgExpr, above: int = 1) -> int:
     return lcm(_period(e.left, above), _period(e.right, above))
 
 
-def _on_classes(e: ArgExpr, period: int, differences: list) -> tuple[int, list[int]]:
-    """(a, bs) with e = a*k + bs[r] at every n = period*k + r, for each
-    r < period, exactly: each divisor divides the slope of what it divides.
-    The slope does not depend on r, so one walk serves every class.  The
+def _on_classes(
+    e: ArgExpr, period: int, residues: tuple[int, ...], differences: list
+) -> tuple[int, list[int]]:
+    """(a, bs) with e = a*k + bs[i] at every n = period*k + residues[i],
+    exactly: each divisor divides the slope of what it divides.  The slope
+    does not depend on the residue, so one walk serves every class.  The
     (a, bs) of every difference in e is appended to `differences`."""
     if isinstance(e, VarE):
         if e.name != "n":
             raise NormalizationError(f"{e!r} is not the size variable n")
-        return period, list(range(period))
+        return period, list(residues)
     if isinstance(e, ConstE):
-        return 0, [e.value] * period
+        return 0, [e.value] * len(residues)
     if isinstance(e, MulE):
-        a, bs = _on_classes(e.inner, period, differences)
+        a, bs = _on_classes(e.inner, period, residues, differences)
         return e.factor * a, [e.factor * b for b in bs]
     if isinstance(e, FloorDivE):
-        a, bs = _on_classes(e.inner, period, differences)
+        a, bs = _on_classes(e.inner, period, residues, differences)
         return a // e.divisor, [b // e.divisor for b in bs]
     if isinstance(e, CeilDivE):
-        a, bs = _on_classes(e.inner, period, differences)
+        a, bs = _on_classes(e.inner, period, residues, differences)
         return a // e.divisor, [-(-b // e.divisor) for b in bs]
-    a1, bs1 = _on_classes(e.left, period, differences)
-    a2, bs2 = _on_classes(e.right, period, differences)
+    a1, bs1 = _on_classes(e.left, period, residues, differences)
+    a2, bs2 = _on_classes(e.right, period, residues, differences)
     if isinstance(e, AddE):
         return a1 + a2, [b1 + b2 for b1, b2 in zip(bs1, bs2)]
     differences.append((a1 - a2, [b1 - b2 for b1, b2 in zip(bs1, bs2)]))
@@ -179,7 +181,7 @@ def holds_for_all_n(lhs: ArgExpr, rhs: ArgExpr, lo: int = 0) -> bool:
     fact = SubE(rhs, lhs)  # lhs <= rhs is rhs - lhs >= 0
     period = _period(fact)
     differences: list = []
-    _on_classes(fact, period, differences)
+    _on_classes(fact, period, tuple(range(period)), differences)
     least_k = [max(0, -(-(lo - r) // period)) for r in range(period)]
     return all(
         a >= 0 and all(a * k + b >= 0 for k, b in zip(least_k, bs)) for a, bs in differences
@@ -190,7 +192,7 @@ def slope_in_n(e: ArgExpr) -> Fraction:
     """The exact slope of e in n: e = a*k + b on each residue class
     n = L*k + r, so the slope is a / L."""
     period = _period(e)
-    return Fraction(_on_classes(e, period, [])[0], period)
+    return Fraction(_on_classes(e, period, (0,), [])[0], period)
 
 
 # ---------------------------------------------------------------------------
@@ -201,7 +203,7 @@ class TimeAtom:
     __slots__ = ()
 
 
-@record(frozen=True, cache_hash=True)
+@record(frozen=True)
 class UnitAtom(TimeAtom):
     """The constant term 1."""
 
@@ -209,7 +211,7 @@ class UnitAtom(TimeAtom):
         return "1"
 
 
-@record(frozen=True, cache_hash=True)
+@record(frozen=True)
 class VarAtom(TimeAtom):
     name: str
 
@@ -217,7 +219,7 @@ class VarAtom(TimeAtom):
         return self.name
 
 
-@record(frozen=True, cache_hash=True)
+@record(frozen=True)
 class ExprAtom(TimeAtom):
     """A div/ceil/floor linear form used directly as a term (e.g. n div 2)."""
 
@@ -227,7 +229,7 @@ class ExprAtom(TimeAtom):
         return repr(self.expr)
 
 
-@record(frozen=True, cache_hash=True)
+@record(frozen=True)
 class CallAtom(TimeAtom):
     fn: str
     args: tuple[ArgExpr, ...]

@@ -12,9 +12,8 @@ every command.
 A field is declared as ``name: type``, ``name: type = default`` or
 ``name: type = field(...)`` with dataclass's options ``default``,
 ``default_factory``, ``init``, ``repr``, ``compare`` and ``hash``.  Methods
-the class body defines itself are kept.  With ``cache_hash`` a frozen
-record computes its hash once, when it is built, for values hashed far
-more often than they are built.
+the class body defines itself are kept.  A frozen record computes its
+hash once, on first use, and keeps it out of its pickled state.
 """
 
 from __future__ import annotations
@@ -63,11 +62,11 @@ def replace(obj, **changes):
     return obj.__class__(**changes)
 
 
-def record(cls=None, *, frozen: bool = False, cache_hash: bool = False):
+def record(cls=None, *, frozen: bool = False):
     """Make `cls` a value class; usable as ``@record`` or ``@record(...)``."""
     if cls is None:
-        return lambda cls: _build(cls, frozen, cache_hash)
-    return _build(cls, frozen, cache_hash)
+        return lambda cls: _build(cls, frozen)
+    return _build(cls, frozen)
 
 
 def _values(names: tuple):
@@ -78,9 +77,7 @@ def _values(names: tuple):
     return attrgetter(*names) if names else lambda obj: ()
 
 
-def _build(cls, frozen: bool, cache_hash: bool):
-    if cache_hash and not frozen:
-        raise TypeError("only a frozen record can keep its hash")
+def _build(cls, frozen: bool):
     fields = []
     for name in cls.__dict__.get("__annotations__", {}):
         declared = cls.__dict__.get(name, MISSING)
@@ -106,33 +103,22 @@ def _build(cls, frozen: bool, cache_hash: bool):
     required = optional.count(False)
     if any(optional[:required]):
         raise TypeError(f"{cls.__name__}: a field without a default follows one with a default")
-    padding = tuple(defaults[name] for name in names[required:]) if not factories else None
     arity = len(names)
     qualname = cls.__qualname__
     post_init = hasattr(cls, "__post_init__")
-    compared = tuple(name for name, f in fields if f.compare)
-    hashed = tuple(name for name, f in fields if (f.compare if f.hash is None else f.hash))
-    if cache_hash and (hashed != names or post_init):
-        raise TypeError("a kept hash is the hash of the constructor's arguments")
-    get = attrgetter(*compared) if compared else None
-    single = len(compared) == 1
-    hashed = _values(hashed)
-    first, last = (names[0], names[-1]) if names else (None, None)
+    compared = _values(tuple(name for name, f in fields if f.compare))
+    hashed = _values(
+        tuple(name for name, f in fields if (f.compare if f.hash is None else f.hash))
+    )
     # as dataclass's own __init__ does: past a frozen __setattr__, else by
     # plain assignment
     store = object.__setattr__ if frozen else setattr
 
-    def bind(args: tuple, kwargs: dict) -> tuple:
+    def bind(args: tuple, kwargs: dict) -> list:
         """The init fields' values from a call that is not all positional."""
-        if padding is not None and not kwargs and required <= len(args) < arity:
-            return args + padding[len(args) - required:]
         if len(args) > arity:
-            raise TypeError(
-                f"{qualname}.__init__() takes {arity + 1} positional arguments "
-                f"but {len(args) + 1} were given"
-            )
+            raise TypeError(f"{qualname}() takes {arity} arguments, not {len(args)}")
         values = list(args)
-        missing = []
         for name in names[len(args):]:
             if name in kwargs:
                 values.append(kwargs.pop(name))
@@ -141,41 +127,24 @@ def _build(cls, frozen: bool, cache_hash: bool):
             elif name in factories:
                 values.append(factories[name]())
             else:
-                missing.append(repr(name))
-        for name in kwargs:
-            problem = "multiple values for" if name in names else "an unexpected keyword"
-            raise TypeError(f"{qualname}.__init__() got {problem} argument {name!r}")
-        if missing:
-            raise TypeError(
-                f"{qualname}.__init__() missing {len(missing)} required positional "
-                f"argument{'s' if len(missing) > 1 else ''}: {', '.join(missing)}"
-            )
-        return tuple(values)
+                raise TypeError(f"{qualname}() lacks argument {name!r}")
+        if kwargs:
+            raise TypeError(f"{qualname}() got extra arguments {sorted(kwargs)}")
+        return values
 
     def __init__(self, *args, **kwargs):
         if kwargs or len(args) != arity:
             args = bind(args, kwargs)
-        # unrolled for one and two fields, the classes built most often
-        if arity == 1:
-            store(self, first, args[0])
-        elif arity == 2:
-            store(self, first, args[0])
-            store(self, last, args[1])
-        else:
-            for name, value in zip(names, args):
-                store(self, name, value)
+        for name, value in zip(names, args):
+            store(self, name, value)
         if post_init:
             self.__post_init__()
-        if cache_hash:
-            store(self, "_hash", hash(args))
 
     def __eq__(self, other):
         # the compared fields as a tuple, as dataclass compares them
         if other.__class__ is not self.__class__:
             return NotImplemented
-        if single:
-            return (get(self),) == (get(other),)
-        return get is None or get(self) == get(other)
+        return compared(self) == compared(other)
 
     shown = tuple(name for name, f in fields if f.repr)
 
@@ -205,22 +174,26 @@ def _build(cls, frozen: bool, cache_hash: bool):
                 frozen_error(f"cannot delete field {name!r}")
             super(cls, self).__delattr__(name)
 
-        if cache_hash:
-            def __hash__(self):
-                return self._hash
+        def __hash__(self):
+            # the fields cannot change, so neither can their hash: it is
+            # kept on the instance, over the class's None, on first use
+            kept = self._record_hash
+            if kept is None:
+                kept = hash(hashed(self))
+                object.__setattr__(self, "_record_hash", kept)
+            return kept
 
-            def __reduce__(self):
-                # rebuilt by the constructor (the hashed fields are its
-                # arguments), so that a copy unpickled under another string
-                # hash seed does not keep this one's hash
-                return self.__class__, hashed(self)
+        def __getstate__(self):
+            # without the kept hash, which a copy loaded under another
+            # string hash seed would not share
+            state = dict(self.__dict__)
+            state.pop("_record_hash", None)
+            return state
 
-            methods["__reduce__"] = __reduce__
-        else:
-            def __hash__(self):
-                return hash(hashed(self))
-
-        methods.update(__setattr__=__setattr__, __delattr__=__delattr__, __hash__=__hash__)
+        methods.update(
+            __setattr__=__setattr__, __delattr__=__delattr__, __hash__=__hash__,
+            __getstate__=__getstate__, _record_hash=None,
+        )
     for name, method in methods.items():
         if name not in cls.__dict__:
             if callable(method):

@@ -228,8 +228,8 @@ def test_no_class_is_a_dataclass_after_the_cli_is_imported():
 
 
 def test_a_kept_hash_is_not_carried_across_string_hash_seeds(tmp_path):
-    # pickled under one seed and loaded under another, a credit term hashes
-    # as its own field tuple does in the loading process
+    # hashed and pickled under one seed and loaded under another, a credit
+    # term hashes as its own field tuple does in the loading process
     dump = tmp_path / "term.pickle"
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
@@ -237,6 +237,7 @@ def test_a_kept_hash_is_not_carried_across_string_hash_seeds(tmp_path):
         "import pickle, sys\n"
         "from timecredits.credits import CallAtom, FloorDivE, VarE\n"
         "term = CallAtom('f', (FloorDivE(VarE('n'), 2),))\n"
+        "hash(term)\n"
         "open(sys.argv[1], 'wb').write(pickle.dumps(term))\n"
     )
     load = (
