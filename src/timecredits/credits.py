@@ -2,15 +2,18 @@
 
 Time expressions are sums of natural-coefficient terms over atoms: the
 constant 1, size variables, div/ceil/floor forms of linear expressions, and
-applications of named runtime functions.  They are built in their normal
-form, a `PolyForm` coefficient map; `subtract_match` decides T = T' + T''
-atom by atom, subtracting each demand coefficient from the same atom of the
-total; `apply_hint` replaces a term s by a certified smaller t, so a
-demand matched against the result is at most the budget, not equal to it;
-`holds_for_all_n` decides a floor/ceiling inequality between argument
-expressions at every n, the side facts such certificates rest on, and
-`slope_in_n` reads an argument expression's exact slope off the same
-residue-class form.
+applications of named runtime functions.  Atoms and argument expressions
+are credit terms, immutable tuples (class, *fields) declared by `_term`:
+matching looks atoms up in dicts, and a tuple's ``==`` and hash run in C,
+while the class in the tuple keeps `VarE('n')` and `VarAtom('n')` apart.
+Expressions are built in their normal form, a `PolyForm` coefficient map;
+`subtract_match` decides T = T' + T'' atom by atom, subtracting each demand
+coefficient from the same atom of the total; `apply_hint` replaces a term
+s by a certified smaller t, so a demand matched against the result is at
+most the budget, not equal to it; `holds_for_all_n` decides a
+floor/ceiling inequality between argument expressions at every n, the side
+facts such certificates rest on, and `slope_in_n` reads an argument
+expression's exact slope off the same residue-class form.
 """
 
 from __future__ import annotations
@@ -20,18 +23,65 @@ from math import lcm
 from operator import itemgetter
 from typing import Callable, Mapping, Union
 
-from .records import record
+from .records import frozen_error, record
+
+
+# ---------------------------------------------------------------------------
+# credit terms: argument expressions and atoms
+# ---------------------------------------------------------------------------
+
+class _Term(tuple):
+    """A credit term, the tuple (class, *fields).  Its ``==``, hash and dict
+    lookups are the tuple's, run in C, and the class in the tuple keeps two
+    terms of different classes with the same fields apart."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        frozen_error(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        frozen_error(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return self[0], self[1:]
+
+    def _refused(self, other):
+        raise TypeError(f"a credit term is not ordered and not a tuple operand: {self!r}")
+
+    __lt__ = __le__ = __gt__ = __ge__ = _refused
+    __add__ = __radd__ = __mul__ = __rmul__ = _refused
+
+
+def _term(cls):
+    """`cls` rebuilt as a slotted `_Term` over its annotated fields, which it
+    takes positionally or by keyword and gives back as read-only attributes."""
+    names = tuple(cls.__dict__.get("__annotations__", ()))
+    arity = len(names)
+    new = tuple.__new__
+
+    def __new__(term, *args, **kwargs):
+        if kwargs or len(args) != arity:
+            args = (*args, *(kwargs.pop(name) for name in names[len(args):] if name in kwargs))
+            if kwargs or len(args) != arity:
+                raise TypeError(f"{term.__name__}() takes the fields {names}")
+        return new(term, (term, *args))
+
+    body = {k: v for k, v in vars(cls).items() if k not in ("__dict__", "__weakref__")}
+    body.update({name: property(itemgetter(i)) for i, name in enumerate(names, 1)})
+    body.update(__slots__=(), __new__=__new__, __match_args__=names)
+    return type(cls.__name__, cls.__bases__, body)
 
 
 # ---------------------------------------------------------------------------
 # argument expressions (what runtime functions are applied to)
 # ---------------------------------------------------------------------------
 
-class ArgExpr:
+class ArgExpr(_Term):
     __slots__ = ()
 
 
-@record(frozen=True)
+@_term
 class VarE(ArgExpr):
     name: str
 
@@ -39,7 +89,7 @@ class VarE(ArgExpr):
         return self.name
 
 
-@record(frozen=True)
+@_term
 class ConstE(ArgExpr):
     value: int
 
@@ -47,7 +97,7 @@ class ConstE(ArgExpr):
         return str(self.value)
 
 
-@record(frozen=True)
+@_term
 class AddE(ArgExpr):
     left: ArgExpr
     right: ArgExpr
@@ -56,7 +106,7 @@ class AddE(ArgExpr):
         return f"({self.left} + {self.right})"
 
 
-@record(frozen=True)
+@_term
 class SubE(ArgExpr):
     left: ArgExpr
     right: ArgExpr
@@ -65,7 +115,7 @@ class SubE(ArgExpr):
         return f"({self.left} - {self.right})"
 
 
-@record(frozen=True)
+@_term
 class MulE(ArgExpr):
     factor: int
     inner: ArgExpr
@@ -74,7 +124,7 @@ class MulE(ArgExpr):
         return f"{self.factor}*{self.inner}"
 
 
-@record(frozen=True)
+@_term
 class FloorDivE(ArgExpr):
     inner: ArgExpr
     divisor: int
@@ -83,7 +133,7 @@ class FloorDivE(ArgExpr):
         return f"({self.inner} div {self.divisor})"
 
 
-@record(frozen=True)
+@_term
 class CeilDivE(ArgExpr):
     inner: ArgExpr
     divisor: int
@@ -199,11 +249,11 @@ def slope_in_n(e: ArgExpr) -> Fraction:
 # atoms
 # ---------------------------------------------------------------------------
 
-class TimeAtom:
+class TimeAtom(_Term):
     __slots__ = ()
 
 
-@record(frozen=True)
+@_term
 class UnitAtom(TimeAtom):
     """The constant term 1."""
 
@@ -211,7 +261,7 @@ class UnitAtom(TimeAtom):
         return "1"
 
 
-@record(frozen=True)
+@_term
 class VarAtom(TimeAtom):
     name: str
 
@@ -219,7 +269,7 @@ class VarAtom(TimeAtom):
         return self.name
 
 
-@record(frozen=True)
+@_term
 class ExprAtom(TimeAtom):
     """A div/ceil/floor linear form used directly as a term (e.g. n div 2)."""
 
@@ -229,7 +279,7 @@ class ExprAtom(TimeAtom):
         return repr(self.expr)
 
 
-@record(frozen=True)
+@_term
 class CallAtom(TimeAtom):
     fn: str
     args: tuple[ArgExpr, ...]

@@ -11,7 +11,8 @@ reads the whole spec off one recursive total: its terms, the toll function,
 the toll's class and its time expression; `monotone_by_induction` decides
 from that expression and the base table that f is nondecreasing at every n.
 `one_spec_per_consts` builds each case study's spec once per constants, so
-its bound, claim and hints share one spec and one memo.
+its bound, claim and hints share one spec, one memo and one bisected
+exponent.
 """
 
 from __future__ import annotations
@@ -83,6 +84,7 @@ class AkraBazziSpec:
     name: str = ""
     _memo: dict = field(default_factory=dict, repr=False, compare=False)
     _live: tuple = field(default=(), init=False, repr=False, compare=False)
+    _exponent: Optional[float] = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.terms = tuple(self.terms)
@@ -122,7 +124,10 @@ def _phi(terms: list[tuple], p: float) -> float:
 
 def solve_exponent(spec: AkraBazziSpec) -> float:
     """Root of sum a_i b_i^p = 1 by bisection; the function is strictly
-    decreasing in p, so the root is unique."""
+    decreasing in p, so the root is unique.  The spec keeps it, as it keeps
+    its values."""
+    if spec._exponent is not None:
+        return spec._exponent
     terms = [(t.a, t.b) for t in spec.terms]
     lo, hi = BRACKET
     f_lo, f_hi = _phi(terms, lo), _phi(terms, hi)
@@ -137,7 +142,8 @@ def solve_exponent(spec: AkraBazziSpec) -> float:
             lo = mid
         else:
             hi = mid
-    return 0.5 * (lo + hi)
+    spec._exponent = 0.5 * (lo + hi)
+    return spec._exponent
 
 
 def akra_bazzi_class(spec: AkraBazziSpec) -> AkraBazziResult:

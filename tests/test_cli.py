@@ -278,6 +278,33 @@ def test_report_bytes_do_not_depend_on_the_string_hash_seed():
     assert outputs[0] and outputs[0] == outputs[1]
 
 
+# a credit term's hash mixes in its class object's, which may differ between
+# processes even at one string hash seed
+_MATCH_FAILURE_TEXT = (
+    "from timecredits.algorithms.bundles import discharge_all, get_bundle\n"
+    "bundle = get_bundle('binary_search')\n"
+    "consts = dict(bundle.consts, level=bundle.consts['level'] - 1)\n"
+    "print([r.detail for r in discharge_all(bundle.with_consts(consts)) if not r.success])\n"
+)
+
+
+@pytest.mark.parametrize("argv", [
+    *(["-m", "timecredits.cli", "recurrence", "--builtin", name] for name in sorted(BUILTIN_SPECS)),
+    ["-c", _MATCH_FAILURE_TEXT],
+], ids=[*(f"recurrence-{name}" for name in sorted(BUILTIN_SPECS)), "match-failure"])
+def test_term_outputs_do_not_depend_on_the_string_hash_seed(argv):
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    outputs = []
+    for hash_seed in ("1", "2"):
+        env = dict(os.environ, PYTHONHASHSEED=hash_seed)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        done = subprocess.run([sys.executable, *argv], env=env, capture_output=True)
+        outputs.append((done.returncode, done.stdout, done.stderr))
+    assert outputs[0][1] and outputs[0] == outputs[1]
+    if argv[0] == "-c":
+        assert b"no match for" in outputs[0][1]
+
+
 @pytest.mark.parametrize("argv", [
     ["report", "--trials", "1", "--seed", "5", "--format", "csv"],
     ["amortized", "splay_tree", "--ops", "200", "--seed", "1", "--multiplier", "1"],

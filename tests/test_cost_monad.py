@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from timecredits.algorithms import skew_heap as skew
+from timecredits.credits import UNIT, CallAtom, FloorDivE, VarE
 from timecredits.heap import (
     FAILURE,
     Addr,
@@ -386,10 +387,12 @@ class _TupleSubclass(tuple):
     pass
 
 
-# plain values, a user tuple shaped like an instruction, and list and
-# tuple-subclass copies of a real instruction: none is a computation
+# plain values, a user tuple shaped like an instruction, list and
+# tuple-subclass copies of a real instruction, and credit terms, which are
+# tuples too: none is a computation
 BAD_YIELDS = [(0, _A, 0, 99), (), 5, None,
-              list(array_upd(_A, 0, 99)), _TupleSubclass(array_upd(_A, 0, 99))]
+              list(array_upd(_A, 0, 99)), _TupleSubclass(array_upd(_A, 0, 99)),
+              VarE("n"), UNIT, CallAtom("f", (FloorDivE(VarE("n"), 2),))]
 
 
 @pytest.mark.parametrize("bad", BAD_YIELDS, ids=repr)

@@ -1,17 +1,20 @@
 """Every value class declared with `records.record` behaves as the
-`dataclasses.dataclass` it replaces.
+`dataclasses.dataclass` it replaces, and the credit terms, which are tagged
+tuples instead, keep the same contract.
 
-Each class's twin is built by `dataclasses.make_dataclass` from the class's
-declaration in the source: the decorator's `frozen`, each annotated field
-with its default or its `field(...)` options, and the methods the class
-body defines.  The record and its twin are then built in every form,
+Each record class's twin is built by `dataclasses.make_dataclass` from the
+class's declaration in the source: the decorator's `frozen`, each annotated
+field with its default or its `field(...)` options, and the methods the
+class body defines.  The record and its twin are then built in every form,
 printed, compared, hashed, frozen and replaced, and must agree each time.
 """
 
 import ast
+import copy
 import dataclasses
 import importlib
 import os
+import pickle
 import subprocess
 import sys
 from fractions import Fraction
@@ -21,7 +24,20 @@ import pytest
 
 from timecredits import records
 from timecredits.assertions import Emp, Top
-from timecredits.credits import VarAtom, VarE
+from timecredits.credits import (
+    UNIT,
+    AddE,
+    CallAtom,
+    CeilDivE,
+    ConstE,
+    ExprAtom,
+    FloorDivE,
+    MulE,
+    SubE,
+    UnitAtom,
+    VarAtom,
+    VarE,
+)
 from timecredits.heap import empty_heap
 from timecredits.landau import PolyLog
 from timecredits.recurrence import RecTerm
@@ -199,17 +215,17 @@ def test_replace_matches_the_dataclass(name):
 
 
 def test_every_record_class_has_a_twin():
-    assert len(TWINS) == 43
+    assert len(TWINS) == 32
 
 
 def test_same_fields_in_different_classes_are_unequal():
-    twins = {name: TWINS[name][1] for name in ("VarE", "VarAtom", "Emp", "Top")}
-    for (a, b), (ta, tb) in (
-        ((VarE("n"), VarAtom("n")), (twins["VarE"]("n"), twins["VarAtom"]("n"))),
-        ((Emp(), Top()), (twins["Emp"](), twins["Top"]())),
-    ):
-        assert (a == b, a != b, hash(a) == hash(b)) == (ta == tb, ta != tb, hash(ta) == hash(tb))
-        assert (a == b, a != b) == (False, True)
+    ta, tb = TWINS["Emp"][1](), TWINS["Top"][1]()
+    a, b = Emp(), Top()
+    assert (a == b, a != b, hash(a) == hash(b)) == (ta == tb, ta != tb, hash(ta) == hash(tb))
+    assert (a == b, a != b) == (False, True)
+    # a term's class is part of its value
+    term, atom = VarE("n"), VarAtom("n")
+    assert (term == atom, term != atom, {term: 1}.get(atom)) == (False, True, None)
 
 
 def test_no_class_is_a_dataclass_after_the_cli_is_imported():
@@ -228,27 +244,167 @@ def test_no_class_is_a_dataclass_after_the_cli_is_imported():
 
 
 def test_a_kept_hash_is_not_carried_across_string_hash_seeds(tmp_path):
-    # hashed and pickled under one seed and loaded under another, a credit
-    # term hashes as its own field tuple does in the loading process
-    dump = tmp_path / "term.pickle"
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    # hashed and pickled under one seed and loaded under another, a frozen
+    # record hashes as its own field tuple does in the loading process, and
+    # a credit term as a fresh term does
     build = (
         "import pickle, sys\n"
+        "from fractions import Fraction\n"
         "from timecredits.credits import CallAtom, FloorDivE, VarE\n"
+        "from timecredits.recurrence import RecTerm\n"
+        "kept = RecTerm(Fraction(1), Fraction(1, 2), 'floor')\n"
         "term = CallAtom('f', (FloorDivE(VarE('n'), 2),))\n"
-        "hash(term)\n"
-        "open(sys.argv[1], 'wb').write(pickle.dumps(term))\n"
+        "hash(kept), hash(term)\n"
+        "open(sys.argv[1], 'wb').write(pickle.dumps((kept, term)))\n"
     )
     load = (
         "import pickle, sys\n"
+        "from fractions import Fraction\n"
         "from timecredits.credits import CallAtom, FloorDivE, VarE\n"
-        "term = pickle.loads(open(sys.argv[1], 'rb').read())\n"
+        "from timecredits.recurrence import RecTerm\n"
+        "kept, term = pickle.loads(open(sys.argv[1], 'rb').read())\n"
+        "fresh_kept = RecTerm(Fraction(1), Fraction(1, 2), 'floor')\n"
         "fresh = CallAtom('f', (FloorDivE(VarE('n'), 2),))\n"
-        "print(term == fresh, hash(term) == hash(fresh) == hash(('f', fresh.args)),"
-        " {fresh: 1}.get(term))\n"
+        "print(kept == fresh_kept, hash(kept) == hash(fresh_kept)"
+        " == hash((Fraction(1), Fraction(1, 2), 'floor')), {fresh_kept: 1}.get(kept))\n"
+        "print(term == fresh, hash(term) == hash(fresh), {fresh: 1}.get(term))\n"
     )
+    dump = tmp_path / "values.pickle"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
     for code, seed in ((build, "1"), (load, "2")):
         done = subprocess.run([sys.executable, "-c", code, str(dump)], capture_output=True,
                               text=True, check=True, env={**env, "PYTHONHASHSEED": seed})
-    assert done.stdout.split() == ["True", "True", "1"]
+    assert done.stdout.split() == ["True", "True", "1"] * 2
+
+
+# ---------------------------------------------------------------------------
+# credit terms: tuples (class, *fields), declared with `credits._term`
+# ---------------------------------------------------------------------------
+
+_N = VarE("n")
+# per term class: its fields, and two argument tuples that differ
+TERMS = {
+    VarE: (("name",), ("n",), ("m",)),
+    ConstE: (("value",), (3,), (4,)),
+    AddE: (("left", "right"), (_N, ConstE(1)), (_N, ConstE(2))),
+    SubE: (("left", "right"), (_N, ConstE(1)), (ConstE(1), _N)),
+    MulE: (("factor", "inner"), (2, _N), (3, _N)),
+    FloorDivE: (("inner", "divisor"), (_N, 2), (_N, 3)),
+    CeilDivE: (("inner", "divisor"), (_N, 2), (MulE(7, _N), 10)),
+    UnitAtom: ((), (), ()),
+    VarAtom: (("name",), ("n",), ("m",)),
+    ExprAtom: (("expr",), (FloorDivE(_N, 2),), (CeilDivE(_N, 2),)),
+    CallAtom: (("fn", "args"), ("f", (FloorDivE(_N, 2),)), ("f", (SubE(_N, FloorDivE(_N, 2)),))),
+}
+ALL_TERMS = [cls(*args) for cls, (_, args, other) in TERMS.items()] + [
+    cls(*other) for cls, (_, args, other) in TERMS.items()
+]
+
+
+def test_every_term_class_is_listed():
+    from timecredits import credits
+
+    declared = {
+        v for v in vars(credits).values()
+        if isinstance(v, type) and issubclass(v, credits._Term) and "__match_args__" in vars(v)
+    }
+    assert declared == set(TERMS)
+
+
+@pytest.mark.parametrize("cls", TERMS, ids=lambda cls: cls.__name__)
+def test_term_construction_forms_and_arity_errors(cls):
+    names, args, _ = TERMS[cls]
+    keywords = dict(zip(names, args))
+    term = cls(*args)
+    assert cls.__match_args__ == names
+    assert type(term) is cls and tuple(term) == (cls, *args)
+    assert [getattr(term, name) for name in names] == list(args)
+    assert cls(**keywords) == term
+    assert cls(*args[:1], **dict(list(keywords.items())[1:])) == term
+    bad = [
+        lambda: cls(*args, "one too many"),
+        lambda: cls(*args, no_such_field=1),
+        lambda: cls(*args, **{"no_such_field": 1}),
+    ]
+    if args:
+        bad += [
+            lambda: cls(),
+            lambda: cls(*args[:-1]),
+            lambda: cls(*args, **{names[0]: args[0]}),
+            lambda: cls(**dict(list(keywords.items())[1:])),
+        ]
+    for build in bad:
+        with pytest.raises(TypeError):
+            build()
+
+
+def test_term_repr_of_nested_terms():
+    window = SubE(SubE(_N, FloorDivE(_N, 2)), ConstE(1))
+    assert repr(CallAtom("bsearch_time", (window,))) == "bsearch_time(((n - (n div 2)) - 1))"
+    assert repr(CallAtom("g", (_N, AddE(MulE(2, CeilDivE(_N, 5)), ConstE(3))))) == (
+        "g(n, (2*ceil(n/5) + 3))"
+    )
+    assert repr(ExprAtom(CeilDivE(MulE(7, _N), 10))) == "ceil(7*n/10)"
+    assert [repr(UNIT), repr(VarAtom("n")), repr(ConstE(0))] == ["1", "n", "0"]
+    assert f"{CallAtom('f', ())}" == str(CallAtom("f", ())) == "f()"
+
+
+@pytest.mark.parametrize("cls", TERMS, ids=lambda cls: cls.__name__)
+def test_term_equality_hash_and_repr_are_by_class_and_fields(cls):
+    _, args, other = TERMS[cls]
+    a, b, c = cls(*args), cls(*args), cls(*other)
+    assert (a == b, a != b, hash(a) == hash(b), {b: 1}.get(a), repr(a) == repr(b)) == (
+        True, False, True, 1, True)
+    if args != other:
+        assert (a == c, a != c, repr(a) == repr(c)) == (False, True, False)
+    assert all(a != t and not a == t for t in ALL_TERMS if type(t) is not cls)
+    assert a != object() and a.__eq__(object()) is NotImplemented
+
+
+@pytest.mark.parametrize("cls", TERMS, ids=lambda cls: cls.__name__)
+def test_term_fields_cannot_be_assigned_or_deleted(cls):
+    names, args, _ = TERMS[cls]
+    term = cls(*args)
+    for name in (*names, "not_a_field"):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(term, name, "new")
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            delattr(term, name)
+    assert tuple(term) == (cls, *args) and not hasattr(term, "__dict__")
+
+
+@pytest.mark.parametrize("other", [VarE("m"), VarAtom("n"), ("n",), (), 2], ids=repr)
+def test_terms_have_no_order_and_no_tuple_arithmetic(other):
+    term = VarE("n")
+    for op in (
+        lambda a, b: a < b, lambda a, b: a <= b, lambda a, b: a > b, lambda a, b: a >= b,
+        lambda a, b: a + b, lambda a, b: a * b,
+    ):
+        for a, b in ((term, other), (other, term), (term, term)):
+            with pytest.raises(TypeError):
+                op(a, b)
+
+
+@pytest.mark.parametrize("cls", TERMS, ids=lambda cls: cls.__name__)
+def test_replace_builds_a_term_with_fields_changed(cls):
+    names, args, other = TERMS[cls]
+    term = cls(*args)
+    assert records.replace(term) == term
+    changed = records.replace(term, **dict(zip(names, other)))
+    assert type(changed) is cls and changed == cls(*other)
+    if names:
+        with pytest.raises(TypeError):
+            records.replace(term, no_such_field=1)
+
+
+@pytest.mark.parametrize("cls", TERMS, ids=lambda cls: cls.__name__)
+def test_terms_survive_copy_and_pickle(cls):
+    _, args, other = TERMS[cls]
+    for term in (cls(*args), cls(*other)):
+        twins = [copy.copy(term), copy.deepcopy(term), copy.deepcopy([term, term])[1]]
+        twins += [pickle.loads(pickle.dumps(term, protocol))
+                  for protocol in range(pickle.HIGHEST_PROTOCOL + 1)]
+        for twin in twins:
+            assert type(twin) is cls and twin == term and hash(twin) == hash(term)
+            assert repr(twin) == repr(term)
