@@ -2,11 +2,13 @@
 `dataclasses.dataclass` it replaces, and the credit terms, which are tagged
 tuples instead, keep the same contract.
 
-Each record class's twin is built by `dataclasses.make_dataclass` from the
-class's declaration in the source: the decorator's `frozen`, each annotated
-field with its default or its `field(...)` options, and the methods the
-class body defines.  The record and its twin are then built in every form,
-printed, compared, hashed, frozen and replaced, and must agree each time.
+Each class's twin is built by `dataclasses.make_dataclass` from the
+class's declaration in the source: the decorator's `frozen` (a term is
+frozen), each annotated field with its default or its `field(...)` options,
+and the methods the class body defines.  The record or term and its twin
+are then built in every form, printed, compared, hashed, frozen and
+replaced, and must agree each time; a term hashes as its tuple
+(class, *fields) does where a dataclass hashes its field tuple.
 """
 
 import ast
@@ -22,7 +24,7 @@ from pathlib import Path
 
 import pytest
 
-from timecredits import records
+from timecredits import credits, records
 from timecredits.assertions import Emp, Top
 from timecredits.credits import (
     UNIT,
@@ -48,7 +50,8 @@ ABSENT = object()
 
 
 def _declarations():
-    """(module, class node, decorator keywords) of every record class."""
+    """(module, class node, decorator keywords) of every record class and
+    every credit term class; a term's keywords are {"frozen": True}."""
     for path in sorted(PACKAGE.rglob("*.py")):
         module = ".".join(("timecredits",) + path.relative_to(PACKAGE).with_suffix("").parts)
         for node in ast.parse(path.read_text()).body:
@@ -60,6 +63,8 @@ def _declarations():
                 if isinstance(name, ast.Name) and name.id == "record":
                     keywords = call.keywords if call else ()
                     yield module, node, {kw.arg: ast.literal_eval(kw.value) for kw in keywords}
+                elif isinstance(name, ast.Name) and name.id == "_term":
+                    yield module, node, {"frozen": True}
 
 
 def _twin(module_name, node, options):
@@ -91,13 +96,20 @@ def _twin(module_name, node, options):
         stmt.name: cls.__dict__[stmt.name]
         for stmt in node.body if isinstance(stmt, ast.FunctionDef)
     }
+    # a term's bases are tuples, which a dataclass cannot build on
+    bases = () if _is_term(cls) else cls.__bases__
     twin = dataclasses.make_dataclass(
-        node.name, spec, bases=cls.__bases__, namespace=body, frozen=options.get("frozen", False)
+        node.name, spec, bases=bases, namespace=body, frozen=options.get("frozen", False)
     )
     return cls, twin, fields
 
 
+def _is_term(cls):
+    return issubclass(cls, credits._Term)
+
+
 TWINS = {decl[1].name: _twin(*decl) for decl in _declarations()}
+RECORD_NAMES = sorted(name for name, (cls, _, _) in TWINS.items() if not _is_term(cls))
 
 # the classes whose __post_init__ checks its fields: two valid argument
 # tuples each, which differ
@@ -137,6 +149,13 @@ def _state(obj, fields):
     return repr(obj), [getattr(obj, name, ABSENT) for name, *_ in fields]
 
 
+def _hash_key(obj, fields):
+    """What obj's hash must equal: a term's tuple (class, *fields), or a
+    dataclass twin's field tuple."""
+    values = tuple(getattr(obj, name) for name, *_ in fields)
+    return (type(obj), *values) if _is_term(type(obj)) else values
+
+
 def _agree(cls, twin, fields, make):
     """make(cls) and make(twin) give the same state, or raise alike."""
     def observed(c):
@@ -173,9 +192,13 @@ def test_equality_hash_and_repr_match_the_dataclass(name):
     sides = []
     for c in (cls, twin):
         a, b, other = c(*first), c(*first), c(*second)
+        if _is_term(cls):
+            hashed = _outcome(lambda: hash(a) == hash(_hash_key(a, fields)))
+        else:
+            hashed = _outcome(lambda: hash(a))
         sides.append((
             a == b, a != b, a == other, a != other, a == object(), a.__eq__(object()),
-            _outcome(lambda: hash(a) == hash(b)), _outcome(lambda: hash(a)),
+            _outcome(lambda: hash(a) == hash(b)), hashed,
             repr(a), repr(other), c.__hash__ is None,
         ))
     assert sides[0] == sides[1]
@@ -215,7 +238,8 @@ def test_replace_matches_the_dataclass(name):
 
 
 def test_every_record_class_has_a_twin():
-    assert len(TWINS) == 32
+    assert len(RECORD_NAMES) == 32
+    assert len(TWINS) - len(RECORD_NAMES) == 11
 
 
 def test_same_fields_in_different_classes_are_unequal():
@@ -303,13 +327,12 @@ ALL_TERMS = [cls(*args) for cls, (_, args, other) in TERMS.items()] + [
 
 
 def test_every_term_class_is_listed():
-    from timecredits import credits
-
     declared = {
         v for v in vars(credits).values()
         if isinstance(v, type) and issubclass(v, credits._Term) and "__match_args__" in vars(v)
     }
     assert declared == set(TERMS)
+    assert {TWINS[cls.__name__][0] for cls in TERMS} == declared
 
 
 @pytest.mark.parametrize("cls", TERMS, ids=lambda cls: cls.__name__)
