@@ -57,7 +57,7 @@ from . import sorting as srt
 from . import splay_tree as spl
 
 
-@record(frozen=True)
+@record
 class RunResult:
     output: Any
     cost: int
@@ -73,7 +73,7 @@ class DischargeReport:
     detail: str = ""
 
 
-@record(frozen=True)
+@record
 class CaseStudy:
     """One row of the table.  ``time``, ``spec``, ``witness`` and
     ``obligations`` take the constants, so one row serves every variant."""
@@ -519,10 +519,10 @@ _AUX_COSTS = {
 }
 
 
-def build_registry(sweep_hi: int = 1 << 12) -> BoundRegistry:
+def build_registry(sweep_hi: int) -> BoundRegistry:
     """The table of known runtime-function bounds: auxiliaries checked
-    exhaustively against the interpreter before admission, and the solved
-    classes taken from their rows' claims."""
+    against the interpreter at every size up to `sweep_hi` before
+    admission, and the solved classes taken from their rows' claims."""
     registry = BoundRegistry()
     for name, closed_form, cls in srt.MERGE_SORT_AUX:
         cost, lo = _AUX_COSTS[name]

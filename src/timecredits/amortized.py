@@ -188,7 +188,7 @@ def collect_corpus(
     return run_sequence(scheme, ops, initial).entries
 
 
-@record(frozen=True)
+@record
 class MultiplierResult:
     multiplier: int
     binding: OpLedgerEntry  # tightest-slack instance at the returned K

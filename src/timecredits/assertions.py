@@ -37,7 +37,7 @@ def _check_credits(amount) -> None:
         raise ValueError(f"time credits are naturals, not {amount!r}")
 
 
-@record(frozen=True)
+@record
 class PartialHeap:
     heap: Heap
     owned: frozenset[Addr]
@@ -69,12 +69,12 @@ class Assertion:
         return SepConj(self, other)
 
 
-@record(frozen=True)
+@record
 class Emp(Assertion):
     pass
 
 
-@record(frozen=True)
+@record
 class Credits(Assertion):
     amount: int
 
@@ -82,30 +82,30 @@ class Credits(Assertion):
         _check_credits(self.amount)
 
 
-@record(frozen=True)
+@record
 class PointsToRef(Assertion):
     addr: Addr
     value: Any
 
 
-@record(frozen=True)
+@record
 class PointsToArray(Assertion):
     addr: Addr
     values: tuple
 
 
-@record(frozen=True)
+@record
 class Pure(Assertion):
     truth: bool
 
 
-@record(frozen=True)
+@record
 class SepConj(Assertion):
     left: Assertion
     right: Assertion
 
 
-@record(frozen=True)
+@record
 class Top(Assertion):
     pass
 
@@ -239,7 +239,7 @@ class HoareTriple:
     top_absorbing: bool = True
 
 
-@record(frozen=True)
+@record
 class TripleVerdict:
     kind: str
     vacuous: bool = False
@@ -288,7 +288,7 @@ def check_triple(t: HoareTriple, ph: PartialHeap) -> TripleVerdict:
     return TripleVerdict(FAIL_POST, witness=after, trace=trace)
 
 
-@record(frozen=True)
+@record
 class Counterexample:
     seed: int
     trial: int
@@ -330,18 +330,19 @@ def check_triple_sampled(
     Each trial uses its own derived seed, so a reported counterexample can
     be replayed by rerunning the generator with that seed alone.
     """
-    report = SampleReport(trials=trials)
+    passes = vacuous = generator_invalid = 0
+    counterexample = None
     for trial in range(trials):
         trial_seed = seed * 1_000_003 + trial
         ph = gen(random.Random(trial_seed))
         verdict = check_triple(t, ph)
         if verdict.vacuous:
             # the generator promised a model of the precondition
-            report.generator_invalid += 1
+            generator_invalid += 1
         if verdict.passed:
-            report.passes += 1
+            passes += 1
             if verdict.vacuous:
-                report.vacuous += 1
-        elif report.counterexample is None:
-            report.counterexample = Counterexample(trial_seed, trial, ph, verdict)
-    return report
+                vacuous += 1
+        elif counterexample is None:
+            counterexample = Counterexample(trial_seed, trial, ph, verdict)
+    return SampleReport(trials, passes, vacuous, generator_invalid, counterexample)

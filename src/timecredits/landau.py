@@ -34,7 +34,7 @@ def _factors(var: str, power: int, log_power: int) -> list[str]:
     return parts
 
 
-@record(frozen=True)
+@record
 class PolyLog:
     """The function class n^power (ln n)^log_power; (0, 0) is the constants."""
 
@@ -48,7 +48,7 @@ class PolyLog:
         return " ".join(_factors("n", self.power, self.log_power)) or "1"
 
 
-@record(frozen=True)
+@record
 class PolyLog2:
     """m^a (ln m)^b * n^c (ln n)^d under the product filter."""
 
@@ -70,7 +70,7 @@ class PolyLog2:
         return " ".join(parts) or "1"
 
 
-@record(frozen=True)
+@record
 class SumClass2:
     """A sum of two-variable classes, e.g. m + n or m^2 n + m n^2."""
 
@@ -83,7 +83,7 @@ class SumClass2:
         return " + ".join(g.render() for g in self.members)
 
 
-@record(frozen=True)
+@record
 class RealPowerClass:
     """n^p with a real exponent; display and witness checking only.
 
@@ -288,7 +288,7 @@ def analyze_form(form: PolyForm, registry: BoundRegistry) -> PolyLog:
 # numeric witnesses
 # ---------------------------------------------------------------------------
 
-@record(frozen=True)
+@record
 class ThetaWitness:
     """Constants certifying c_lower * g <= f <= c_upper * g from N on."""
 
@@ -301,7 +301,7 @@ class ThetaWitness:
             raise ValueError("witness constants must be positive")
 
 
-@record(frozen=True)
+@record
 class WitnessReport:
     passed: bool
     violation: Optional[tuple] = None  # (sample, ratio, side)

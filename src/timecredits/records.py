@@ -1,19 +1,19 @@
-"""Value classes declared by their annotated fields.
+"""Frozen value classes declared by their annotated fields.
 
 `record` reads a class's annotations and defaults, as
-`dataclasses.dataclass` does, and gives the class the same constructor,
-``repr``, ``==``, hash, ``__match_args__`` and, when frozen, the same
-immutability.  Where `dataclass` compiles source text for each method of
-each class, `record` installs shared methods built from closures, so
-declaring a class compiles nothing.  A command-line run starts a fresh
-interpreter that declares every value class again, so this is paid on
-every command.
+`dataclasses.dataclass(frozen=True)` does, and gives the class the same
+constructor, ``repr``, ``==``, hash, ``__match_args__`` and immutability.
+Where `dataclass` compiles source text for each method of each class,
+`record` installs shared methods built from closures, so declaring a class
+compiles nothing.  A command-line run starts a fresh interpreter that
+declares every value class again, so this is paid on every command.
 
 A field is declared as ``name: type``, ``name: type = default`` or
-``name: type = field(...)`` with dataclass's options ``default``,
-``default_factory``, ``init``, ``repr``, ``compare`` and ``hash``.  Methods
-the class body defines itself are kept.  A frozen record computes its
-hash once, on first use, and keeps it out of its pickled state.
+``name: type = field(default_factory=...)``.  Every field is an
+``__init__`` parameter and is printed, compared and hashed; a record
+hashes its field tuple on each call.  Methods the class body defines
+itself are kept.  A cache or a value derived from the fields is not a
+field: ``__post_init__`` sets it through ``object.__setattr__``.
 """
 
 from __future__ import annotations
@@ -24,25 +24,17 @@ from reprlib import recursive_repr
 MISSING = object()
 
 
-class _Field:
-    __slots__ = ("default", "default_factory", "init", "repr", "compare", "hash")
+class _Factory:
+    __slots__ = ("build",)
 
-    def __init__(self, default=MISSING, default_factory=MISSING, init=True, repr=True,
-                 compare=True, hash=None):
-        self.default = default
-        self.default_factory = default_factory
-        self.init = init
-        self.repr = repr
-        self.compare = compare
-        self.hash = hash
+    def __init__(self, build):
+        self.build = build
 
 
-def field(*, default=MISSING, default_factory=MISSING, init=True, repr=True, compare=True,
-          hash=None) -> _Field:
-    """A field's options, as `dataclasses.field` takes them."""
-    if init is False and default_factory is not MISSING:
-        raise TypeError("a field built by a factory must be an __init__ parameter")
-    return _Field(default, default_factory, init, repr, compare, hash)
+def field(*, default_factory) -> _Factory:
+    """A field whose default each instance builds afresh, as
+    ``dataclasses.field(default_factory=...)`` declares it."""
+    return _Factory(default_factory)
 
 
 def frozen_error(message: str):
@@ -62,13 +54,6 @@ def replace(obj, **changes):
     return obj.__class__(**changes)
 
 
-def record(cls=None, *, frozen: bool = False):
-    """Make `cls` a value class; usable as ``@record`` or ``@record(...)``."""
-    if cls is None:
-        return lambda cls: _build(cls, frozen)
-    return _build(cls, frozen)
-
-
 def _values(names: tuple):
     """The tuple of the named attributes of an object."""
     if len(names) == 1:
@@ -77,28 +62,18 @@ def _values(names: tuple):
     return attrgetter(*names) if names else lambda obj: ()
 
 
-def _build(cls, frozen: bool):
-    fields = []
-    for name in cls.__dict__.get("__annotations__", {}):
+def record(cls):
+    """Make `cls` a frozen value class."""
+    names = tuple(cls.__dict__.get("__annotations__", {}))
+    defaults, factories = {}, {}
+    for name in names:
         declared = cls.__dict__.get(name, MISSING)
-        if isinstance(declared, _Field):
-            # the class attribute is the default, as dataclass leaves it
-            if declared.default is MISSING:
-                delattr(cls, name)
-            else:
-                setattr(cls, name, declared.default)
-        else:
-            declared = _Field(declared)
-        fields.append((name, declared))
-
-    names = tuple(name for name, f in fields if f.init)
-    defaults = {
-        name: f.default for name, f in fields if f.init and f.default is not MISSING
-    }
-    factories = {
-        name: f.default_factory
-        for name, f in fields if f.default_factory is not MISSING
-    }
+        if isinstance(declared, _Factory):
+            # no class attribute is left, as dataclass leaves none
+            delattr(cls, name)
+            factories[name] = declared.build
+        elif declared is not MISSING:
+            defaults[name] = declared
     optional = [name in defaults or name in factories for name in names]
     required = optional.count(False)
     if any(optional[:required]):
@@ -106,16 +81,14 @@ def _build(cls, frozen: bool):
     arity = len(names)
     qualname = cls.__qualname__
     post_init = hasattr(cls, "__post_init__")
-    compared = _values(tuple(name for name, f in fields if f.compare))
-    hashed = _values(
-        tuple(name for name, f in fields if (f.compare if f.hash is None else f.hash))
-    )
-    # as dataclass's own __init__ does: past a frozen __setattr__, else by
-    # plain assignment
-    store = object.__setattr__ if frozen else setattr
+    astuple = _values(names)
+    every = frozenset(names)
+    # past the frozen __setattr__, as dataclass's own __init__ stores; kept
+    # in the closure, not looked up on `object` for every field
+    store = object.__setattr__
 
     def bind(args: tuple, kwargs: dict) -> list:
-        """The init fields' values from a call that is not all positional."""
+        """The fields' values from a call that is not all positional."""
         if len(args) > arity:
             raise TypeError(f"{qualname}() takes {arity} arguments, not {len(args)}")
         values = list(args)
@@ -141,59 +114,38 @@ def _build(cls, frozen: bool):
             self.__post_init__()
 
     def __eq__(self, other):
-        # the compared fields as a tuple, as dataclass compares them
+        # the fields as a tuple, as dataclass compares them
         if other.__class__ is not self.__class__:
             return NotImplemented
-        return compared(self) == compared(other)
+        return astuple(self) == astuple(other)
 
-    shown = tuple(name for name, f in fields if f.repr)
+    def __hash__(self):
+        return hash(astuple(self))
 
     @recursive_repr()
     def __repr__(self):
-        body = ", ".join(f"{name}={getattr(self, name)!r}" for name in shown)
+        body = ", ".join(f"{name}={getattr(self, name)!r}" for name in names)
         return f"{self.__class__.__qualname__}({body})"
+
+    def __setattr__(self, name, value):
+        if type(self) is cls or name in every:
+            frozen_error(f"cannot assign to field {name!r}")
+        super(cls, self).__setattr__(name, value)
+
+    def __delattr__(self, name):
+        if type(self) is cls or name in every:
+            frozen_error(f"cannot delete field {name!r}")
+        super(cls, self).__delattr__(name)
 
     methods = {
         "__init__": __init__,
         "__eq__": __eq__,
+        "__hash__": __hash__,
         "__repr__": __repr__,
+        "__setattr__": __setattr__,
+        "__delattr__": __delattr__,
         "__match_args__": names,
-        # an eq that may change with the fields leaves the class unhashable
-        "__hash__": None,
     }
-    if frozen:
-        every = frozenset(name for name, _ in fields)
-
-        def __setattr__(self, name, value):
-            if type(self) is cls or name in every:
-                frozen_error(f"cannot assign to field {name!r}")
-            super(cls, self).__setattr__(name, value)
-
-        def __delattr__(self, name):
-            if type(self) is cls or name in every:
-                frozen_error(f"cannot delete field {name!r}")
-            super(cls, self).__delattr__(name)
-
-        def __hash__(self):
-            # the fields cannot change, so neither can their hash: it is
-            # kept on the instance, over the class's None, on first use
-            kept = self._record_hash
-            if kept is None:
-                kept = hash(hashed(self))
-                object.__setattr__(self, "_record_hash", kept)
-            return kept
-
-        def __getstate__(self):
-            # without the kept hash, which a copy loaded under another
-            # string hash seed would not share
-            state = dict(self.__dict__)
-            state.pop("_record_hash", None)
-            return state
-
-        methods.update(
-            __setattr__=__setattr__, __delattr__=__delattr__, __hash__=__hash__,
-            __getstate__=__getstate__, _record_hash=None,
-        )
     for name, method in methods.items():
         if name not in cls.__dict__:
             if callable(method):

@@ -54,7 +54,7 @@ class MissingBase(RecurrenceError):
     pass
 
 
-@record(frozen=True)
+@record
 class RecTerm:
     a: Fraction
     b: Fraction
@@ -73,7 +73,12 @@ class RecTerm:
 class AkraBazziSpec:
     """Recurrence description: threshold, recursive terms, toll class, and
     (optionally) a concrete toll plus base table for exact evaluation, and
-    the toll as a time expression in n."""
+    the toll as a time expression in n.
+
+    Its caches are attributes, not fields: ``_memo`` holds the exact values
+    `eval_recurrence` has computed, ``_live`` the terms in the form it
+    reads, and ``_exponent`` the root `solve_exponent` bisected.  So
+    `records.replace` gives the copy caches of its own."""
 
     x0: int
     terms: tuple[RecTerm, ...]
@@ -82,26 +87,25 @@ class AkraBazziSpec:
     g_form: Optional[PolyForm] = None
     base: dict[int, int] = field(default_factory=dict)
     name: str = ""
-    _memo: dict = field(default_factory=dict, repr=False, compare=False)
-    _live: tuple = field(default=(), init=False, repr=False, compare=False)
-    _exponent: Optional[float] = field(default=None, init=False, repr=False, compare=False)
+    _exponent = None
 
     def __post_init__(self):
-        self.terms = tuple(self.terms)
+        object.__setattr__(self, "terms", tuple(self.terms))
         if not any(t.a > 0 for t in self.terms):
             raise RecurrenceError("at least one recursive term must have a > 0")
         if self.x0 < 1:
             raise RecurrenceError("threshold x0 must be at least 1")
+        object.__setattr__(self, "_memo", {})
         # (a, b numerator, b denominator, rounds up) per term with a > 0, an
         # integral a as an int, so exact evaluation stays in int arithmetic
-        self._live = tuple(
+        object.__setattr__(self, "_live", tuple(
             (int(t.a) if t.a.denominator == 1 else t.a, t.b.numerator, t.b.denominator,
              t.rounding == "ceil")
             for t in self.terms if t.a != 0
-        )
+        ))
 
 
-@record(frozen=True)
+@record
 class AkraBazziResult:
     p: float
     case: str
@@ -142,7 +146,7 @@ def solve_exponent(spec: AkraBazziSpec) -> float:
             lo = mid
         else:
             hi = mid
-    spec._exponent = 0.5 * (lo + hi)
+    object.__setattr__(spec, "_exponent", 0.5 * (lo + hi))
     return spec._exponent
 
 
@@ -338,7 +342,7 @@ def eval_recurrence(spec: AkraBazziSpec, n: int):
     return memo[n]
 
 
-@record(frozen=True)
+@record
 class RatioReport:
     min_ratio: float
     max_ratio: float
@@ -380,22 +384,21 @@ def empirical_ratio_check(
 # linear recurrences (for-loops written as recursions)
 # ---------------------------------------------------------------------------
 
-@record(frozen=True)
+@record
 class LinearRecSpec:
     """A loop's cost: f(n) = init + step(1) + ... + step(n - 1) + final in
     one variable, f(n, W) = init(W) + n * step(W) + final in two.  ``init``
     and ``step`` are integer polynomials {power: coeff} (``init`` constant
-    in one variable); the step's class, ``g_class``, is read off its
-    leading power."""
+    in one variable).  Two values derived from the fields are attributes,
+    not fields: the step's class, ``g_class``, read off its leading power,
+    and ``_diffs``.  In one variable a step of degree d sums to a polynomial
+    of degree d + 1 (Faulhaber), fixed by ``_diffs``, the forward
+    differences of f(1), ..., f(d + 2)."""
 
     arity: int
-    step: dict = field(hash=False)
-    init: dict = field(default_factory=dict, hash=False)
+    step: dict
+    init: dict = field(default_factory=dict)
     final: int = 0
-    g_class: PolyLog = field(init=False)
-    # one variable: a step of degree d sums to a polynomial of degree d + 1
-    # (Faulhaber), fixed by the forward differences of f(1), ..., f(d + 2)
-    _diffs: tuple = field(default=(), init=False, repr=False, compare=False)
 
     def __post_init__(self):
         lead = _degree(self.step)

@@ -696,17 +696,13 @@ def test_partition_sides_restate_the_counting_formula():
     assert not any(holds_for_all_n(side, tighter, sel.CUTOFF + 1) for side in sel.PARTITION_SIDES)
 
 
-def _refused(spec, **change):
-    return replace(spec, _memo={}, **change)
-
-
 REFUSED_SPECS = {
-    "negative-toll-coefficient": (sel, "select_recurrence", lambda: _refused(
+    "negative-toll-coefficient": (sel, "select_recurrence", lambda: replace(
         sel.select_recurrence(),
         g_form=PolyForm({**sel.select_recurrence().g_form.coeffs, VarAtom("n"): -1}))),
-    "decreasing-base": (srch, "bsearch_recurrence", lambda: _refused(
+    "decreasing-base": (srch, "bsearch_recurrence", lambda: replace(
         srch.bsearch_recurrence(), x0=3, base={0: 1, 1: 5, 2: 4})),
-    "term-not-below-x": (sel, "select_recurrence", lambda: _refused(sel.select_recurrence(), terms=(
+    "term-not-below-x": (sel, "select_recurrence", lambda: replace(sel.select_recurrence(), terms=(
         RecTerm(Fraction(1), Fraction(1, 5), "ceil"),
         RecTerm(Fraction(1), Fraction(99, 100), "ceil")))),
 }
@@ -723,6 +719,15 @@ def test_refused_specs_make_their_hinted_discharge_fail(monkeypatch, kind):
     hinted = [r for r in reports if r.hints_used]
     assert [r.success for r in hinted] == [False]
     assert hinted[0].detail.startswith("could not certify")
+
+
+def test_a_replaced_spec_evaluates_with_its_own_memo():
+    spec = srt.merge_sort_recurrence()
+    assert eval_recurrence(spec, 64) == 1916
+    copy = replace(spec, base={0: 100, 1: 100})
+    assert copy._memo is not spec._memo
+    assert eval_recurrence(copy, 64) == 8188
+    assert eval_recurrence(spec, 64) == 1916
 
 
 def test_default_and_probed_specs_are_monotone_by_induction():

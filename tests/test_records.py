@@ -3,12 +3,13 @@
 tuples instead, keep the same contract.
 
 Each class's twin is built by `dataclasses.make_dataclass` from the
-class's declaration in the source: the decorator's `frozen` (a term is
-frozen), each annotated field with its default or its `field(...)` options,
-and the methods the class body defines.  The record or term and its twin
-are then built in every form, printed, compared, hashed, frozen and
-replaced, and must agree each time; a term hashes as its tuple
-(class, *fields) does where a dataclass hashes its field tuple.
+class's declaration in the source: frozen, as every record and term is,
+with each annotated field and its default or its default factory, and the
+methods the class body defines.  The record or term and its twin are then
+built in every form, printed, compared, hashed, frozen and replaced, and
+must agree each time; a term hashes as its tuple (class, *fields) does
+where a dataclass hashes its field tuple.  `record` takes no options and
+`field` only ``default_factory``.
 """
 
 import ast
@@ -50,20 +51,15 @@ ABSENT = object()
 
 
 def _declarations():
-    """(module, class node, decorator keywords) of every record class and
-    every credit term class; a term's keywords are {"frozen": True}."""
+    """(module, class node, twin options) of every record class and every
+    credit term class; each is frozen."""
     for path in sorted(PACKAGE.rglob("*.py")):
         module = ".".join(("timecredits",) + path.relative_to(PACKAGE).with_suffix("").parts)
         for node in ast.parse(path.read_text()).body:
             if not isinstance(node, ast.ClassDef):
                 continue
             for deco in node.decorator_list:
-                call = deco if isinstance(deco, ast.Call) else None
-                name = call.func if call else deco
-                if isinstance(name, ast.Name) and name.id == "record":
-                    keywords = call.keywords if call else ()
-                    yield module, node, {kw.arg: ast.literal_eval(kw.value) for kw in keywords}
-                elif isinstance(name, ast.Name) and name.id == "_term":
+                if isinstance(deco, ast.Name) and deco.id in ("record", "_term"):
                     yield module, node, {"frozen": True}
 
 
@@ -240,6 +236,24 @@ def test_replace_matches_the_dataclass(name):
 def test_every_record_class_has_a_twin():
     assert len(RECORD_NAMES) == 32
     assert len(TWINS) - len(RECORD_NAMES) == 11
+
+
+def test_record_and_field_take_no_other_options():
+    for build in (
+        lambda: records.field(init=False),
+        lambda: records.field(default=1),
+        lambda: records.field(hash=False),
+        lambda: records.record(frozen=True),
+    ):
+        with pytest.raises(TypeError):
+            build()
+
+    @records.record
+    class Holder:
+        items: dict = records.field(default_factory=dict)
+
+    a, b = Holder(), Holder()
+    assert a.items == {} and a.items is not b.items and "items" not in vars(Holder)
 
 
 def test_same_fields_in_different_classes_are_unequal():
