@@ -132,25 +132,26 @@ def points_to_array(addr: Addr, values) -> PointsToArray:
 
 
 def _candidates(heap: Heap) -> list:
-    """None, the booleans, -8..8, then each cell's address and contents."""
+    """None, the booleans, -8..8, then each cell's address and contents;
+    each value once, where it first occurs."""
     out: list = [None, True, False, *range(-8, 9)]
     seen = set(out)
 
-    def add(v, always: bool = False) -> None:
+    def add(v) -> None:
         try:
-            new = always or v not in seen
+            new = v not in seen
             seen.add(v)
         except TypeError:  # an unhashable value is looked for in the list
-            new = always or v not in out
+            new = v not in out
         if new:
             out.append(v)
 
     for i, v in heap.refs.items():
-        add(Addr(i, REF), True)
+        add(Addr(i, REF))
         add(v)
     for i, cells in heap.arrays.items():
-        add(Addr(i, ARRAY), True)
-        add(tuple(cells), True)
+        add(Addr(i, ARRAY))
+        add(tuple(cells))
         for v in cells:
             add(v)
     return out

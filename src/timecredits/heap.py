@@ -32,7 +32,11 @@ yielded value that is not an instruction raises `TypeError` before anything
 is charged.  Operand checks test the exact type first: the inline cell
 commands check a plain int index i >= 0 by indexing the list (its
 `IndexError` is the failure); any other index (negative, a bool, an int
-subclass or not an int) takes the full test against the length.
+subclass or not an int) takes the full test against the length.  An
+`array_nth` on the very address object of one of the last two reads, or an
+`array_upd` on that of the last write, reuses its cells with no address
+check or dict probe; the first-write copy of an input array empties the
+read entries, so a hit is exact (see `_drive`).
 """
 
 from __future__ import annotations
@@ -295,6 +299,13 @@ def _drive(comp: Computation, base: Heap, trace) -> tuple[Any, int, _Overlay]:
     procs waiting for it keep their `send` on `frames`.  A failing primitive
     raises `_Fail`; any other exception propagates unchanged.  Each charge is
     appended to `trace` unless it is None; no other code records one.
+
+    `read_a`, `read_b` and `write_a` cache the cells of the arrays last read
+    and written, by address object; an entry holding the overlay, which no
+    program can name, is empty.  A hit is exact: the object passed the
+    address check and an `Addr` is immutable; within a run an index names one
+    list except at the first-write copy of an input array, which empties the
+    read entries; the write entry holds only lists the run owns.
     """
     heap = _Overlay(base)
     arrays, delta, base_arrays = heap.arrays, base._delta, base._base
@@ -303,6 +314,8 @@ def _drive(comp: Computation, base: Heap, trace) -> tuple[Any, int, _Overlay]:
     # local names for what the loop tests on every instruction
     NTH, UPD, PROC, RET = _NTH, _UPD, _PROC, _RET
     Addr_, ARRAY_, tuple_, int_ = Addr, ARRAY, tuple, int
+    read_a = read_b = write_a = heap
+    read_a_cells = read_b_cells = write_cells = None
     send = None
     instr = comp
     cost = 0
@@ -313,16 +326,22 @@ def _drive(comp: Computation, base: Heap, trace) -> tuple[Any, int, _Overlay]:
             if trace is not None:
                 trace.append(_NTH_CHARGE)
             _, a, i = instr
-            if not ((type(a) is Addr_ or isinstance(a, Addr_)) and a.kind == ARRAY_):
-                raise _Fail()
-            cells = arrays.get(a.index)
-            if cells is None:
-                # an unwritten base array is read in place
-                cells = delta.get(a.index)
+            if a is read_a:
+                cells = read_a_cells
+            elif a is read_b:
+                cells = read_b_cells
+            else:
+                if not ((type(a) is Addr_ or isinstance(a, Addr_)) and a.kind == ARRAY_):
+                    raise _Fail()
+                cells = arrays.get(a.index)
                 if cells is None:
-                    cells = base_arrays.get(a.index)
+                    # an unwritten base array is read in place
+                    cells = delta.get(a.index)
                     if cells is None:
-                        raise _Fail()
+                        cells = base_arrays.get(a.index)
+                        if cells is None:
+                            raise _Fail()
+                read_b, read_b_cells, read_a, read_a_cells = read_a, read_a_cells, a, cells
             # a plain int i >= 0 is checked by the list itself
             if (type(i) is not int_ or i < 0) and (not _is_index(i) or not 0 <= i < len(cells)):
                 raise _Fail()
@@ -335,17 +354,23 @@ def _drive(comp: Computation, base: Heap, trace) -> tuple[Any, int, _Overlay]:
             if trace is not None:
                 trace.append(_UPD_CHARGE)
             _, a, i, v = instr
-            if not ((type(a) is Addr_ or isinstance(a, Addr_)) and a.kind == ARRAY_):
-                raise _Fail()
-            cells = arrays.get(a.index)
-            if cells is None:
-                # the first write to an input array copies it
-                cells = delta.get(a.index)
+            if a is write_a:
+                cells = write_cells
+            else:
+                if not ((type(a) is Addr_ or isinstance(a, Addr_)) and a.kind == ARRAY_):
+                    raise _Fail()
+                cells = arrays.get(a.index)
                 if cells is None:
-                    cells = base_arrays.get(a.index)
+                    # the first write to an input array copies it, so a
+                    # cached read may hold the list it replaces
+                    cells = delta.get(a.index)
                     if cells is None:
-                        raise _Fail()
-                cells = arrays[a.index] = cells[:]
+                        cells = base_arrays.get(a.index)
+                        if cells is None:
+                            raise _Fail()
+                    cells = arrays[a.index] = cells[:]
+                    read_a = read_b = heap
+                write_a, write_cells = a, cells
             if (type(i) is not int_ or i < 0) and (not _is_index(i) or not 0 <= i < len(cells)):
                 raise _Fail()
             try:

@@ -563,13 +563,16 @@ def _build(prog):
 
 
 def _driver_base():
-    """Arrays a0 (3 cells) and a1 (4 cells), ref r2; the next address is 3."""
+    """Arrays a0 (3 cells, in the version's base) and a1 (4 cells, in its
+    delta), ref r2; the next address is 3."""
     base = run(array_of_list([1, 2, 3]), empty_heap()).heap
     base = run(array_of_list([4, 5, 6, 7]), base).heap
-    return run(ref_new(8), base).heap
+    base = run(ref_new(8), base).heap
+    base._base = {0: base._delta.pop(0)}
+    return base
 
 
-# arrays a0 and a1 are in the base, a3 and a4 are made by the run if it allocates;
+# arrays a0 and a1 are in the input, a3 and a4 are made by the run if it allocates;
 # r0 is a ref address on an array's index, a9 and r7 dangle; an Addr subclass
 # is an address too
 _GOOD_ARRAYS = [Addr(0, "array"), Addr(1, "array")] * 3 + [Addr(3, "array"), Addr(4, "array"),
@@ -596,8 +599,18 @@ def _random_reference_program(rng, depth=0):
 
     prog = []
     for _ in range(rng.randrange(1, 8)):
-        kind = rng.randrange(14)
-        if kind == 0 and depth < 2:
+        kind = rng.randrange(16)
+        if kind >= 14:
+            # a run of cell commands on one array, through one Addr object or
+            # through it and an equal but distinct one
+            a = rng.choice(_GOOD_ARRAYS)
+            names = (a, a if kind == 14 else type(a)(a.index, a.kind))
+            for _ in range(rng.randrange(2, 7)):
+                if rng.random() < 0.5:
+                    prog.append(("array_nth", (rng.choice(names), index())))
+                else:
+                    prog.append(("array_upd", (rng.choice(names), index(), value())))
+        elif kind == 0 and depth < 2:
             prog.append(_random_reference_program(rng, depth + 1))
         elif kind in (1, 2, 3):
             prog.append(("array_nth", (addr(), index())))
@@ -626,7 +639,9 @@ def _random_reference_program(rng, depth=0):
 
 def test_driver_agrees_with_a_plain_reference_interpreter():
     """Outcome, trace, committed heap (with dict order) and the untouched input
-    of `run_traced` and `run`, on 4000 derandomized random programs."""
+    of `run_traced` and `run`, on 4000 derandomized random programs.  Runs of
+    cell commands on one array, by one Addr object or two equal ones, test
+    the driver's cache of the arrays last read and written."""
     rng = random.Random(2024)
     base = _driver_base()
     snapshot = base.clone()
@@ -648,6 +663,39 @@ def test_driver_agrees_with_a_plain_reference_interpreter():
             assert list(out.heap.refs) == list(heap.refs)
         assert base == snapshot
     assert 800 < succeeded < 3200  # both outcomes are exercised
+
+
+@pytest.mark.parametrize("index", [0, 1])  # an input array in the base, in the delta
+def test_a_read_after_the_first_write_sees_the_copy(index):
+    """Two reads by one Addr object cache the input array's cells; the first
+    write copies them, and a later read and write by that object use the
+    copy, never the input."""
+    heap = _driver_base()
+    snapshot = heap.clone()
+    a = Addr(index, "array")
+
+    @proc
+    def read_read_write_read():
+        first = yield array_nth(a, 1)
+        again = yield array_nth(a, 1)
+        yield array_upd(a, 1, 20)
+        return first, again, (yield array_nth(a, 1))
+
+    @proc
+    def write_write_read():
+        yield array_upd(a, 0, 10)
+        yield array_upd(a, 2, 30)
+        return (yield array_nth(a, 2))
+
+    cells = heap.arrays[index]
+    out, trace = run_traced(read_read_write_read(), heap)
+    assert out.value == (cells[1], cells[1], 20) and out.cost == 4
+    assert trace == (("array_nth", 1),) * 2 + (("array_upd", 1), ("array_nth", 1))
+    assert out.heap.arrays[index] == [cells[0], 20, *cells[2:]]
+    out, trace = run_traced(write_write_read(), heap)
+    assert out.value == 30 and trace == (("array_upd", 1),) * 2 + (("array_nth", 1),)
+    assert out.heap.arrays[index] == [10, cells[1], 30, *cells[3:]]
+    assert heap == snapshot and heap.arrays[index] is cells
 
 
 # ---------------------------------------------------------------------------

@@ -65,7 +65,7 @@ def _declarations():
 
 def _twin(module_name, node, options):
     """The record class, its dataclass twin and its fields as
-    (name, init, required, built by a factory)."""
+    (name, required, built by a factory)."""
     module = importlib.import_module(module_name)
     cls = getattr(module, node.name)
     fields, spec = [], []
@@ -76,18 +76,15 @@ def _twin(module_name, node, options):
         value = stmt.value
         if value is None:
             spec.append((name, object))
-            fields.append((name, True, True, False))
+            fields.append((name, True, False))
         elif isinstance(value, ast.Call) and ast.unparse(value.func) == "field":
-            kwargs = {kw.arg: eval(ast.unparse(kw.value), vars(module)) for kw in value.keywords}
-            if "default" in kwargs:
-                kwargs["default"] = cls.__dict__[name]  # the very object the record keeps
-            spec.append((name, object, dataclasses.field(**kwargs)))
-            init = kwargs.get("init", True)
-            required = "default" not in kwargs and "default_factory" not in kwargs
-            fields.append((name, init, init and required, "default_factory" in kwargs))
+            (factory,) = value.keywords  # `default_factory`, the one option `field` takes
+            factory = eval(ast.unparse(factory.value), vars(module))
+            spec.append((name, object, dataclasses.field(default_factory=factory)))
+            fields.append((name, False, True))
         else:
             spec.append((name, object, cls.__dict__[name]))
-            fields.append((name, True, False, False))
+            fields.append((name, False, False))
     body = {
         stmt.name: cls.__dict__[stmt.name]
         for stmt in node.body if isinstance(stmt, ast.FunctionDef)
@@ -127,8 +124,8 @@ def _samples(name, fields):
     fields only."""
     if name in SAMPLES:
         return SAMPLES[name]
-    required = [f"a:{field}" for field, _, needed, _ in fields if needed]
-    full = [f"b:{field}" for field, init, _, _ in fields if init]
+    required = [f"a:{field}" for field, needed, _ in fields if needed]
+    full = [f"b:{field}" for field, _, _ in fields]
     return tuple(required), tuple(full)
 
 
@@ -163,7 +160,7 @@ def _agree(cls, twin, fields, make):
 def test_construction_forms_match_the_dataclass(name):
     cls, twin, fields = TWINS[name]
     assert cls.__match_args__ == twin.__match_args__
-    init = [field for field, is_init, _, _ in fields if is_init]
+    init = [field for field, _, _ in fields]
     for args in _samples(name, fields):
         keywords = dict(zip(init, args))
         forms = [
@@ -175,7 +172,7 @@ def test_construction_forms_match_the_dataclass(name):
         ]
         if args:
             forms.append(lambda c: c(*args, **{init[0]: args[0]}))
-        if any(needed for _, _, needed, _ in fields):
+        if any(needed for _, needed, _ in fields):
             forms.append(lambda c: c())
         for make in forms:
             _agree(cls, twin, fields, make)
@@ -216,7 +213,7 @@ def test_immutability_and_default_factories_match_the_dataclass(name):
             delattr(obj, target)
             return obj
         _agree(cls, twin, fields, delete)
-    for field, _, _, by_factory in fields:
+    for field, _, by_factory in fields:
         if by_factory:
             a, b = cls(*first), cls(*first)
             assert getattr(a, field) == getattr(twin(*first), field)
@@ -227,7 +224,7 @@ def test_immutability_and_default_factories_match_the_dataclass(name):
 def test_replace_matches_the_dataclass(name):
     cls, twin, fields = TWINS[name]
     first, second = _samples(name, fields)
-    init = [field for field, is_init, _, _ in fields if is_init]
+    init = [field for field, _, _ in fields]
     for changes in ({}, dict(zip(init, second))):
         got = records.replace(cls(*first), **changes)
         assert _state(got, fields) == _state(dataclasses.replace(twin(*first), **changes), fields)
@@ -281,7 +278,7 @@ def test_no_class_is_a_dataclass_after_the_cli_is_imported():
     assert done.stdout.split() == ["[]", "False"]
 
 
-def test_a_kept_hash_is_not_carried_across_string_hash_seeds(tmp_path):
+def test_a_reloaded_rec_term_hashes_as_its_field_tuple(tmp_path):
     # hashed and pickled under one seed and loaded under another, a frozen
     # record hashes as its own field tuple does in the loading process, and
     # a credit term as a fresh term does
@@ -290,21 +287,21 @@ def test_a_kept_hash_is_not_carried_across_string_hash_seeds(tmp_path):
         "from fractions import Fraction\n"
         "from timecredits.credits import CallAtom, FloorDivE, VarE\n"
         "from timecredits.recurrence import RecTerm\n"
-        "kept = RecTerm(Fraction(1), Fraction(1, 2), 'floor')\n"
+        "rec = RecTerm(Fraction(1), Fraction(1, 2), 'floor')\n"
         "term = CallAtom('f', (FloorDivE(VarE('n'), 2),))\n"
-        "hash(kept), hash(term)\n"
-        "open(sys.argv[1], 'wb').write(pickle.dumps((kept, term)))\n"
+        "hash(rec), hash(term)\n"
+        "open(sys.argv[1], 'wb').write(pickle.dumps((rec, term)))\n"
     )
     load = (
         "import pickle, sys\n"
         "from fractions import Fraction\n"
         "from timecredits.credits import CallAtom, FloorDivE, VarE\n"
         "from timecredits.recurrence import RecTerm\n"
-        "kept, term = pickle.loads(open(sys.argv[1], 'rb').read())\n"
-        "fresh_kept = RecTerm(Fraction(1), Fraction(1, 2), 'floor')\n"
+        "rec, term = pickle.loads(open(sys.argv[1], 'rb').read())\n"
+        "fresh_rec = RecTerm(Fraction(1), Fraction(1, 2), 'floor')\n"
         "fresh = CallAtom('f', (FloorDivE(VarE('n'), 2),))\n"
-        "print(kept == fresh_kept, hash(kept) == hash(fresh_kept)"
-        " == hash((Fraction(1), Fraction(1, 2), 'floor')), {fresh_kept: 1}.get(kept))\n"
+        "print(rec == fresh_rec, hash(rec) == hash(fresh_rec)"
+        " == hash((Fraction(1), Fraction(1, 2), 'floor')), {fresh_rec: 1}.get(rec))\n"
         "print(term == fresh, hash(term) == hash(fresh), {fresh: 1}.get(term))\n"
     )
     dump = tmp_path / "values.pickle"

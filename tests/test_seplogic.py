@@ -206,14 +206,13 @@ def _candidates_by_scan(heap):
     """The candidate list as a scan of the list built so far gives it."""
     out = [None, True, False, *range(-8, 9)]
     for i, v in heap.refs.items():
-        out.append(Addr(i, "ref"))
-        if v not in out:
-            out.append(v)
+        for c in (Addr(i, "ref"), v):
+            if c not in out:
+                out.append(c)
     for i, cells in heap.arrays.items():
-        out += (Addr(i, "array"), tuple(cells))
-        for v in cells:
-            if v not in out:
-                out.append(v)
+        for c in (Addr(i, "array"), tuple(cells), *cells):
+            if c not in out:
+                out.append(c)
     return out
 
 
@@ -232,6 +231,17 @@ def test_candidates_are_each_value_once_in_scan_order():
     assert sat(ph, ExistsVal(lambda v: PointsToRef(r0, v) * Pure(type(v) is list)))
     assert not sat(ph, ExistsVal(lambda v: PointsToRef(r0, v) * Pure(type(v) is tuple)))
     assert sat(pheap(h, [r2], 0), ExistsVal(lambda v: PointsToRef(r2, v)))
+
+
+def test_an_address_and_a_pointer_to_it_are_one_candidate():
+    """r0 points to r1: r1 is listed once, where r0's contents first name it,
+    and two arrays with equal contents give one tuple."""
+    r1 = Addr(1, "ref")
+    h = Heap(refs={0: r1, 1: 7}, next_addr=2)
+    assert _candidates(h)[20:] == [Addr(0, "ref"), r1] == _candidates_by_scan(h)[20:]
+    h = Heap(arrays={0: [3, 4], 1: [3, 4]}, next_addr=2)
+    assert _candidates(h)[20:] == [Addr(0, "array"), (3, 4), Addr(1, "array")]
+    assert _candidates(h) == _candidates_by_scan(h)
 
 
 def _random_shape(rng, leaves):
